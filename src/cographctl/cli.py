@@ -90,32 +90,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_one_input(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
     flags = [name for name in ("expr", "cotree", "threshold", "edges")
-             if getattr(args, name, None)]
+             if getattr(args, name, None) is not None]
     if len(flags) != 1:
         parser.error("exactly one of --expr/--cotree/--threshold/--edges is required")
     return flags[0]
 
 
-def _load_input(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[CoTree, Graph]:
+def _load_input(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, graph: bool = False
+) -> tuple[CoTree, Graph | None]:
+    """The input's canonical cotree, and its adjacency when ``graph`` is set
+    or the input is an edge list; otherwise the O(n^2) graph is never built."""
     kind = _check_one_input(parser, args)
     if kind == "expr":
         tree = parse_expr(args.expr)
-        return tree, cotree_to_graph(tree)
+        return tree, cotree_to_graph(tree) if graph else None
     if kind == "cotree":
         tree = canonicalize(parse_cotree(args.cotree))
-        return tree, cotree_to_graph(tree)
+        return tree, cotree_to_graph(tree) if graph else None
     if kind == "threshold":
         seq = parse_threshold(args.threshold)
-        return threshold_to_cotree(seq), threshold_to_graph(seq)
+        return threshold_to_cotree(seq), threshold_to_graph(seq) if graph else None
     with open(args.edges, encoding="utf-8") as fh:
-        graph = read_edge_list(fh.read())
-    result = recognize(graph)
+        edges = read_edge_list(fh.read())
+    result = recognize(edges)
     if isinstance(result, P4Witness):
         raise _DomainError(
             "input graph is not a cograph: induced P4 on vertices "
             + " ".join(str(v) for v in result.vertices)
         )
-    return result, graph
+    return result, edges
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -182,7 +186,7 @@ def _cmd_spectrum(args, parser) -> int:
 
 
 def _cmd_partition(args, parser) -> int:
-    tree, graph = _load_input(parser, args)
+    tree, graph = _load_input(parser, args, graph=args.degree)
     cells = control.sibling_partition(tree).cells
     payload = {"n": tree.n, "cotree": serialize_cotree(tree),
                "cells": _cells_payload(cells)}
@@ -220,7 +224,7 @@ def _cmd_leaders(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    tree, graph = _load_input(parser, args)
+    tree, graph = _load_input(parser, args, graph=args.cross_check)
     cset = _parse_set(args.set)
     ok = control.is_controllable(tree, cset)
     payload = {"n": tree.n, "cotree": serialize_cotree(tree),
@@ -241,7 +245,7 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    tree, graph = _load_input(parser, args)
+    tree, graph = _load_input(parser, args, graph=True)
     if graph.n > oracle.EXHAUSTIVE_CAP:
         raise _DomainError(
             f"oracle battery capped at n <= {oracle.EXHAUSTIVE_CAP}, got {graph.n}"

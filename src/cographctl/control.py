@@ -73,15 +73,10 @@ def sibling_partition(t: CoTree) -> SiblingPartition:
     """Group leaves by their cotree parent; requires a canonical cotree."""
     if t.n == 1:
         return SiblingPartition(((1,),))
-    cells = []
-    for v in t.internal_ids():
-        members = sorted(
-            t.leaf_vertex(c) for c in t.children(v) if t.is_leaf(c)
-        )
-        if members:
-            cells.append(tuple(members))
-    cells.sort(key=lambda cell: cell[0])
-    return SiblingPartition(tuple(cells))
+    by_parent: dict[int | None, list[int]] = {}
+    for v in range(1, t.n + 1):
+        by_parent.setdefault(t.parent(t.leaf_id(v)), []).append(v)
+    return SiblingPartition(tuple(sorted(map(tuple, by_parent.values()))))
 
 
 def min_control_size(t: CoTree) -> int:
@@ -112,22 +107,49 @@ def count_min_control_sets(t: CoTree) -> int:
 
 def enumerate_min_control_sets(t: CoTree) -> Iterator[ControlSet]:
     """All minimum control sets, one dropped vertex per cell, emitted in
-    lexicographic order of the sorted vertex tuple."""
+    lexicographic order of the sorted vertex tuple.
+
+    A depth-first walk over the vertex ids in increasing order tries "keep
+    v" before "drop v", which is exactly lexicographic order. v may be kept
+    only while its cell still has a later vertex to drop, and dropped only
+    while its cell has no drop yet, so the walk never dead-ends: the first
+    set costs O(n) and nothing is built or sorted ahead of time."""
     _require_controllable_setting(t, "enumerate_min_control_sets")
     cells = sibling_partition(t).cells
-
-    def expand(idx: int, kept: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if idx == len(cells):
-            yield kept
+    n = t.n
+    cell_of = [0] * (n + 1)
+    for idx, cell in enumerate(cells):
+        for v in cell:
+            cell_of[v] = idx
+    last = {cell[-1] for cell in cells}
+    dropped = [False] * len(cells)
+    drops: list[int] = []  # dropped vertices, in walk order
+    kept: list[int] = []
+    # vertices kept while their cell could still drop them, with len(kept) before each
+    branches: list[tuple[int, int]] = []
+    v = 1
+    while True:
+        while v <= n:
+            c = cell_of[v]
+            if dropped[c]:
+                kept.append(v)
+            elif v in last:
+                dropped[c] = True
+                drops.append(v)
+            else:
+                branches.append((v, len(kept)))
+                kept.append(v)
+            v += 1
+        yield ControlSet(tuple(kept))
+        if not branches:
             return
-        cell = cells[idx]
-        for drop in cell:
-            rest = tuple(v for v in cell if v != drop)
-            yield from expand(idx + 1, kept + rest)
-
-    sets = sorted(tuple(sorted(s)) for s in expand(0, ()))
-    for s in sets:
-        yield ControlSet(s)
+        v, size = branches.pop()
+        while drops and drops[-1] > v:
+            dropped[cell_of[drops.pop()]] = False
+        del kept[size:]
+        dropped[cell_of[v]] = True
+        drops.append(v)
+        v += 1
 
 
 def is_controllable(t: CoTree, control: ControlSet | Iterable[int]) -> bool:

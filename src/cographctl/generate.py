@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .cotree import CoTree, Nested, _normalize
+from .cotree import CoTree
 from .parsing import ThresholdSequence
 
 
@@ -23,17 +23,26 @@ def random_cotree(n: int, rng: random.Random, root_label: int = 1) -> CoTree:
         raise ValueError("root label must be 0 or 1")
     if n == 1 and root_label == 0:
         raise ValueError("a single vertex is connected; root label 0 needs n >= 2")
-    counter = iter(range(1, n + 1))
-
-    def build(size: int, label: int) -> Nested:
+    # Preorder walk over (size, label, parent); drawing each node's split
+    # before its children's keeps the stream of random draws in preorder.
+    # Children come out alternating, with at least two per node and leaf ids
+    # increasing, so the tree is canonical as built.
+    parents: list[int | None] = []
+    labels: list[int | None] = []
+    stack: list[tuple[int, int, int | None]] = [(n, root_label, None)]
+    while stack:
+        size, label, parent = stack.pop()
+        idx = len(parents)
+        parents.append(parent)
         if size == 1:
-            return next(counter)
+            labels.append(None)
+            continue
+        labels.append(label)
         k = rng.randint(2, size)
         cuts = sorted(rng.sample(range(1, size), k - 1))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [size])]
-        return (label, [build(s, 1 - label) for s in sizes])
-
-    return CoTree.from_nested(_normalize(build(n, root_label)))
+        stack.extend((s, 1 - label, idx) for s in reversed(sizes))
+    return CoTree(parents, labels, range(1, n + 1))
 
 
 def random_threshold_sequence(n: int, rng: random.Random) -> ThresholdSequence:

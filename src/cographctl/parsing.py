@@ -9,8 +9,9 @@ which vertex ids later appear in sibling cells and control sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
-from .cotree import CoTree, Nested, _normalize
+from .cotree import CoTree, Nested, canonicalize
 from .errors import ParseError
 from .graphs import Graph
 
@@ -65,6 +66,13 @@ def _tokenize_expr(text: str) -> list[_Token]:
 
 
 class _ExprParser:
+    """Operator-precedence parser over an explicit stack of open groups.
+
+    Each open '(' saves the enclosing group's finished terms and the factors
+    of its unfinished term; the matching ')' restores them. Tokens are
+    consumed, and errors raised, in the same order as a recursive-descent
+    parser of the grammar above would."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
@@ -83,22 +91,7 @@ class _ExprParser:
         self.next_vertex += 1
         return v
 
-    def expr(self) -> Nested:
-        parts = [self.term()]
-        while self.peek().kind == "PLUS":
-            self.take()
-            parts.append(self.term())
-        return parts[0] if len(parts) == 1 else (0, parts)
-
-    def term(self) -> Nested:
-        parts = [self.factor()]
-        while self.peek().kind == "STAR":
-            self.take()
-            parts.append(self.factor())
-        return parts[0] if len(parts) == 1 else (1, parts)
-
-    def factor(self) -> Nested:
-        tok = self.take()
+    def atom(self, tok: _Token) -> Nested:
         if tok.kind == "DOT":
             return self.fresh_leaf()
         if tok.kind == "INT":
@@ -107,13 +100,41 @@ class _ExprParser:
             if tok.value == 1:
                 return self.fresh_leaf()
             return (0, [self.fresh_leaf() for _ in range(tok.value)])
-        if tok.kind == "LPAREN":
-            inner = self.expr()
-            closing = self.take()
-            if closing.kind != "RPAREN":
-                raise ParseError("unbalanced parenthesis", closing.line, closing.col)
-            return inner
         raise ParseError(f"unexpected token {tok.kind}", tok.line, tok.col)
+
+    def expr(self) -> Nested:
+        groups: list[tuple[list[Nested], list[Nested]]] = []
+        terms: list[Nested] = []
+        factors: list[Nested] = []
+        while True:
+            tok = self.take()
+            if tok.kind == "LPAREN":
+                groups.append((terms, factors))
+                terms, factors = [], []
+                continue
+            factors.append(self.atom(tok))
+            while True:
+                kind = self.peek().kind
+                if kind == "STAR":
+                    self.take()
+                    break
+                terms.append(_compose(1, factors))
+                factors = []
+                if kind == "PLUS":
+                    self.take()
+                    break
+                group = _compose(0, terms)
+                if not groups:
+                    return group
+                closing = self.take()
+                if closing.kind != "RPAREN":
+                    raise ParseError("unbalanced parenthesis", closing.line, closing.col)
+                terms, factors = groups.pop()
+                factors.append(group)
+
+
+def _compose(label: int, parts: list[Nested]) -> Nested:
+    return parts[0] if len(parts) == 1 else (label, parts)
 
 
 def parse_expr(text: str) -> CoTree:
@@ -126,7 +147,7 @@ def parse_expr(text: str) -> CoTree:
     trailing = parser.take()
     if trailing.kind != "EOF":
         raise ParseError("stray token after expression", trailing.line, trailing.col)
-    return CoTree.from_nested(_normalize(nested))
+    return canonicalize(CoTree.from_nested(nested))
 
 
 # -- threshold construction sequences -----------------------------------------
@@ -188,12 +209,23 @@ def threshold_to_graph(seq: ThresholdSequence) -> Graph:
 
 
 def threshold_to_cotree(seq: ThresholdSequence) -> CoTree:
-    """Fold the sequence into a cotree: each step hangs the previous tree and
-    one new leaf under a node labeled by the step's bit."""
-    nested: Nested = 1
-    for i in range(2, seq.n + 1):
-        nested = (seq.bits[i - 1], [nested, i])
-    return CoTree.from_nested(_normalize(nested))
+    """Canonical cotree of the threshold graph, built directly in O(n).
+
+    Folding the sequence (each step hangs the tree so far and one new leaf
+    under a node labeled by the step's bit) and merging equal labels leaves
+    a caterpillar with one internal node per maximal run of equal bits after
+    the first: its children are the node of the previous run (or vertex 1)
+    and the run's own vertices. In preorder the run nodes come first, newest
+    on top, and the leaves then read 1..n."""
+    runs = [(bit, len(list(group))) for bit, group in groupby(seq.bits[1:])]
+    top = len(runs) - 1  # node id of the oldest run
+    # run nodes hang in a chain; vertex 1 hangs under the oldest run
+    parents: list[int | None] = [None, *range(top + 1)]
+    for r, (_, size) in enumerate(runs):
+        parents.extend([top - r] * size)
+    labels: list[int | None] = [bit for bit, _ in reversed(runs)]
+    labels.extend([None] * seq.n)
+    return CoTree(parents, labels, range(1, seq.n + 1))
 
 
 # -- cotree serialization ------------------------------------------------------
@@ -205,18 +237,30 @@ def threshold_to_cotree(seq: ThresholdSequence) -> CoTree:
 
 
 def serialize_cotree(t: CoTree) -> str:
-    def walk(i: int) -> str:
-        if t.is_leaf(i):
-            return str(t.leaf_vertex(i))
-        inner = ",".join(walk(c) for c in t.children(i))
-        return f"{t.label(i)}({inner})"
-
-    return walk(t.root)
+    """One pass over the preorder numbering: a node opens its group (or
+    writes its id), and a leaf that ends one or more groups closes them."""
+    parts: list[str] = []
+    for i in range(t.node_count()):
+        up = t.parent(i)
+        if up is not None and t.children(up)[0] != i:
+            parts.append(",")
+        if not t.is_leaf(i):
+            parts.append(f"{t.label(i)}(")
+            continue
+        parts.append(str(t.leaf_vertex(i)))
+        node = i
+        while up is not None and t.children(up)[-1] == node:
+            parts.append(")")
+            node, up = up, t.parent(up)
+    return "".join(parts)
 
 
 def parse_cotree(text: str) -> CoTree:
     """Parse a cotree serialization; the structure is preserved as written
-    (non-canonical trees are accepted so they can be canonicalized)."""
+    (non-canonical trees are accepted so they can be canonicalized).
+
+    Nodes are appended to the arena in reading order, which is preorder;
+    ``open_nodes`` holds the internal nodes whose ')' is still to come."""
     pos = 0
 
     def skip_space():
@@ -233,35 +277,43 @@ def parse_cotree(text: str) -> CoTree:
             raise ParseError("expected a number", 1, pos + 1)
         return int(text[start:pos])
 
-    def node() -> Nested:
-        nonlocal pos
+    parents: list[int | None] = []
+    labels: list[int | None] = []
+    leaves: list[int] = []
+    open_nodes: list[int] = []
+    while True:
         skip_space()
         value = read_int()
         skip_space()
+        parents.append(open_nodes[-1] if open_nodes else None)
         if pos < len(text) and text[pos] == "(":
             if value not in (0, 1):
                 raise ParseError(f"internal label must be 0 or 1, got {value}", 1, pos)
             pos += 1
-            children = [node()]
+            labels.append(value)
+            open_nodes.append(len(parents) - 1)
+            continue
+        if value == 0:
+            raise ParseError("leaf ids are 1-based, got 0", 1, pos)
+        labels.append(None)
+        leaves.append(value)
+        # close every group this node ends, up to the next ',' or the end
+        while open_nodes:
             skip_space()
-            while pos < len(text) and text[pos] == ",":
+            if pos < len(text) and text[pos] == ",":
                 pos += 1
-                children.append(node())
-                skip_space()
+                break
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError("unbalanced parenthesis in cotree", 1, pos + 1)
             pos += 1
-            return (value, children)
-        if value == 0:
-            raise ParseError("leaf ids are 1-based, got 0", 1, pos)
-        return value
-
-    result = node()
+            open_nodes.pop()
+        else:
+            break
     skip_space()
     if pos != len(text):
         raise ParseError("stray text after cotree", 1, pos + 1)
     try:
-        return CoTree.from_nested(result)
+        return CoTree(parents, labels, leaves)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

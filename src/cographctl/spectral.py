@@ -9,6 +9,11 @@ Every internal node v contributes one eigenvalue with multiplicity
     label(u) * (leaf_count(u) - leaf_count(previous step)), because joining
     extra vertices shifts the eigenvalues of an embedded subgraph.
 
+The corrections of all nodes come from one top-down pass: a child's
+accumulated correction is its parent's plus the parent's own term, so the
+whole spectrum costs time linear in the node count and nothing walks to the
+root once per node.
+
 The matching eigenvectors are supported only on the node's descendant leaves
 and are constant on each child's leaf block, which gives an integer matrix of
 a fixed staircase pattern per node. Stacking the per-node blocks yields the
@@ -124,6 +129,19 @@ def updated_eigenvalue(t: CoTree, v: int, ancestor: int | None = None) -> int:
     return value
 
 
+def _node_eigenvalues(t: CoTree) -> list[int]:
+    """Eigenvalue of every internal node (0 at leaves), in one preorder pass
+    that hands each child its parent's accumulated ancestor correction."""
+    correction = [0] * t.node_count()
+    values = [0] * t.node_count()
+    for v in t.internal_ids():
+        label, size = t.label(v), t.leaf_count(v)
+        values[v] = label * size + correction[v]
+        for c in t.children(v):
+            correction[c] = correction[v] + label * (size - t.leaf_count(c))
+    return values
+
+
 def modal_block(t: CoTree, v: int) -> EigenBlock:
     """Integer eigenvector block of internal node v.
 
@@ -133,13 +151,17 @@ def modal_block(t: CoTree, v: int) -> EigenBlock:
     """
     if t.is_leaf(v):
         raise ValueError("modal blocks belong to internal nodes only")
+    return _block(t, v, updated_eigenvalue(t, v))
+
+
+def _block(t: CoTree, v: int, eigenvalue: int) -> EigenBlock:
     kids = t.children(v)
     sizes = [t.leaf_count(c) for c in kids]
     prefix = [0] + list(accumulate(sizes))
     rows = []
     row_vertices: list[int] = []
     for ci, child in enumerate(kids):
-        for vertex in sorted(t.leaves_below(child)):
+        for vertex in sorted(t.leaf_sequence(child)):
             row_vertices.append(vertex)
             row = []
             for j in range(len(kids) - 1):
@@ -152,7 +174,7 @@ def modal_block(t: CoTree, v: int) -> EigenBlock:
             rows.append(row)
     return EigenBlock(
         node=v,
-        eigenvalue=updated_eigenvalue(t, v),
+        eigenvalue=eigenvalue,
         block=IntMatrix.from_rows(rows, len(kids) - 1),
         row_vertices=tuple(row_vertices),
     )
@@ -160,14 +182,16 @@ def modal_block(t: CoTree, v: int) -> EigenBlock:
 
 def eigen_blocks(t: CoTree) -> list[EigenBlock]:
     """Blocks of all internal nodes in canonical (preorder) order."""
-    return [modal_block(t, v) for v in t.internal_ids()]
+    values = _node_eigenvalues(t)
+    return [_block(t, v, values[v]) for v in t.internal_ids()]
 
 
 def spectrum(t: CoTree) -> Spectrum:
     """Full Laplacian spectrum of the represented graph."""
+    values = _node_eigenvalues(t)
     counts: Counter = Counter()
     for v in t.internal_ids():
-        counts[updated_eigenvalue(t, v)] += len(t.children(v)) - 1
+        counts[values[v]] += len(t.children(v)) - 1
     counts[0] += 1
     return Spectrum.from_counts(t.n, counts)
 

@@ -176,3 +176,40 @@ def test_text_output_lines(capsys):
     assert lines[1] == "set: 1,5"
     assert lines[2] == "count: 4"
     assert set(lines[3:]) == {"set: 1,5", "set: 1,6", "set: 2,5", "set: 2,6"}
+
+
+def test_empty_flag_values_reach_their_parser(capsys):
+    code, _, err = run(capsys, "spectrum", "--expr", "")
+    assert code == 2 and "empty expression" in err
+    code, _, err = run(capsys, "spectrum", "--cotree", "")
+    assert code == 2 and "expected a number" in err
+    code, _, err = run(capsys, "spectrum", "--threshold", "")
+    assert code == 2 and "empty threshold sequence" in err
+    code, _, err = run(capsys, "spectrum", "--edges", "")
+    assert code == 2 and "No such file" in err
+    for flag in ("--expr", "--cotree", "--threshold", "--edges"):
+        assert "exactly one of" not in run(capsys, "recognize", flag, "")[2]
+    # an empty value still counts as given when a second flag is present
+    code, _, err = run(capsys, "spectrum", "--expr", "", "--threshold", "01")
+    assert code == 2 and "exactly one of" in err
+
+
+def test_graph_built_only_for_commands_that_read_it(monkeypatch, capsys):
+    import cographctl.cli as cli
+
+    built = []
+    for name in ("cotree_to_graph", "threshold_to_graph"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, real=real: built.append(x) or real(x))
+    inputs = (("--expr", "(.+.)*(.+.+.)"), ("--cotree", "1(0(1,2),3,0(4,5))"),
+              ("--threshold", THRESHOLD_EXAMPLE))
+    for argv in (["recognize"], ["spectrum", "--modal"], ["partition"], ["leaders", "--all"],
+                 ["verify", "--set", "1,3"]):
+        for flag, value in inputs:
+            assert run(capsys, *argv, flag, value)[0] == 0
+    assert built == []
+    for argv in (["partition", "--degree"], ["verify", "--set", "1,3", "--cross-check"],
+                 ["oracle"]):
+        for flag, value in inputs:
+            assert run(capsys, *argv, flag, value)[0] == 0
+    assert len(built) == 9

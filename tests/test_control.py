@@ -1,7 +1,7 @@
 """Sibling partitions, minimum control sets, and the controllability checks."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -249,3 +249,26 @@ def test_disconnected_rejected_by_all_ops():
     ):
         with pytest.raises(NotConnectedError):
             op(t)
+
+
+
+def test_enumeration_order_matches_sorted_product():
+    for t in cotree_corpus(80, 9, seed=515):
+        cells = sibling_partition(t).cells
+        expected = sorted(
+            tuple(sorted(v for cell, drop in zip(cells, drops) for v in cell if v != drop))
+            for drops in product(*cells)
+        )
+        assert [s.vertices for s in enumerate_min_control_sets(t)] == expected
+
+
+def test_enumeration_is_lazy_on_long_pair_chains():
+    k = 400  # cells {1,2},{3,4},...: 2**400 minimum sets
+    t = parse_expr("*".join(["(.+.)"] * k))
+    first = [s.vertices for s in islice(enumerate_min_control_sets(t), 3)]
+    odd = tuple(range(1, 2 * k, 2))
+    assert first == [
+        odd,
+        odd[:-1] + (2 * k,),
+        odd[:-2] + (2 * k - 2, 2 * k - 1),
+    ]

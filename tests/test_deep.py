@@ -1,0 +1,160 @@
+"""Deep inputs at the default recursion limit, and a guard against recursion.
+
+Alternating threshold sequences give caterpillar cotrees as deep as they are
+wide, and nested expression or cotree text gives arbitrarily deep raw trees;
+every traversal must handle both without touching the recursion limit.
+"""
+
+import json
+import sys
+from itertools import accumulate
+
+import pytest
+
+from cographctl import (
+    CoTree,
+    parse_cotree,
+    parse_threshold,
+    read_edge_list,
+    serialize_cotree,
+    threshold_to_cotree,
+    threshold_to_graph,
+)
+from cographctl.cli import main
+
+
+def alternating(bits: int) -> str:
+    return ("01" * (bits // 2 + 1))[:bits]
+
+
+def run_json(capsys, *argv):
+    code = main([*argv, "--json"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return json.loads(out)
+
+
+def threshold_spectrum(bits: str) -> list[list[int]]:
+    """Merris: a threshold graph's Laplacian spectrum is the conjugate of its
+    degree sequence. Independent of the cotree, O(n)."""
+    n = len(bits)
+    joins_after = list(accumulate(int(b) for b in reversed(bits)))[::-1] + [0]
+    degrees = [joins_after[i + 1] + (i if bits[i] == "1" else 0) for i in range(n)]
+    at_least = [0] * (n + 1)
+    for d in degrees:
+        at_least[d] += 1
+    for k in range(n - 1, -1, -1):
+        at_least[k] += at_least[k + 1]
+    counts: dict[int, int] = {}
+    for k in range(1, n + 1):
+        counts[at_least[k]] = counts.get(at_least[k], 0) + 1
+    return sorted([v, m] for v, m in counts.items())
+
+
+def test_hundred_thousand_bit_threshold(capsys):
+    bits = alternating(10**5)
+    n = len(bits)
+    spec = run_json(capsys, "spectrum", "--threshold", bits)
+    assert spec["spectrum"] == threshold_spectrum(bits)
+    cells = run_json(capsys, "partition", "--threshold", bits)["cells"]
+    assert cells == [[1, 2]] + [[v] for v in range(3, n + 1)]
+    leaders = run_json(capsys, "leaders", "--threshold", bits)
+    assert leaders["min_size"] == 1 and leaders["sets"] == [[1]]
+
+
+def test_deep_expression_and_cotree_text(capsys):
+    depth = 2000
+    expr = ".*(.+" * (depth // 2) + "." + ")" * (depth // 2)
+    by_expr = run_json(capsys, "spectrum", "--expr", expr)
+    assert by_expr["n"] == depth + 1
+    deep_text = by_expr["cotree"]
+    assert deep_text.count("(") == depth
+    by_cotree = run_json(capsys, "spectrum", "--cotree", deep_text)
+    assert by_cotree == by_expr
+    # raw nesting that canonicalizes away: 2000 unary joins over one pair
+    nested = "1(" * depth + "1,2" + ")" * depth
+    assert run_json(capsys, "recognize", "--cotree", nested)["cotree"] == "1(1,2)"
+    grouped = "(" * depth + ".*." + ")" * depth
+    assert run_json(capsys, "recognize", "--expr", grouped)["cotree"] == "1(1,2)"
+
+
+def threshold_edge_list(bits: str) -> str:
+    """Edge-list text of a threshold graph: vertex j joined to every earlier
+    vertex exactly when bit j is 1."""
+    edges = [f"{i} {j}" for j in range(2, len(bits) + 1) if bits[j - 1] == "1"
+             for i in range(1, j)]
+    return f"{len(bits)} {len(edges)}\n" + "\n".join(edges) + "\n"
+
+
+def test_recognize_deep_threshold_edge_list(capsys, tmp_path):
+    bits = alternating(2000)
+    path = tmp_path / "deep.txt"
+    path.write_text(threshold_edge_list(bits))
+    payload = run_json(capsys, "recognize", "--edges", str(path))
+    assert payload["cotree"] == serialize_cotree(threshold_to_cotree(parse_threshold(bits)))
+
+
+def test_serialize_parse_roundtrip_deep():
+    tree = threshold_to_cotree(parse_threshold(alternating(2001)))
+    assert tree.node_count() == 4001
+    text = serialize_cotree(tree)
+    assert text.count("(") == 2000
+    again = parse_cotree(text)
+    assert again == tree
+    assert CoTree.from_nested(again.to_nested()) == tree
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+GUARD_BITS = alternating(400)
+GUARD_PAIR = "1(" * 400 + "1,2" + ")" * 400  # 400 levels, canonically K2
+
+
+@pytest.mark.parametrize("argv", [
+    ["recognize", "--threshold", GUARD_BITS],
+    ["recognize", "--cotree", GUARD_PAIR],
+    ["recognize", "--expr", ".*(.+" * 200 + "." + ")" * 200],
+    ["spectrum", "--threshold", GUARD_BITS, "--modal"],
+    ["partition", "--threshold", GUARD_BITS, "--degree"],
+    ["leaders", "--threshold", GUARD_BITS, "--all"],
+    ["verify", "--threshold", GUARD_BITS, "--set", "1"],
+    ["verify", "--cotree", GUARD_PAIR, "--set", "1", "--cross-check"],
+    ["oracle", "--cotree", GUARD_PAIR],
+    ["oracle", "--threshold", GUARD_BITS],
+    ["random", "--nodes", "400", "--seed", "1"],
+])
+def test_commands_do_not_recurse(capsys, tmp_path, argv):
+    """Each command on a 400-level input with the recursion limit only a
+    little above the current depth: any traversal that recurses per level
+    raises RecursionError here."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    capped = argv[0] == "oracle" and argv[1] == "--threshold"
+    assert code == (1 if capped else 0), err
+    assert "Traceback" not in err
+
+
+def test_edge_list_input_does_not_recurse(capsys, tmp_path):
+    text = threshold_edge_list(GUARD_BITS)
+    assert read_edge_list(text) == threshold_to_graph(parse_threshold(GUARD_BITS))
+    path = tmp_path / "deep.txt"
+    path.write_text(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        code = main(["leaders", "--edges", str(path), "--json"])
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert json.loads(out)["min_size"] == 1
