@@ -4,7 +4,6 @@ selection for cograph consensus networks."""
 from .control import (
     ControlSet,
     SiblingPartition,
-    choose_block_rows,
     count_min_control_sets,
     enumerate_min_control_sets,
     is_controllable,
@@ -13,19 +12,10 @@ from .control import (
     select_min_control_set,
     sibling_partition,
 )
-from .cotree import CoTree, P4Witness, canonicalize, cotree_to_graph, is_canonical, recognize
+from .cotree import CoTree, P4Witness, canonicalize, cotree_to_graph, recognize
 from .errors import NonIntegerRootError, NotConnectedError, ParseError, SizeCapError
 from .generate import random_cotree, random_threshold_sequence
-from .graphs import (
-    Graph,
-    IntMatrix,
-    complement,
-    degree_sequence,
-    is_connected,
-    join_of,
-    laplacian,
-    union_of,
-)
+from .graphs import Graph, IntMatrix, laplacian
 from .oracle import (
     char_poly,
     exhaustive_min_sets,
@@ -48,7 +38,6 @@ from .parsing import (
 from .spectral import (
     EigenBlock,
     Spectrum,
-    compose_spectrum,
     eigen_blocks,
     local_eigenvalue,
     modal_block,
@@ -77,23 +66,16 @@ __all__ = [
     "ThresholdSequence",
     "canonicalize",
     "char_poly",
-    "choose_block_rows",
-    "complement",
-    "compose_spectrum",
     "cotree_to_graph",
     "count_min_control_sets",
     "degree_partition",
-    "degree_sequence",
     "eigen_blocks",
     "enumerate_min_control_sets",
     "exhaustive_min_sets",
     "find_p4",
     "integer_roots",
-    "is_canonical",
-    "is_connected",
     "is_controllable",
     "is_p4_free",
-    "join_of",
     "kalman_rank",
     "laplacian",
     "local_eigenvalue",
@@ -115,7 +97,6 @@ __all__ = [
     "threshold_min_control",
     "threshold_to_cotree",
     "threshold_to_graph",
-    "union_of",
     "updated_eigenvalue",
     "write_edge_list",
 ]

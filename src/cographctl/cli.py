@@ -18,21 +18,32 @@ from typing import Sequence
 
 from . import control, generate, oracle, spectral, threshold
 from .cotree import CoTree, P4Witness, canonicalize, cotree_to_graph, recognize
-from .errors import NotConnectedError, ParseError, SizeCapError
+from .errors import ParseError
 from .graphs import Graph, laplacian
 from .parsing import (
+    check_vertex_count,
     parse_cotree,
     parse_expr,
     parse_threshold,
     read_edge_list,
     serialize_cotree,
     threshold_to_cotree,
-    threshold_to_graph,
 )
 
 
 class _DomainError(Exception):
     """Wraps a domain failure already formatted for the user."""
+
+
+class _NotCograph(_DomainError):
+    """An edge-list input with an induced P4; keeps the witness for
+    ``recognize``, which reports it as its answer."""
+
+    def __init__(self, n: int, witness: P4Witness):
+        super().__init__("input graph is not a cograph: induced P4 on vertices "
+                         + " ".join(str(v) for v in witness.vertices))
+        self.n = n
+        self.witness = witness
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -102,24 +113,20 @@ def _load_input(
     """The input's canonical cotree, and its adjacency when ``graph`` is set
     or the input is an edge list; otherwise the O(n^2) graph is never built."""
     kind = _check_one_input(parser, args)
+    if kind == "edges":
+        with open(args.edges, encoding="utf-8") as fh:
+            edges = read_edge_list(fh.read())
+        result = recognize(edges)
+        if isinstance(result, P4Witness):
+            raise _NotCograph(edges.n, result)
+        return result, edges
     if kind == "expr":
         tree = parse_expr(args.expr)
-        return tree, cotree_to_graph(tree) if graph else None
-    if kind == "cotree":
+    elif kind == "cotree":
         tree = canonicalize(parse_cotree(args.cotree))
-        return tree, cotree_to_graph(tree) if graph else None
-    if kind == "threshold":
-        seq = parse_threshold(args.threshold)
-        return threshold_to_cotree(seq), threshold_to_graph(seq) if graph else None
-    with open(args.edges, encoding="utf-8") as fh:
-        edges = read_edge_list(fh.read())
-    result = recognize(edges)
-    if isinstance(result, P4Witness):
-        raise _DomainError(
-            "input graph is not a cograph: induced P4 on vertices "
-            + " ".join(str(v) for v in result.vertices)
-        )
-    return result, edges
+    else:
+        tree = threshold_to_cotree(parse_threshold(args.threshold))
+    return tree, cotree_to_graph(tree) if graph else None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -153,19 +160,13 @@ def _parse_set(text: str) -> control.ControlSet:
 
 
 def _cmd_recognize(args, parser) -> int:
-    if _check_one_input(parser, args) == "edges":
-        with open(args.edges, encoding="utf-8") as fh:
-            graph = read_edge_list(fh.read())
-        result = recognize(graph)
-        if isinstance(result, P4Witness):
-            witness = list(result.vertices)
-            print("not a cograph", file=sys.stderr)
-            _emit(args, {"n": graph.n, "p4": witness},
-                  ["P4: " + " ".join(str(v) for v in witness)])
-            return 1
-        tree = result
-    else:
+    try:
         tree, _ = _load_input(parser, args)
+    except _NotCograph as exc:
+        witness = list(exc.witness.vertices)
+        print("not a cograph", file=sys.stderr)
+        _emit(args, {"n": exc.n, "p4": witness}, ["P4: " + " ".join(str(v) for v in witness)])
+        return 1
     _emit(args, {"n": tree.n, "cotree": serialize_cotree(tree)}, [serialize_cotree(tree)])
     return 0
 
@@ -285,6 +286,7 @@ def _cmd_oracle(args, parser) -> int:
 def _cmd_random(args, parser) -> int:
     if args.nodes < 1:
         parser.error("--nodes must be at least 1")
+    check_vertex_count(args.nodes)
     rng = random.Random(args.seed)
     if args.threshold:
         seq = generate.random_threshold_sequence(args.nodes, rng)
@@ -318,10 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotConnectedError, SizeCapError, _DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, _DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

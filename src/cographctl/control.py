@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .cotree import CoTree
 from .errors import NotConnectedError
@@ -56,10 +56,24 @@ class ControlSet:
         return len(self.vertices)
 
 
-def _as_vertices(control: ControlSet | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(control, ControlSet):
-        return control.vertices
-    return ControlSet(tuple(control)).vertices
+def _control_vertices(t: CoTree, control: ControlSet | Iterable[int]) -> tuple[int, ...]:
+    """The control vertices, checked to be distinct ids in 1..n."""
+    if not isinstance(control, ControlSet):
+        control = ControlSet(tuple(control))
+    for v in control.vertices:
+        if v > t.n:
+            raise ValueError(f"control vertex {v} out of range 1..{t.n}")
+    return control.vertices
+
+
+def _all_but_one_per_cell(cells: Iterable[tuple[int, ...]], tie_rule: str) -> ControlSet:
+    """Every vertex but one from each cell; ``tie_rule`` picks which one
+    stays out (lowest-ids keeps the smallest ids in the set)."""
+    if tie_rule not in ("lowest-ids", "highest-ids"):
+        raise ValueError(f"tie_rule must be 'lowest-ids' or 'highest-ids', got {tie_rule!r}")
+    chosen = [v for cell in cells
+              for v in (cell[:-1] if tie_rule == "lowest-ids" else cell[1:])]
+    return ControlSet(tuple(sorted(chosen)))
 
 
 def _require_controllable_setting(t: CoTree, op: str) -> None:
@@ -90,13 +104,7 @@ def select_min_control_set(t: CoTree, tie_rule: str = "lowest-ids") -> ControlSe
     """One minimum control set: all but one vertex from every sibling cell.
     ``tie_rule`` picks which vertices stay (lowest-ids keeps the smallest)."""
     _require_controllable_setting(t, "select_min_control_set")
-    if tie_rule not in ("lowest-ids", "highest-ids"):
-        raise ValueError(f"tie_rule must be 'lowest-ids' or 'highest-ids', got {tie_rule!r}")
-    chosen: list[int] = []
-    for cell in sibling_partition(t).cells:
-        kept = cell[:-1] if tie_rule == "lowest-ids" else cell[1:]
-        chosen.extend(kept)
-    return ControlSet(tuple(sorted(chosen)))
+    return _all_but_one_per_cell(sibling_partition(t).cells, tie_rule)
 
 
 def count_min_control_sets(t: CoTree) -> int:
@@ -156,11 +164,7 @@ def is_controllable(t: CoTree, control: ControlSet | Iterable[int]) -> bool:
     """Cell test: controllable iff every sibling cell has at most one vertex
     outside the control set."""
     _require_controllable_setting(t, "is_controllable")
-    vertices = _as_vertices(control)
-    for v in vertices:
-        if v > t.n:
-            raise ValueError(f"control vertex {v} out of range 1..{t.n}")
-    chosen = set(vertices)
+    chosen = set(_control_vertices(t, control))
     return all(
         sum(1 for v in cell if v not in chosen) <= 1
         for cell in sibling_partition(t).cells
@@ -176,54 +180,25 @@ def pbh_check(t: CoTree, control: ControlSet | Iterable[int]) -> bool:
     stacking valid. Must agree with ``is_controllable`` on every input.
     """
     _require_controllable_setting(t, "pbh_check")
-    vertices = _as_vertices(control)
-    for v in vertices:
-        if v > t.n:
-            raise ValueError(f"control vertex {v} out of range 1..{t.n}")
+    vertices = sorted(_control_vertices(t, control))
     if not vertices:
         return False  # the trivial all-ones eigenvector sees no input
-    groups: dict[int, list[EigenBlock]] = {}
+    groups: dict[int, list[tuple[EigenBlock, dict[int, int]]]] = {}
     for block in eigen_blocks(t):
-        groups.setdefault(block.eigenvalue, []).append(block)
-    picked = sorted(vertices)
+        row_of = {v: r for r, v in enumerate(block.row_vertices)}
+        groups.setdefault(block.eigenvalue, []).append((block, row_of))
     for blocks in groups.values():
         rows = []
-        for v in picked:
+        for v in vertices:
             row: list[int] = []
-            for block in blocks:
-                if v in block.row_support:
-                    r = block.row_vertices.index(v)
-                    row.extend(block.block.entries[r])
-                else:
-                    row.extend([0] * block.multiplicity)
+            for block, row_of in blocks:
+                r = row_of.get(v)
+                row.extend(block.block.entries[r] if r is not None else [0] * block.multiplicity)
             rows.append(row)
-        ncols = sum(b.multiplicity for b in blocks)
+        ncols = sum(b.multiplicity for b, _ in blocks)
         if _rank_fraction_free(rows) < ncols:
             return False
     return True
-
-
-def choose_block_rows(t: CoTree, v: int, choice: Mapping[int, int]) -> frozenset[int]:
-    """Row selection making an internal node's eigenvector block invertible:
-    pick all children of v but one, and one descendant leaf of each.
-
-    ``choice`` maps the child node id to the chosen vertex; it must cover
-    exactly (children of v) - 1 distinct children. Returns the vertex set.
-    """
-    if t.is_leaf(v):
-        raise ValueError("row choices apply to internal nodes only")
-    kids = set(t.children(v))
-    needed = len(kids) - 1
-    if len(choice) != needed:
-        raise ValueError(f"choice must cover exactly {needed} children, got {len(choice)}")
-    selected = []
-    for child, vertex in choice.items():
-        if child not in kids:
-            raise ValueError(f"node {child} is not a child of node {v}")
-        if vertex not in t.leaves_below(child):
-            raise ValueError(f"vertex {vertex} is not a leaf below child {child}")
-        selected.append(vertex)
-    return frozenset(selected)
 
 
 def _rank_fraction_free(rows: list[list[int]]) -> int:

@@ -177,14 +177,6 @@ class CoTree:
             path.append(up)
         return path
 
-    def lca(self, u: int, v: int) -> int:
-        """Lowest common ancestor of the leaves carrying vertex ids u and v."""
-        above = set(self.path_to_root(self.leaf_id(u)))
-        node = self.leaf_id(v)
-        while node not in above:
-            node = self._parent[node]  # type: ignore[assignment]
-        return node
-
     def internal_ids(self) -> tuple[int, ...]:
         """Internal node ids in preorder; the package-wide canonical order."""
         return tuple(i for i, lab in enumerate(self._label) if lab is not None)
@@ -260,20 +252,6 @@ def canonicalize(t: CoTree) -> CoTree:
         kids.sort(key=low.__getitem__, reverse=True)
         stack.extend([(c, idx) for c in kids])
     return CoTree(parents, out_labels, leaves)
-
-
-def is_canonical(t: CoTree) -> bool:
-    low = _min_leaves(t)
-    for i in t.internal_ids():
-        kids = t.children(i)
-        if len(kids) < 2:
-            return False
-        if any(not t.is_leaf(c) and t.label(c) == t.label(i) for c in kids):
-            return False
-        mins = [low[c] for c in kids]
-        if mins != sorted(mins):
-            return False
-    return True
 
 
 def cotree_to_graph(t: CoTree) -> Graph:

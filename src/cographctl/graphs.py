@@ -2,14 +2,14 @@
 
 Vertices are indexed 0..n-1 internally; user-facing layers (parsers, control
 sets, cotree leaves) present them as 1..n. Adjacency is stored as one bitmask
-per vertex, which keeps composition, complementation, and connectivity checks
-exact and fast at the few-thousand-vertex scale this package targets.
+per vertex, which keeps neighbourhood and component queries exact and fast at
+the few-thousand-vertex scale this package targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -41,51 +41,6 @@ class IntMatrix:
             ncols = len(entries[0])
         return cls(entries, ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return cls(tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions differ")
-        cols = list(zip(*other.entries)) if other.entries else []
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries
-        )
-        return IntMatrix(out, other.ncols)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else (), self.nrows)
-
-    def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple(self.entries[i] for i in indices), self.ncols)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-
-def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
-    """Concatenate matrices left to right; all must share a row count."""
-    if not mats:
-        raise ValueError("hstack requires at least one matrix")
-    nrows = mats[0].nrows
-    if any(m.nrows != nrows for m in mats):
-        raise ValueError("row counts differ")
-    rows = tuple(
-        tuple(x for m in mats for x in m.entries[i]) for i in range(nrows)
-    )
-    return IntMatrix(rows, sum(m.ncols for m in mats))
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -113,10 +68,6 @@ class Graph:
             for j in _bits(row):
                 if not self.rows[j] >> i & 1:
                     raise ValueError("adjacency not symmetric")
-
-    @classmethod
-    def single(cls) -> "Graph":
-        return cls(1, (0,))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -155,57 +106,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def union_of(parts: Sequence[Graph]) -> Graph:
-    """Disjoint union; part i's vertices are indexed after all parts before it."""
-    if not parts:
-        raise ValueError("union_of requires a nonempty part list")
-    rows: list[int] = []
-    offset = 0
-    for g in parts:
-        rows.extend(r << offset for r in g.rows)
-        offset += g.n
-    return Graph(offset, tuple(rows))
-
-
-def join_of(parts: Sequence[Graph]) -> Graph:
-    """Union plus every edge between distinct parts."""
-    if not parts:
-        raise ValueError("join_of requires a nonempty part list")
-    base = union_of(parts)
-    full = (1 << base.n) - 1
-    rows = list(base.rows)
-    offset = 0
-    for g in parts:
-        block = ((1 << g.n) - 1) << offset
-        cross = full & ~block
-        for i in range(offset, offset + g.n):
-            rows[i] |= cross
-        offset += g.n
-    return Graph(base.n, tuple(rows))
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.rows)))
-
-
-def is_connected(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    seen = 1
-    frontier = 1
-    while frontier:
-        grown = 0
-        for i in _bits(frontier):
-            grown |= g.rows[i]
-        frontier = grown & ~seen
-        seen |= frontier
-    return seen == full
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    return [g.degree(i) for i in range(g.n)]
-
-
 def laplacian(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency; symmetric, zero row sums."""
     rows = []
@@ -216,15 +116,3 @@ def laplacian(g: Graph) -> IntMatrix:
         row[i] = g.degree(i)
         rows.append(tuple(row))
     return IntMatrix(tuple(rows), g.n)
-
-
-def permuted(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel vertices: old index i becomes perm[i]."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm is not a permutation of 0..n-1")
-    rows = [0] * g.n
-    for i, j in g.edges():
-        a, b = perm[i], perm[j]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return Graph(g.n, tuple(rows))

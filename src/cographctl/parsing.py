@@ -12,8 +12,19 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .cotree import CoTree, Nested, canonicalize
-from .errors import ParseError
+from .errors import ParseError, SizeCapError
 from .graphs import Graph
+
+# Most vertices an input may declare. It is checked before anything of that
+# size is allocated, and sits above the 10^5 vertices the cotree paths serve.
+VERTEX_CAP = 1_000_000
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise SizeCapError when n exceeds ``VERTEX_CAP``."""
+    if n > VERTEX_CAP:
+        raise SizeCapError(f"input has more than {VERTEX_CAP} vertices")
+
 
 # -- cograph expressions ------------------------------------------------------
 #
@@ -92,15 +103,15 @@ class _ExprParser:
         return v
 
     def atom(self, tok: _Token) -> Nested:
-        if tok.kind == "DOT":
+        if tok.kind not in ("DOT", "INT"):
+            raise ParseError(f"unexpected token {tok.kind}", tok.line, tok.col)
+        count = 1 if tok.kind == "DOT" else tok.value
+        if count == 0:
+            raise ParseError("atom must be a positive vertex count", tok.line, tok.col)
+        check_vertex_count(self.next_vertex - 1 + count)
+        if count == 1:
             return self.fresh_leaf()
-        if tok.kind == "INT":
-            if tok.value == 0:
-                raise ParseError("atom must be a positive vertex count", tok.line, tok.col)
-            if tok.value == 1:
-                return self.fresh_leaf()
-            return (0, [self.fresh_leaf() for _ in range(tok.value)])
-        raise ParseError(f"unexpected token {tok.kind}", tok.line, tok.col)
+        return (0, [self.fresh_leaf() for _ in range(count)])
 
     def expr(self) -> Nested:
         groups: list[tuple[list[Nested], list[Nested]]] = []
@@ -341,6 +352,7 @@ def read_edge_list(text: str) -> Graph:
         raise ParseError("header must hold two integers", header_line, 1) from exc
     if n < 1:
         raise ParseError("vertex count must be positive", header_line, 1)
+    check_vertex_count(n)
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}", header_line, 1)
     seen = set()

@@ -35,10 +35,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
 
 from .cotree import CoTree
-from .graphs import IntMatrix, hstack
+from .graphs import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -64,15 +63,6 @@ class Spectrum:
     def from_counts(cls, n: int, counts: Counter) -> "Spectrum":
         return cls(n, tuple(sorted(counts.items())))
 
-    def nontrivial(self) -> Counter:
-        """Eigenvalue multiset with one copy of the trivial 0 removed."""
-        counts = Counter(dict(self.pairs))
-        counts[0] -= 1
-        return +counts
-
-    def expanded(self) -> list[int]:
-        return [v for v, m in self.pairs for _ in range(m)]
-
 
 @dataclass(frozen=True)
 class EigenBlock:
@@ -92,16 +82,6 @@ class EigenBlock:
     @property
     def multiplicity(self) -> int:
         return self.block.ncols
-
-    @property
-    def row_support(self) -> frozenset[int]:
-        return frozenset(self.row_vertices)
-
-    def embedded(self, n: int) -> IntMatrix:
-        rows = [[0] * self.block.ncols for _ in range(n)]
-        for r, v in enumerate(self.row_vertices):
-            rows[v - 1] = list(self.block.entries[r])
-        return IntMatrix.from_rows(rows, self.block.ncols)
 
 
 def local_eigenvalue(t: CoTree, v: int) -> int:
@@ -197,42 +177,13 @@ def spectrum(t: CoTree) -> Spectrum:
 
 
 def modal_matrix(t: CoTree) -> IntMatrix:
-    """The n x (n-1) nontrivial modal matrix: embedded per-node blocks
-    concatenated in canonical node order."""
-    blocks = eigen_blocks(t)
-    if not blocks:
-        return IntMatrix.zeros(t.n, 0)
-    return hstack([b.embedded(t.n) for b in blocks])
-
-
-def column_eigenvalues(t: CoTree) -> tuple[int, ...]:
-    """Eigenvalue of each modal-matrix column, in column order."""
-    return tuple(
-        b.eigenvalue for b in eigen_blocks(t) for _ in range(b.multiplicity)
-    )
-
-
-def compose_spectrum(op: str, parts: Sequence[Spectrum]) -> Spectrum:
-    """Spectrum of a union or join of graphs from their spectra.
-
-    Union: keep every part's nontrivial eigenvalues and add p-1 extra zeros.
-    Join on n total vertices: shift part i's nontrivial eigenvalues up by
-    n - n_i and add p-1 copies of n. The single trivial 0 is appended last.
-    """
-    if op not in ("union", "join"):
-        raise ValueError(f"op must be 'union' or 'join', got {op!r}")
-    if not parts:
-        raise ValueError("compose_spectrum requires at least one part")
-    n = sum(p.n for p in parts)
-    counts: Counter = Counter()
-    if op == "union":
-        for part in parts:
-            counts.update(part.nontrivial())
-        counts[0] += len(parts) - 1
-    else:
-        for part in parts:
-            for value, mult in part.nontrivial().items():
-                counts[value + n - part.n] += mult
-        counts[n] += len(parts) - 1
-    counts[0] += 1
-    return Spectrum.from_counts(n, counts)
+    """The n x (n-1) nontrivial modal matrix: every node's block, in
+    canonical node order, written into its own columns at the rows of its
+    vertices; all other entries are zero."""
+    rows = [[0] * (t.n - 1) for _ in range(t.n)]
+    col = 0
+    for b in eigen_blocks(t):
+        for v, entries in zip(b.row_vertices, b.block.entries):
+            rows[v - 1][col:col + b.multiplicity] = entries
+        col += b.multiplicity
+    return IntMatrix(tuple(map(tuple, rows)), t.n - 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .control import ControlSet
+from .control import ControlSet, _all_but_one_per_cell
 from .errors import NotConnectedError
 from .graphs import Graph
 from .parsing import ThresholdSequence, threshold_to_graph
@@ -57,11 +57,5 @@ def threshold_min_control(
         raise NotConnectedError(
             "threshold graph is connected only when the final bit is 1"
         )
-    if tie_rule not in ("lowest-ids", "highest-ids"):
-        raise ValueError(f"tie_rule must be 'lowest-ids' or 'highest-ids', got {tie_rule!r}")
     partition = degree_partition(threshold_to_graph(seq))
-    chosen: list[int] = []
-    for cell in partition.cells:
-        kept = cell[:-1] if tie_rule == "lowest-ids" else cell[1:]
-        chosen.extend(kept)
-    return seq.n - partition.p, ControlSet(tuple(sorted(chosen)))
+    return seq.n - partition.p, _all_but_one_per_cell(partition.cells, tie_rule)

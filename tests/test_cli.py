@@ -2,7 +2,16 @@
 
 import json
 
-from cographctl import canonicalize, parse_cotree, serialize_cotree
+import pytest
+
+from cographctl import (
+    SizeCapError,
+    canonicalize,
+    parse_cotree,
+    parse_expr,
+    read_edge_list,
+    serialize_cotree,
+)
 from cographctl.cli import main
 
 from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE
@@ -198,9 +207,8 @@ def test_graph_built_only_for_commands_that_read_it(monkeypatch, capsys):
     import cographctl.cli as cli
 
     built = []
-    for name in ("cotree_to_graph", "threshold_to_graph"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda x, real=real: built.append(x) or real(x))
+    real = cli.cotree_to_graph
+    monkeypatch.setattr(cli, "cotree_to_graph", lambda t: built.append(t) or real(t))
     inputs = (("--expr", "(.+.)*(.+.+.)"), ("--cotree", "1(0(1,2),3,0(4,5))"),
               ("--threshold", THRESHOLD_EXAMPLE))
     for argv in (["recognize"], ["spectrum", "--modal"], ["partition"], ["leaders", "--all"],
@@ -213,3 +221,21 @@ def test_graph_built_only_for_commands_that_read_it(monkeypatch, capsys):
         for flag, value in inputs:
             assert run(capsys, *argv, flag, value)[0] == 0
     assert len(built) == 9
+
+
+def test_vertex_cap_is_checked_before_allocating(capsys, tmp_path):
+    # one vertex over the cap; the same inputs with 11 digits used to exhaust
+    # memory before any check ran
+    with pytest.raises(SizeCapError):
+        parse_expr("1000001")
+    with pytest.raises(SizeCapError):
+        parse_expr("500000+500001")  # the cap holds for the running total
+    with pytest.raises(SizeCapError):
+        read_edge_list("1000001 0\n")
+    path = tmp_path / "huge.txt"
+    path.write_text("1000001 0\n")
+    for argv in (["random", "--nodes", "1000001", "--seed", "1"],
+                 ["spectrum", "--expr", "1000001"],
+                 ["recognize", "--edges", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "more than 1000000 vertices" in err

@@ -8,7 +8,6 @@ import pytest
 from cographctl import (
     ControlSet,
     NotConnectedError,
-    choose_block_rows,
     cotree_to_graph,
     count_min_control_sets,
     enumerate_min_control_sets,
@@ -27,7 +26,7 @@ from cographctl import (
 from cographctl.control import _rank_fraction_free
 from cographctl.oracle import _rank_rational
 
-from helpers import THRESHOLD_EXAMPLE, cotree_corpus, eight_node_tree
+from helpers import THRESHOLD_EXAMPLE, choose_block_rows, cotree_corpus, eight_node_tree, lca
 
 
 def threshold_example_tree():
@@ -183,7 +182,7 @@ def test_choose_block_rows_and_block_invertibility():
 
 def test_choose_block_rows_validation():
     t = eight_node_tree()
-    v = t.lca(6, 7)  # union node: children are an internal subtree and 6,7,8
+    v = lca(t, 6, 7)  # union node: children are an internal subtree and 6,7,8
     kids = t.children(v)
     internal_kid = next(c for c in kids if not t.is_leaf(c))
     leaf_kids = [c for c in kids if t.is_leaf(c)]
@@ -196,7 +195,7 @@ def test_choose_block_rows_validation():
         choose_block_rows(t, v, {internal_kid: 6, leaf_kids[0]: 7, leaf_kids[1]: 8})
     with pytest.raises(ValueError):
         choose_block_rows(t, t.root, choice)  # those are not the root's children
-    deepest = t.lca(1, 2)
+    deepest = lca(t, 1, 2)
     one, _ = t.children(deepest)
     assert choose_block_rows(t, deepest, {one: t.leaf_vertex(one)}) == frozenset(
         {t.leaf_vertex(one)}

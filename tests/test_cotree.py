@@ -10,21 +10,28 @@ from cographctl import (
     P4Witness,
     canonicalize,
     cotree_to_graph,
-    is_canonical,
     is_p4_free,
-    join_of,
     parse_cotree,
     parse_threshold,
     recognize,
     serialize_cotree,
     threshold_to_cotree,
     threshold_to_graph,
+)
+
+from helpers import (
+    EIGHT_NODE_TEXT,
+    THRESHOLD_EXAMPLE,
+    cotree_corpus,
+    is_canonical,
+    join_of,
+    lca,
+    random_graph,
+    single,
     union_of,
 )
 
-from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE, cotree_corpus, random_graph
-
-K1 = Graph.single()
+K1 = single()
 
 
 def test_recognize_p4_gives_witness():
@@ -113,18 +120,18 @@ def test_structural_queries():
     assert t.leaves_below(t.root) == frozenset(range(1, 9))
     # lca of two leaf children of the same node is that node, and its label
     # decides adjacency: 6,7 are non-adjacent siblings here
-    lca67 = t.lca(6, 7)
+    lca67 = lca(t, 6, 7)
     assert t.parent(t.leaf_id(6)) == t.parent(t.leaf_id(7)) == lca67
     assert t.label(lca67) == 0
     assert not cotree_to_graph(t).has_edge(5, 6)
     # Fig 2 cotree: 6,7 are non-adjacent siblings, so their lca is a union node
     t2 = threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
     g2 = cotree_to_graph(t2)
-    lca56 = t2.lca(5, 6)
+    lca56 = lca(t2, 5, 6)
     assert t2.label(lca56) == 0
     assert not g2.has_edge(4, 5)
-    root_path = t2.path_to_root(t2.lca(1, 2))
-    assert root_path[0] == t2.lca(1, 2) and root_path[-1] == t2.root
+    root_path = t2.path_to_root(lca(t2, 1, 2))
+    assert root_path[0] == lca(t2, 1, 2) and root_path[-1] == t2.root
 
 
 def test_lca_label_matches_adjacency():
@@ -132,7 +139,7 @@ def test_lca_label_matches_adjacency():
         g = cotree_to_graph(t)
         for u in range(1, t.n + 1):
             for v in range(u + 1, t.n + 1):
-                assert g.has_edge(u - 1, v - 1) == (t.label(t.lca(u, v)) == 1)
+                assert g.has_edge(u - 1, v - 1) == (t.label(lca(t, u, v)) == 1)
 
 
 def test_roundtrip_recognize_of_cotree_graph():

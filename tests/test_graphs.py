@@ -8,21 +8,27 @@ from cographctl import (
     Graph,
     IntMatrix,
     char_poly,
-    complement,
-    degree_sequence,
     integer_roots,
-    is_connected,
-    join_of,
     laplacian,
     parse_threshold,
     threshold_to_graph,
+)
+
+from helpers import (
+    THRESHOLD_EXAMPLE,
+    complement,
+    degree_sequence,
+    diagonal,
+    is_connected,
+    join_of,
+    matmul,
+    random_graph,
+    single,
+    transpose,
     union_of,
 )
-from cographctl.graphs import hstack, permuted
 
-from helpers import THRESHOLD_EXAMPLE, random_graph
-
-K1 = Graph.single()
+K1 = single()
 
 
 def k(n):
@@ -87,7 +93,7 @@ def test_laplacian_rows_sum_to_zero_and_symmetric():
         g = random_graph(rng.randint(1, 9), rng, rng.random())
         L = laplacian(g)
         assert all(sum(row) == 0 for row in L.entries)
-        assert L.entries == L.transpose().entries
+        assert L.entries == transpose(L).entries
 
 
 def test_complement_and_connectivity():
@@ -134,21 +140,12 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 5)])
 
 
-def test_permuted_relabels_edges():
-    g = Graph.from_edges(3, [(0, 1)])
-    h = permuted(g, [2, 0, 1])
-    assert h.has_edge(2, 0) and not h.has_edge(0, 1)
-
-
 def test_intmatrix_ops():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    eye = IntMatrix.identity(2)
-    assert (a @ eye).entries == a.entries
-    assert a.transpose().entries == ((1, 3), (2, 4))
-    assert hstack([a, eye]).shape == (2, 4)
-    assert a.take_rows([1]).entries == ((3, 4),)
-    assert IntMatrix.diagonal([5, 7]).entries == ((5, 0), (0, 7))
+    assert matmul(a, diagonal([1, 1])).entries == a.entries
+    assert transpose(a).entries == ((1, 3), (2, 4))
+    assert diagonal([5, 7]).entries == ((5, 0), (0, 7))
     with pytest.raises(ValueError):
-        a @ IntMatrix.from_rows([[1, 2, 3]])
+        matmul(a, IntMatrix.from_rows([[1, 2, 3]]))
     with pytest.raises(ValueError):
         IntMatrix(((1, 2), (3,)), 2)

@@ -14,21 +14,26 @@ from cographctl import (
     exhaustive_min_sets,
     find_p4,
     integer_roots,
-    is_connected,
     is_p4_free,
-    join_of,
     kalman_rank,
     laplacian,
     parse_cotree,
     spectrum,
-    union_of,
 )
 from cographctl.graphs import IntMatrix
 from cographctl.oracle import _rank_rational
 
-from helpers import EIGHT_NODE_TEXT, cotree_corpus, random_graph
+from helpers import (
+    EIGHT_NODE_TEXT,
+    cotree_corpus,
+    is_connected,
+    join_of,
+    random_graph,
+    single,
+    union_of,
+)
 
-K1 = Graph.single()
+K1 = single()
 
 
 def test_kalman_rank_k2():

@@ -5,10 +5,8 @@ import random
 import pytest
 
 from cographctl import (
-    Graph,
     ParseError,
     cotree_to_graph,
-    join_of,
     parse_cotree,
     parse_expr,
     parse_threshold,
@@ -16,14 +14,13 @@ from cographctl import (
     recognize,
     serialize_cotree,
     threshold_to_graph,
-    union_of,
     write_edge_list,
 )
 from cographctl.generate import random_cotree, random_threshold_sequence
 
-from helpers import THRESHOLD_EXAMPLE
+from helpers import THRESHOLD_EXAMPLE, join_of, single, union_of
 
-K1 = Graph.single()
+K1 = single()
 
 
 def test_parse_expr_k2():

@@ -5,12 +5,9 @@ from collections import Counter
 import pytest
 
 from cographctl import (
-    IntMatrix,
     Spectrum,
     char_poly,
-    compose_spectrum,
     cotree_to_graph,
-    degree_sequence,
     eigen_blocks,
     integer_roots,
     laplacian,
@@ -25,9 +22,18 @@ from cographctl import (
     updated_eigenvalue,
 )
 from cographctl.oracle import _rank_rational
-from cographctl.spectral import column_eigenvalues
 
-from helpers import THRESHOLD_EXAMPLE, cotree_corpus
+from helpers import (
+    THRESHOLD_EXAMPLE,
+    column,
+    column_eigenvalues,
+    compose_spectrum,
+    cotree_corpus,
+    degree_sequence,
+    diagonal,
+    matmul,
+    nontrivial,
+)
 
 
 def example_threshold_tree():
@@ -95,7 +101,7 @@ def test_block_columns_sum_to_zero():
     for t in cotree_corpus(40, 9, seed=62, mixed_roots=True):
         for b in eigen_blocks(t):
             for j in range(b.block.ncols):
-                assert sum(b.block.column(j)) == 0
+                assert sum(column(b.block, j)) == 0
 
 
 def test_spectrum_complete_and_bipartite():
@@ -110,9 +116,9 @@ def test_modal_matrix_is_exact_eigenbasis():
     for t in cotree_corpus(50, 8, seed=63, mixed_roots=True):
         L = laplacian(cotree_to_graph(t))
         V = modal_matrix(t)
-        D = IntMatrix.diagonal(column_eigenvalues(t))
-        assert (L @ V) == (V @ D)
-        assert all(sum(V.column(j)) == 0 for j in range(V.ncols))
+        D = diagonal(column_eigenvalues(t))
+        assert matmul(L, V) == matmul(V, D)
+        assert all(sum(column(V, j)) == 0 for j in range(V.ncols))
         assert _rank_rational(V.entries) == t.n - 1
 
 
@@ -121,7 +127,7 @@ def test_blocks_with_equal_eigenvalue_have_disjoint_support():
         by_value = {}
         for b in eigen_blocks(t):
             for other in by_value.get(b.eigenvalue, []):
-                assert not (b.row_support & other.row_support)
+                assert not set(b.row_vertices) & set(other.row_vertices)
             by_value.setdefault(b.eigenvalue, []).append(b)
 
 
@@ -161,7 +167,7 @@ def test_compose_spectrum_threshold_fold_steps():
     seq = parse_threshold(THRESHOLD_EXAMPLE)
     for step, bit in enumerate(seq.bits[1:]):
         acc = compose_spectrum("join" if bit else "union", [acc, k1])
-        assert sorted(acc.nontrivial().elements()) == expected[step]
+        assert sorted(nontrivial(acc).elements()) == expected[step]
     assert acc.pairs == spectrum(example_threshold_tree()).pairs
 
 

@@ -9,7 +9,6 @@ from cographctl import (
     NotConnectedError,
     cotree_to_graph,
     degree_partition,
-    join_of,
     min_control_size,
     parse_expr,
     parse_threshold,
@@ -24,9 +23,9 @@ from cographctl.generate import random_threshold_sequence
 from cographctl.graphs import Graph
 from cographctl.oracle import exhaustive_min_sets, find_p4
 
-from helpers import THRESHOLD_EXAMPLE
+from helpers import THRESHOLD_EXAMPLE, is_connected, join_of, single
 
-K1 = Graph.single()
+K1 = single()
 
 
 def test_degree_partition_complete():
@@ -81,8 +80,6 @@ def test_threshold_min_control_rejects_disconnected():
 
 
 def test_threshold_connectivity_rule_matches_search():
-    from cographctl import is_connected
-
     rng = random.Random(808)
     for _ in range(60):
         seq = random_threshold_sequence(rng.randint(2, 10), rng)
