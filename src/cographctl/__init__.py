@@ -12,7 +12,7 @@ from .control import (
     select_min_control_set,
     sibling_partition,
 )
-from .cotree import CoTree, P4Witness, canonicalize, cotree_to_graph, recognize
+from .cotree import CoTree, P4Witness, cotree_to_graph, recognize
 from .errors import NonIntegerRootError, NotConnectedError, ParseError, SizeCapError
 from .generate import random_cotree, random_threshold_sequence
 from .graphs import Graph, IntMatrix, laplacian
@@ -64,7 +64,6 @@ __all__ = [
     "SizeCapError",
     "Spectrum",
     "ThresholdSequence",
-    "canonicalize",
     "char_poly",
     "cotree_to_graph",
     "count_min_control_sets",

@@ -17,8 +17,8 @@ from collections import Counter
 from typing import Sequence
 
 from . import control, generate, oracle, spectral, threshold
-from .cotree import CoTree, P4Witness, canonicalize, cotree_to_graph, recognize
-from .errors import ParseError
+from .cotree import CoTree, P4Witness, cotree_to_graph, recognize
+from .errors import ParseError, SizeCapError
 from .graphs import Graph, laplacian
 from .parsing import (
     check_vertex_count,
@@ -29,6 +29,10 @@ from .parsing import (
     serialize_cotree,
     threshold_to_cotree,
 )
+
+# Caps on the super-polynomial paths, checked before any of their work starts.
+CROSS_CHECK_CAP = 30  # vertices; the Kalman oracle takes about 3 s at n = 30
+ALL_SETS_CAP = 1_000_000  # leaders --all: sets x vertices bounds its O(n)-per-set walk
 
 
 class _DomainError(Exception):
@@ -108,10 +112,10 @@ def _check_one_input(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 
 
 def _load_input(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, graph: bool = False
+    parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> tuple[CoTree, Graph | None]:
-    """The input's canonical cotree, and its adjacency when ``graph`` is set
-    or the input is an edge list; otherwise the O(n^2) graph is never built."""
+    """The input's cotree, and its adjacency when the input is an edge list.
+    Only the commands that read the graph build it from a cotree, O(n^2)."""
     kind = _check_one_input(parser, args)
     if kind == "edges":
         with open(args.edges, encoding="utf-8") as fh:
@@ -123,10 +127,10 @@ def _load_input(
     if kind == "expr":
         tree = parse_expr(args.expr)
     elif kind == "cotree":
-        tree = canonicalize(parse_cotree(args.cotree))
+        tree = parse_cotree(args.cotree)
     else:
         tree = threshold_to_cotree(parse_threshold(args.threshold))
-    return tree, cotree_to_graph(tree) if graph else None
+    return tree, None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -187,13 +191,13 @@ def _cmd_spectrum(args, parser) -> int:
 
 
 def _cmd_partition(args, parser) -> int:
-    tree, graph = _load_input(parser, args, graph=args.degree)
+    tree, graph = _load_input(parser, args)
     cells = control.sibling_partition(tree).cells
     payload = {"n": tree.n, "cotree": serialize_cotree(tree),
                "cells": _cells_payload(cells)}
     lines = ["cells: " + _fmt_cells(cells)]
     if args.degree:
-        deg = threshold.degree_partition(graph)
+        deg = threshold.degree_partition(graph or cotree_to_graph(tree))
         payload["degree_cells"] = _cells_payload(deg.cells)
         payload["degrees"] = list(deg.degrees)
         lines.append("degree cells: " + _fmt_cells(deg.cells))
@@ -213,9 +217,13 @@ def _cmd_leaders(args, parser) -> int:
     lines = [f"min_size: {size}",
              "set: " + ",".join(str(v) for v in selected.vertices)]
     if args.all:
+        count = control.count_min_control_sets(tree)
+        if count * tree.n > ALL_SETS_CAP:
+            raise SizeCapError(f"leaders --all capped at {ALL_SETS_CAP} for sets x vertices, "
+                               f"got {count} x {tree.n}")
         sets = [list(s.vertices) for s in control.enumerate_min_control_sets(tree)]
         payload["sets"] = sets
-        payload["count"] = control.count_min_control_sets(tree)
+        payload["count"] = count
         lines.append(f"count: {payload['count']}")
         lines.extend("set: " + ",".join(str(v) for v in s) for s in sets)
     else:
@@ -225,7 +233,9 @@ def _cmd_leaders(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    tree, graph = _load_input(parser, args, graph=args.cross_check)
+    tree, graph = _load_input(parser, args)
+    if args.cross_check and tree.n > CROSS_CHECK_CAP:
+        raise SizeCapError(f"cross-check capped at n <= {CROSS_CHECK_CAP}, got {tree.n}")
     cset = _parse_set(args.set)
     ok = control.is_controllable(tree, cset)
     payload = {"n": tree.n, "cotree": serialize_cotree(tree),
@@ -233,7 +243,7 @@ def _cmd_verify(args, parser) -> int:
     lines = [f"controllable: {'true' if ok else 'false'}"]
     if args.cross_check:
         pbh = control.pbh_check(tree, cset)
-        rank = oracle.kalman_rank(graph, cset.vertices)
+        rank = oracle.kalman_rank(graph or cotree_to_graph(tree), cset.vertices)
         agree = (pbh == ok) and ((rank == tree.n) == ok)
         payload.update({"pbh": pbh, "kalman_rank": rank, "agree": agree})
         lines.append(f"pbh: {'true' if pbh else 'false'}")
@@ -246,11 +256,10 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    tree, graph = _load_input(parser, args, graph=True)
-    if graph.n > oracle.EXHAUSTIVE_CAP:
-        raise _DomainError(
-            f"oracle battery capped at n <= {oracle.EXHAUSTIVE_CAP}, got {graph.n}"
-        )
+    tree, graph = _load_input(parser, args)
+    if tree.n > oracle.EXHAUSTIVE_CAP:
+        raise SizeCapError(f"oracle battery capped at n <= {oracle.EXHAUSTIVE_CAP}, got {tree.n}")
+    graph = graph or cotree_to_graph(tree)
     p4_free = oracle.is_p4_free(graph)
     spec = spectral.spectrum(tree)
     roots = oracle.integer_roots(oracle.char_poly(laplacian(graph)))

@@ -84,9 +84,8 @@ def _require_controllable_setting(t: CoTree, op: str) -> None:
 
 
 def sibling_partition(t: CoTree) -> SiblingPartition:
-    """Group leaves by their cotree parent; requires a canonical cotree."""
-    if t.n == 1:
-        return SiblingPartition(((1,),))
+    """Group leaves by their cotree parent. Every ``CoTree`` is canonical,
+    so these groups are exactly the twin classes of the graph."""
     by_parent: dict[int | None, list[int]] = {}
     for v in range(1, t.n + 1):
         by_parent.setdefault(t.parent(t.leaf_id(v)), []).append(v)

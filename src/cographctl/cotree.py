@@ -1,15 +1,17 @@
-"""Cotrees: construction, canonical form, recognition, and conversion.
+"""Cotrees: canonical construction, recognition, and conversion.
 
 A cotree is a rooted tree whose leaves are the graph's vertices (ids 1..n)
 and whose internal nodes carry a label: 0 means its children are composed by
 disjoint union, 1 means they are composed by join. Two vertices are adjacent
 exactly when their lowest common ancestor is labeled 1.
 
-The canonical form merges nested nodes of equal label and splices out unary
-nodes, so labels alternate along every leaf-to-root path and every internal
-node has at least two children. With children ordered by their smallest
+Every ``CoTree`` is canonical: its constructor, the only place that applies
+these rules, merges nested nodes of equal label and splices out unary nodes,
+so labels alternate along every leaf-to-root path and every internal node
+has at least two children. With children ordered by their smallest
 descendant leaf, the canonical form is unique per graph, which makes tree
-equality, serialization, and the modal-matrix column order deterministic.
+equality, serialization, the sibling cells and the modal-matrix column order
+deterministic.
 
 Storage: ``CoTree`` is an arena of nodes numbered in preorder (the root is
 node 0, children have larger ids than their parent). Beside the parent,
@@ -55,30 +57,85 @@ class CoTree:
         labels: Sequence[int | None],
         leaves: Sequence[int],
     ):
-        """Arena from preorder columns: ``parents[i]`` (None for the root),
-        ``labels[i]`` (None for a leaf), and the leaf vertex ids in preorder.
-        Raises ValueError unless the leaf ids are 1..n, each exactly once."""
-        count = len(parents)
-        children: list[list[int]] = [[] for _ in range(count)]
-        for i in range(1, count):
-            children[parents[i]].append(i)  # type: ignore[index]
-        start = [0] * count
-        end = [0] * count
-        seen = 0
-        for i, label in enumerate(labels):
-            start[i] = seen
-            if label is None:
-                seen += 1
-        for i in range(count - 1, -1, -1):
-            end[i] = start[i] + 1 if labels[i] is None else end[children[i][-1]]
-        n = len(leaves)
-        leaf_node = [-1] * (n + 1)
-        for i, label in enumerate(labels):
-            if label is None:
-                v = leaves[start[i]]
-                if not 1 <= v <= n or leaf_node[v] >= 0:
-                    raise ValueError("leaf ids must be distinct and cover 1..n")
-                leaf_node[v] = i
+        """Canonical arena from the preorder columns of any cotree:
+        ``parents[i]`` (None for the root), ``labels[i]`` (0 or 1, None for a
+        leaf), and the leaf vertex ids in preorder. Raises ValueError unless
+        the leaf ids are 1..n, each exactly once, every label is 0 or 1 and
+        every internal node has a child.
+
+        A bottom-up pass checks and indexes the columns. If they are not
+        canonical, a top-down pass lays out the canonical tree (unary nodes
+        spliced out, a child with its parent's label merged into it, children
+        sorted by smallest leaf) and the first pass runs again on it."""
+        while True:
+            count = len(parents)
+            n = len(leaves)
+            if n == 0 or labels.count(None) != n:
+                raise ValueError("leaf ids must be distinct and cover 1..n")
+            children: list[list[int]] = [[] for _ in range(count)]
+            for i in range(1, count):
+                children[parents[i]].append(i)  # type: ignore[index]
+            low = [n + 1] * count  # smallest vertex id below each node
+            start = [0] * count
+            end = [0] * count
+            leaf_node = [-1] * (n + 1)
+            canonical = True
+            k = n  # leaves before node i in preorder, once i is reached
+            for i in range(count - 1, -1, -1):
+                label = labels[i]
+                kids = children[i]
+                if label is None:
+                    k -= 1
+                    v = leaves[k]
+                    if not 1 <= v <= n or leaf_node[v] >= 0:
+                        raise ValueError("leaf ids must be distinct and cover 1..n")
+                    leaf_node[v] = i
+                    low[i] = v
+                    end[i] = k + 1
+                elif label not in (0, 1):
+                    raise ValueError(f"internal label must be 0 or 1, got {label!r}")
+                elif not kids:
+                    raise ValueError("internal node with no children")
+                else:
+                    end[i] = end[kids[-1]]
+                    if len(kids) == 1:
+                        canonical = False
+                start[i] = k
+                if i:
+                    up: int = parents[i]  # type: ignore[assignment]
+                    # siblings arrive last to first, so each must lower the minimum
+                    if low[i] > low[up] or labels[up] == label:
+                        canonical = False
+                    if low[i] < low[up]:
+                        low[up] = low[i]
+            if canonical:
+                break
+            out_parents: list[int | None] = []
+            out_labels: list[int | None] = []
+            out_leaves: list[int] = []
+            stack: list[tuple[int, int | None]] = [(0, None)]
+            while stack:
+                node, parent = stack.pop()
+                while len(children[node]) == 1:  # only the root can be unary here
+                    node = children[node][0]
+                idx = len(out_parents)
+                out_parents.append(parent)
+                label = labels[node]
+                out_labels.append(label)
+                if label is None:
+                    out_leaves.append(low[node])
+                    continue
+                merged: list[int] = []
+                pending = children[node]  # consumed; every node is laid out once
+                while pending:
+                    c = pending.pop()
+                    if labels[c] == label or len(children[c]) == 1:
+                        pending.extend(children[c])
+                    else:
+                        merged.append(c)
+                merged.sort(key=low.__getitem__, reverse=True)
+                stack.extend([(c, idx) for c in merged])
+            parents, labels, leaves = out_parents, out_labels, out_leaves
         self._parent = tuple(parents)
         self._label = tuple(labels)
         self._children = tuple(map(tuple, children))
@@ -95,19 +152,14 @@ class CoTree:
         stack: list[tuple[Nested, int | None]] = [(nested, None)]
         while stack:
             node, parent = stack.pop()
-            idx = len(parents)
             parents.append(parent)
             if isinstance(node, int):
                 labels.append(None)
                 leaves.append(node)
                 continue
             label, children = node
-            if label not in (0, 1):
-                raise ValueError(f"internal label must be 0 or 1, got {label!r}")
-            if not children:
-                raise ValueError("internal node with no children")
             labels.append(label)
-            stack.extend((c, idx) for c in reversed(children))
+            stack.extend((c, len(parents) - 1) for c in reversed(children))
         return cls(parents, labels, leaves)
 
     def to_nested(self) -> Nested:
@@ -195,65 +247,6 @@ class CoTree:
         return f"CoTree(n={self.n}, nodes={self.node_count()})"
 
 
-def _min_leaves(t: CoTree) -> list[int]:
-    """Smallest vertex id below every node, in one bottom-up pass."""
-    low = [0] * t.node_count()
-    for i in range(len(low) - 1, -1, -1):
-        kids = t._children[i]
-        low[i] = min([low[c] for c in kids]) if kids else t._leaves[t._start[i]]
-    return low
-
-
-def canonicalize(t: CoTree) -> CoTree:
-    """Equivalent canonical cotree: same graph, alternating labels, no unary
-    nodes, children sorted by smallest leaf. Idempotent.
-
-    A bottom-up pass finds, for every node, the node that stands for it once
-    unary nodes are spliced out (``rep``) and how many children a surviving
-    node keeps after absorbing same-label children (``width``); a top-down
-    pass then lays the survivors out in preorder. Linear apart from the
-    per-node child sort."""
-    labels, children = t._label, t._children
-    low = _min_leaves(t)
-    rep = list(range(len(labels)))
-    width = [0] * len(labels)
-    for i in range(len(labels) - 1, -1, -1):
-        label = labels[i]
-        if label is None:
-            continue
-        kids = children[i]
-        merged = sum([width[rep[c]] if labels[rep[c]] == label else 1 for c in kids])
-        if merged == 1:
-            rep[i] = rep[kids[0]]
-        else:
-            width[i] = merged
-
-    parents: list[int | None] = []
-    out_labels: list[int | None] = []
-    leaves: list[int] = []
-    stack: list[tuple[int, int | None]] = [(rep[0], None)]
-    while stack:
-        node, parent = stack.pop()
-        idx = len(parents)
-        parents.append(parent)
-        label = labels[node]
-        out_labels.append(label)
-        if label is None:
-            leaves.append(low[node])  # a leaf's smallest vertex is its own
-            continue
-        kids: list[int] = []
-        pending = list(children[node])
-        while pending:
-            r = rep[pending.pop()]
-            if labels[r] == label:
-                pending.extend(children[r])
-            else:
-                kids.append(r)
-        kids.sort(key=low.__getitem__, reverse=True)
-        stack.extend([(c, idx) for c in kids])
-    return CoTree(parents, out_labels, leaves)
-
-
 def cotree_to_graph(t: CoTree) -> Graph:
     """The represented graph, one adjacency row per vertex.
 
@@ -322,7 +315,7 @@ def _p4_in_subgraph(g: Graph, mask: int) -> P4Witness:
 
 
 def recognize(g: Graph) -> CoTree | P4Witness:
-    """Decompose a graph into its canonical cotree, or produce an induced-P4
+    """Decompose a graph into its cotree, or produce an induced-P4
     witness if it is not a cograph.
 
     Single vertices are leaves; a disconnected (sub)graph splits into a
@@ -333,9 +326,7 @@ def recognize(g: Graph) -> CoTree | P4Witness:
     operations reject them downstream.
 
     The split runs as a preorder walk over an explicit stack of vertex
-    masks and emits the arena directly. Its output is already canonical:
-    parts come out ordered by their lowest vertex, and a part of one split
-    can only split the other way (or be a single vertex).
+    masks and emits the arena directly.
     """
     full = (1 << g.n) - 1
     co_rows = [full & ~row & ~(1 << i) for i, row in enumerate(g.rows)]

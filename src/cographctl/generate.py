@@ -15,7 +15,7 @@ from .parsing import ThresholdSequence
 
 
 def random_cotree(n: int, rng: random.Random, root_label: int = 1) -> CoTree:
-    """Random canonical cotree on n leaves. ``root_label`` 1 yields a
+    """Random cotree on n leaves. ``root_label`` 1 yields a
     connected cograph, 0 a disconnected one (needs n >= 2)."""
     if n < 1:
         raise ValueError("need at least one leaf")
@@ -25,8 +25,6 @@ def random_cotree(n: int, rng: random.Random, root_label: int = 1) -> CoTree:
         raise ValueError("a single vertex is connected; root label 0 needs n >= 2")
     # Preorder walk over (size, label, parent); drawing each node's split
     # before its children's keeps the stream of random draws in preorder.
-    # Children come out alternating, with at least two per node and leaf ids
-    # increasing, so the tree is canonical as built.
     parents: list[int | None] = []
     labels: list[int | None] = []
     stack: list[tuple[int, int, int | None]] = [(n, root_label, None)]

@@ -9,9 +9,8 @@ which vertex ids later appear in sibling cells and control sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
-from .cotree import CoTree, Nested, canonicalize
+from .cotree import CoTree, Nested
 from .errors import ParseError, SizeCapError
 from .graphs import Graph
 
@@ -97,21 +96,16 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def fresh_leaf(self) -> int:
-        v = self.next_vertex
-        self.next_vertex += 1
-        return v
-
     def atom(self, tok: _Token) -> Nested:
         if tok.kind not in ("DOT", "INT"):
             raise ParseError(f"unexpected token {tok.kind}", tok.line, tok.col)
         count = 1 if tok.kind == "DOT" else tok.value
         if count == 0:
             raise ParseError("atom must be a positive vertex count", tok.line, tok.col)
-        check_vertex_count(self.next_vertex - 1 + count)
-        if count == 1:
-            return self.fresh_leaf()
-        return (0, [self.fresh_leaf() for _ in range(count)])
+        first = self.next_vertex
+        check_vertex_count(first - 1 + count)
+        self.next_vertex += count
+        return first if count == 1 else (0, list(range(first, first + count)))
 
     def expr(self) -> Nested:
         groups: list[tuple[list[Nested], list[Nested]]] = []
@@ -149,7 +143,7 @@ def _compose(label: int, parts: list[Nested]) -> Nested:
 
 
 def parse_expr(text: str) -> CoTree:
-    """Parse a cograph expression into its canonical cotree."""
+    """Parse a cograph expression into its cotree."""
     tokens = _tokenize_expr(text)
     if tokens[0].kind == "EOF":
         raise ParseError("empty expression", tokens[0].line, tokens[0].col)
@@ -158,7 +152,7 @@ def parse_expr(text: str) -> CoTree:
     trailing = parser.take()
     if trailing.kind != "EOF":
         raise ParseError("stray token after expression", trailing.line, trailing.col)
-    return canonicalize(CoTree.from_nested(nested))
+    return CoTree.from_nested(nested)
 
 
 # -- threshold construction sequences -----------------------------------------
@@ -220,23 +214,14 @@ def threshold_to_graph(seq: ThresholdSequence) -> Graph:
 
 
 def threshold_to_cotree(seq: ThresholdSequence) -> CoTree:
-    """Canonical cotree of the threshold graph, built directly in O(n).
-
-    Folding the sequence (each step hangs the tree so far and one new leaf
-    under a node labeled by the step's bit) and merging equal labels leaves
-    a caterpillar with one internal node per maximal run of equal bits after
-    the first: its children are the node of the previous run (or vertex 1)
-    and the run's own vertices. In preorder the run nodes come first, newest
-    on top, and the leaves then read 1..n."""
-    runs = [(bit, len(list(group))) for bit, group in groupby(seq.bits[1:])]
-    top = len(runs) - 1  # node id of the oldest run
-    # run nodes hang in a chain; vertex 1 hangs under the oldest run
-    parents: list[int | None] = [None, *range(top + 1)]
-    for r, (_, size) in enumerate(runs):
-        parents.extend([top - r] * size)
-    labels: list[int | None] = [bit for bit, _ in reversed(runs)]
-    labels.extend([None] * seq.n)
-    return CoTree(parents, labels, range(1, seq.n + 1))
+    """Cotree of the threshold graph, in O(n): the fold in which step j hangs
+    the tree so far and vertex j under a node labeled by bit j. In preorder
+    the step nodes come first, newest on top, so step j is node n - j; the
+    leaves 1..n follow, vertex 1 beside vertex 2 under step 2."""
+    n = seq.n
+    parents = [None, *range(n - 2), n - 2, *range(n - 2, -1, -1)] if n > 1 else [None]
+    labels = [*reversed(seq.bits[1:]), *[None] * n]
+    return CoTree(parents, labels, range(1, n + 1))
 
 
 # -- cotree serialization ------------------------------------------------------
@@ -267,8 +252,8 @@ def serialize_cotree(t: CoTree) -> str:
 
 
 def parse_cotree(text: str) -> CoTree:
-    """Parse a cotree serialization; the structure is preserved as written
-    (non-canonical trees are accepted so they can be canonicalized).
+    """Parse a cotree serialization. Any tree shape is accepted and comes
+    back as the canonical cotree of the same graph.
 
     Nodes are appended to the arena in reading order, which is preorder;
     ``open_nodes`` holds the internal nodes whose ')' is still to come."""

@@ -37,7 +37,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .cotree import CoTree
+from .errors import SizeCapError
 from .graphs import IntMatrix
+
+# Most vertices a dense n x (n-1) modal matrix is built for (9 * 10^6 entries).
+MODAL_CAP = 3_000
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,10 @@ def spectrum(t: CoTree) -> Spectrum:
 def modal_matrix(t: CoTree) -> IntMatrix:
     """The n x (n-1) nontrivial modal matrix: every node's block, in
     canonical node order, written into its own columns at the rows of its
-    vertices; all other entries are zero."""
+    vertices; all other entries are zero. Raises SizeCapError above
+    ``MODAL_CAP`` vertices, before anything is allocated."""
+    if t.n > MODAL_CAP:
+        raise SizeCapError(f"modal matrix capped at n <= {MODAL_CAP}, got {t.n}")
     rows = [[0] * (t.n - 1) for _ in range(t.n)]
     col = 0
     for b in eigen_blocks(t):

@@ -52,6 +52,32 @@ def cotree_corpus(
     return trees
 
 
+def scrambled(nested, rng: random.Random):
+    """A non-canonical nested form of the same graph: children shuffled,
+    some pairs of children moved into an extra node with their parent's
+    label, and some nodes wrapped in unary nodes of either label."""
+    if isinstance(nested, int):
+        node = nested
+    else:
+        label, kids = nested
+        kids = [scrambled(c, rng) for c in kids]
+        rng.shuffle(kids)
+        if len(kids) >= 3 and rng.random() < 0.5:
+            kids = [(label, kids[:2])] + kids[2:]
+        node = (label, kids)
+    while rng.random() < 0.3:
+        node = (rng.randint(0, 1), [node])
+    return node
+
+
+def nested_text(nested) -> str:
+    """Cotree text of a nested form, written exactly as nested."""
+    if isinstance(nested, int):
+        return str(nested)
+    label, kids = nested
+    return f"{label}(" + ",".join(nested_text(c) for c in kids) + ")"
+
+
 # -- reference constructions --------------------------------------------------
 #
 # Plain-function versions of graph composition, matrix algebra and cotree and

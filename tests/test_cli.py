@@ -6,7 +6,6 @@ import pytest
 
 from cographctl import (
     SizeCapError,
-    canonicalize,
     parse_cotree,
     parse_expr,
     read_edge_list,
@@ -14,7 +13,7 @@ from cographctl import (
 )
 from cographctl.cli import main
 
-from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE
+from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE, is_canonical
 
 
 def run(capsys, *argv):
@@ -47,7 +46,8 @@ def test_recognize_json_roundtrip(capsys):
     code, payload, _ = run_json(capsys, "recognize", "--cotree", "1(1,0(0(2,3),4))")
     assert code == 0
     reparsed = parse_cotree(payload["cotree"])
-    assert reparsed == canonicalize(parse_cotree("1(1,0(0(2,3),4))"))
+    assert reparsed == parse_cotree("1(1,0(0(2,3),4))")
+    assert is_canonical(reparsed) and payload["cotree"] == "1(1,0(2,3,4))"
     assert payload["cotree"] == serialize_cotree(reparsed)
     assert payload["n"] == 4
 
@@ -239,3 +239,29 @@ def test_vertex_cap_is_checked_before_allocating(capsys, tmp_path):
                  ["recognize", "--edges", str(path)]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and "more than 1000000 vertices" in err
+
+
+def test_super_polynomial_paths_are_capped_before_their_work(monkeypatch, capsys):
+    import cographctl.cli as cli
+
+    built = []
+    real = cli.cotree_to_graph
+    monkeypatch.setattr(cli, "cotree_to_graph", lambda t: built.append(t) or real(t))
+    cases = [
+        # spectrum --modal: dense n x (n-1) matrix, capped at n <= 3000
+        (["spectrum", "--expr", "100000", "--modal"], "modal matrix capped at n <= 3000"),
+        (["spectrum", "--expr", "3001", "--modal"], "modal matrix capped at n <= 3000"),
+        # leaders --all: sets x vertices capped at 10^6; the star K_{1,1000} has
+        # only 1000 sets, but each holds 999 vertices
+        (["leaders", "--expr", ".*1000", "--all"], "got 1000 x 1001"),
+        (["leaders", "--expr", "11*9091", "--all"], "got 100001 x 9102"),
+        # verify --cross-check: Kalman rank, capped at n <= 30
+        (["verify", "--expr", ".*30", "--set", "1", "--cross-check"],
+         "cross-check capped at n <= 30, got 31"),
+        (["oracle", "--expr", ".*10"], "oracle battery capped at n <= 10, got 11"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+    assert built == []

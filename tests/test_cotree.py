@@ -8,13 +8,17 @@ from cographctl import (
     CoTree,
     Graph,
     P4Witness,
-    canonicalize,
     cotree_to_graph,
+    is_controllable,
     is_p4_free,
+    kalman_rank,
+    min_control_size,
     parse_cotree,
     parse_threshold,
+    pbh_check,
     recognize,
     serialize_cotree,
+    sibling_partition,
     threshold_to_cotree,
     threshold_to_graph,
 )
@@ -26,7 +30,9 @@ from helpers import (
     is_canonical,
     join_of,
     lca,
+    nested_text,
     random_graph,
+    scrambled,
     single,
     union_of,
 )
@@ -72,23 +78,21 @@ def test_recognize_single_vertex_and_disconnected():
 
 def test_canonicalize_hoists_same_label_children():
     t = CoTree.from_nested((1, [(1, [1, 2]), 3]))
-    c = canonicalize(t)
-    assert serialize_cotree(c) == "1(1,2,3)"
-    assert cotree_to_graph(c) == cotree_to_graph(t)
+    assert serialize_cotree(t) == "1(1,2,3)"
+    assert cotree_to_graph(t) == join_of([K1] * 3)
 
 
 def test_canonicalize_splices_unary_nodes():
     # unary node over a leaf disappears
     t = CoTree.from_nested((1, [(0, [1]), 2]))
-    assert serialize_cotree(canonicalize(t)) == "1(1,2)"
+    assert serialize_cotree(t) == "1(1,2)"
     # unary root - the single child takes over
     t = CoTree.from_nested((1, [(0, [1, 2])]))
-    assert serialize_cotree(canonicalize(t)) == "0(1,2)"
+    assert serialize_cotree(t) == "0(1,2)"
     # splice and then hoist when labels collide afterwards
     t = CoTree.from_nested((1, [(0, [(1, [1, 2])]), 3]))
-    c = canonicalize(t)
-    assert serialize_cotree(c) == "1(1,2,3)"
-    assert cotree_to_graph(c) == cotree_to_graph(t)
+    assert serialize_cotree(t) == "1(1,2,3)"
+    assert cotree_to_graph(t) == join_of([K1] * 3)
 
 
 def test_canonicalize_threshold_fold_and_idempotence():
@@ -96,11 +100,33 @@ def test_canonicalize_threshold_fold_and_idempotence():
     nested = 1
     for i in range(2, seq.n + 1):
         nested = (seq.bits[i - 1], [nested, i])
-    raw = CoTree.from_nested(nested)
-    canon = canonicalize(raw)
-    assert cotree_to_graph(raw) == cotree_to_graph(canon) == threshold_to_graph(seq)
+    canon = CoTree.from_nested(nested)
+    assert cotree_to_graph(canon) == threshold_to_graph(seq)
     assert is_canonical(canon)
-    assert canonicalize(canon) == canon
+    assert CoTree.from_nested(canon.to_nested()) == canon
+    assert canon == threshold_to_cotree(seq)
+
+
+def test_every_cotree_is_canonical():
+    # non-canonical text and nested forms of corpus trees come back as the
+    # corpus tree itself
+    rng = random.Random(2718)
+    for t in cotree_corpus(80, 12, seed=31, mixed_roots=True):
+        for _ in range(4):
+            nested = scrambled(t.to_nested(), rng)
+            for again in (CoTree.from_nested(nested), parse_cotree(nested_text(nested))):
+                assert again == t
+                assert is_canonical(again)
+
+
+def test_noncanonical_k3_gets_the_k3_answers():
+    t = parse_cotree("1(1(1,2),3)")
+    assert t == CoTree.from_nested((1, [(1, [1, 2]), 3]))
+    assert sibling_partition(t).cells == ((1, 2, 3),)
+    assert min_control_size(t) == 2
+    assert is_controllable(t, [1]) is False
+    assert pbh_check(t, [1]) is False
+    assert kalman_rank(join_of([K1] * 3), [1]) == kalman_rank(cotree_to_graph(t), [1]) == 2
 
 
 def test_cotree_to_graph_examples():
@@ -145,7 +171,8 @@ def test_lca_label_matches_adjacency():
 def test_roundtrip_recognize_of_cotree_graph():
     for t in cotree_corpus(60, 8, seed=42, mixed_roots=True):
         again = recognize(cotree_to_graph(t))
-        assert again == canonicalize(t) == t
+        assert again == CoTree.from_nested(t.to_nested()) == t
+        assert is_canonical(t)
 
 
 def test_children_count_identity():

@@ -126,3 +126,17 @@ def test_threshold_shortcut_matches_cotree_route():
         t = threshold_to_cotree(seq)
         assert size == min_control_size(t)
         assert cset == select_min_control_set(t)
+
+
+def test_threshold_shortcut_at_three_thousand_vertices():
+    # the degrees come off the bits in O(n), not off the O(n^2) adjacency,
+    # so the shortcut stays fast at this size
+    rng = random.Random(3001)
+    bits = "".join(rng.choice("01") for _ in range(2999))
+    for seq in (parse_threshold("0" + "01" * 1500), parse_threshold("0" + bits + "1")):
+        assert seq.n == 3001
+        t = threshold_to_cotree(seq)
+        for tie in ("lowest-ids", "highest-ids"):
+            size, cset = threshold_min_control(seq, tie)
+            assert cset == select_min_control_set(t, tie)
+            assert size == min_control_size(t) == len(cset)
