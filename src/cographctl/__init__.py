@@ -39,11 +39,8 @@ from .spectral import (
     EigenBlock,
     Spectrum,
     eigen_blocks,
-    local_eigenvalue,
-    modal_block,
     modal_matrix,
     spectrum,
-    updated_eigenvalue,
 )
 from .threshold import DegreePartition, degree_partition, threshold_min_control
 
@@ -77,9 +74,7 @@ __all__ = [
     "is_p4_free",
     "kalman_rank",
     "laplacian",
-    "local_eigenvalue",
     "min_control_size",
-    "modal_block",
     "modal_matrix",
     "parse_cotree",
     "parse_expr",
@@ -96,6 +91,5 @@ __all__ = [
     "threshold_min_control",
     "threshold_to_cotree",
     "threshold_to_graph",
-    "updated_eigenvalue",
     "write_edge_list",
 ]

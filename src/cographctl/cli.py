@@ -115,7 +115,9 @@ def _load_input(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> tuple[CoTree, Graph | None]:
     """The input's cotree, and its adjacency when the input is an edge list.
-    Only the commands that read the graph build it from a cotree, O(n^2)."""
+    Only the commands that read the graph build it from a cotree, O(n^2);
+    degrees need none, since a leaf's ancestor sum in the cotree is its
+    degree."""
     kind = _check_one_input(parser, args)
     if kind == "edges":
         with open(args.edges, encoding="utf-8") as fh:
@@ -191,13 +193,13 @@ def _cmd_spectrum(args, parser) -> int:
 
 
 def _cmd_partition(args, parser) -> int:
-    tree, graph = _load_input(parser, args)
+    tree, _ = _load_input(parser, args)
     cells = control.sibling_partition(tree).cells
     payload = {"n": tree.n, "cotree": serialize_cotree(tree),
                "cells": _cells_payload(cells)}
     lines = ["cells: " + _fmt_cells(cells)]
     if args.degree:
-        deg = threshold.degree_partition(graph or cotree_to_graph(tree))
+        deg = threshold.degree_partition(tree)
         payload["degree_cells"] = _cells_payload(deg.cells)
         payload["degrees"] = list(deg.degrees)
         lines.append("degree cells: " + _fmt_cells(deg.cells))

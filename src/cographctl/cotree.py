@@ -60,8 +60,9 @@ class CoTree:
         """Canonical arena from the preorder columns of any cotree:
         ``parents[i]`` (None for the root), ``labels[i]`` (0 or 1, None for a
         leaf), and the leaf vertex ids in preorder. Raises ValueError unless
-        the leaf ids are 1..n, each exactly once, every label is 0 or 1 and
-        every internal node has a child.
+        the columns describe a tree numbered in preorder, the leaf ids are
+        1..n, each exactly once, every label is 0 or 1, every internal node
+        has a child and no leaf has one.
 
         A bottom-up pass checks and indexes the columns. If they are not
         canonical, a top-down pass lays out the canonical tree (unary nodes
@@ -72,9 +73,10 @@ class CoTree:
             n = len(leaves)
             if n == 0 or labels.count(None) != n:
                 raise ValueError("leaf ids must be distinct and cover 1..n")
-            children: list[list[int]] = [[] for _ in range(count)]
-            for i in range(1, count):
-                children[parents[i]].append(i)  # type: ignore[index]
+            if len(labels) != count or parents[0] is not None:
+                raise ValueError("nodes must form a tree numbered in preorder")
+            children: list[list[int]] = [[] for _ in range(count)]  # filled last to first
+            last = list(range(count))  # largest node id in each subtree
             low = [n + 1] * count  # smallest vertex id below each node
             start = [0] * count
             end = [0] * count
@@ -85,6 +87,8 @@ class CoTree:
                 label = labels[i]
                 kids = children[i]
                 if label is None:
+                    if kids:
+                        raise ValueError("leaf with children")
                     k -= 1
                     v = leaves[k]
                     if not 1 <= v <= n or leaf_node[v] >= 0:
@@ -97,12 +101,21 @@ class CoTree:
                 elif not kids:
                     raise ValueError("internal node with no children")
                 else:
+                    kids.reverse()
+                    # preorder: a child follows its parent or its elder sibling's subtree
+                    for c in kids:
+                        if c != last[i] + 1:
+                            raise ValueError("nodes must form a tree numbered in preorder")
+                        last[i] = last[c]
                     end[i] = end[kids[-1]]
                     if len(kids) == 1:
                         canonical = False
                 start[i] = k
                 if i:
-                    up: int = parents[i]  # type: ignore[assignment]
+                    up = parents[i]
+                    if not isinstance(up, int) or not 0 <= up < i:
+                        raise ValueError("nodes must form a tree numbered in preorder")
+                    children[up].append(i)
                     # siblings arrive last to first, so each must lower the minimum
                     if low[i] > low[up] or labels[up] == label:
                         canonical = False
@@ -222,12 +235,6 @@ class CoTree:
 
     def leaf_count(self, i: int) -> int:
         return self._end[i] - self._start[i]
-
-    def path_to_root(self, i: int) -> list[int]:
-        path = [i]
-        while (up := self._parent[path[-1]]) is not None:
-            path.append(up)
-        return path
 
     def internal_ids(self) -> tuple[int, ...]:
         """Internal node ids in preorder; the package-wide canonical order."""

@@ -12,7 +12,10 @@ Every internal node v contributes one eigenvalue with multiplicity
 The corrections of all nodes come from one top-down pass: a child's
 accumulated correction is its parent's plus the parent's own term, so the
 whole spectrum costs time linear in the node count and nothing walks to the
-root once per node.
+root once per node. The same ancestor sum taken at a leaf is that vertex's
+degree, the Laplacian's diagonal entry: each join ancestor adds the vertices
+outside the child on the path down, each union ancestor adds none. The pass
+keeps it, and the degree partition reads it from there.
 
 The matching eigenvectors are supported only on the node's descendant leaves
 and are constant on each child's leaf block, which gives an integer matrix of
@@ -88,57 +91,26 @@ class EigenBlock:
         return self.block.ncols
 
 
-def local_eigenvalue(t: CoTree, v: int) -> int:
-    """Eigenvalue generated at internal node v before ancestor corrections:
-    0 for a union node, leaf_count(v) for a join node."""
-    return t.label(v) * t.leaf_count(v)
-
-
-def updated_eigenvalue(t: CoTree, v: int, ancestor: int | None = None) -> int:
-    """Node v's eigenvalue after corrections along the path to ``ancestor``
-    (the root by default)."""
-    if t.is_leaf(v):
-        raise ValueError("eigenvalues are generated by internal nodes only")
-    target = t.root if ancestor is None else ancestor
-    value = local_eigenvalue(t, v)
-    path = t.path_to_root(v)
-    if target not in path:
-        raise ValueError(f"node {target} is not an ancestor of node {v}")
-    prev = v
-    for u in path[1:]:
-        value += t.label(u) * (t.leaf_count(u) - t.leaf_count(prev))
-        prev = u
-        if u == target:
-            break
-    return value
-
-
 def _node_eigenvalues(t: CoTree) -> list[int]:
-    """Eigenvalue of every internal node (0 at leaves), in one preorder pass
-    that hands each child its parent's accumulated ancestor correction."""
-    correction = [0] * t.node_count()
-    values = [0] * t.node_count()
+    """Eigenvalue of every internal node and degree of every leaf, in one
+    preorder pass that hands each child its parent's accumulated ancestor
+    correction; a leaf keeps the correction it receives, its degree."""
+    values = [0] * t.node_count()  # a node's correction until the pass reaches it
     for v in t.internal_ids():
-        label, size = t.label(v), t.leaf_count(v)
-        values[v] = label * size + correction[v]
+        label, size, correction = t.label(v), t.leaf_count(v), values[v]
+        values[v] = label * size + correction
         for c in t.children(v):
-            correction[c] = correction[v] + label * (size - t.leaf_count(c))
+            values[c] = correction + label * (size - t.leaf_count(c))
     return values
 
 
-def modal_block(t: CoTree, v: int) -> EigenBlock:
+def _block(t: CoTree, v: int, eigenvalue: int) -> EigenBlock:
     """Integer eigenvector block of internal node v.
 
     With child leaf counts (n_1, ..., n_k), column j (0-based) holds
     n_{j+2} on the leaves of children 0..j, -(n_1 + ... + n_{j+1}) on the
     leaves of child j+1, and 0 below. Each column sums to zero.
     """
-    if t.is_leaf(v):
-        raise ValueError("modal blocks belong to internal nodes only")
-    return _block(t, v, updated_eigenvalue(t, v))
-
-
-def _block(t: CoTree, v: int, eigenvalue: int) -> EigenBlock:
     kids = t.children(v)
     sizes = [t.leaf_count(c) for c in kids]
     prefix = [0] + list(accumulate(sizes))

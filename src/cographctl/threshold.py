@@ -10,13 +10,12 @@ imply siblinghood.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Sequence
 
 from .control import ControlSet, _all_but_one_per_cell
+from .cotree import CoTree
 from .errors import NotConnectedError
-from .graphs import Graph
-from .parsing import ThresholdSequence
+from .parsing import ThresholdSequence, threshold_to_cotree
+from .spectral import _node_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,13 @@ class DegreePartition:
         return tuple(len(c) for c in self.cells)
 
 
-def degree_partition(g: Graph) -> DegreePartition:
-    return _by_degree([g.degree(i) for i in range(g.n)])
-
-
-def _by_degree(degrees: Sequence[int]) -> DegreePartition:
-    """Cells of the vertex ids 1..n by their entry in ``degrees``."""
+def degree_partition(t: CoTree) -> DegreePartition:
+    """Cells of the vertex ids 1..n by degree, read off the cotree in O(n):
+    a leaf's ancestor correction is its vertex's degree."""
+    values = _node_eigenvalues(t)
     by_degree: dict[int, list[int]] = {}
-    for v, d in enumerate(degrees, start=1):
-        by_degree.setdefault(d, []).append(v)
+    for v in range(1, t.n + 1):
+        by_degree.setdefault(values[t.leaf_id(v)], []).append(v)
     ordered = sorted(by_degree)
     return DegreePartition(
         cells=tuple(tuple(by_degree[d]) for d in ordered),
@@ -58,15 +55,11 @@ def threshold_min_control(
     graph, read directly off the degree partition.
 
     A threshold graph is connected exactly when its last bit is 1 (the final
-    vertex joins everything); anything else is rejected. Vertex i is adjacent
-    to the i - 1 earlier vertices when its bit is 1 and to every later vertex
-    whose bit is 1, so the degrees come straight off the bits in O(n).
+    vertex joins everything); anything else is rejected.
     """
     if seq.n < 2 or seq.bits[-1] != 1:
         raise NotConnectedError(
             "threshold graph is connected only when the final bit is 1"
         )
-    joins_from = list(accumulate(reversed(seq.bits)))[::-1]  # 1-bits at or after i
-    partition = _by_degree([bit * (i - 1) + joins
-                            for i, (bit, joins) in enumerate(zip(seq.bits, joins_from))])
+    partition = degree_partition(threshold_to_cotree(seq))
     return seq.n - partition.p, _all_but_one_per_cell(partition.cells, tie_rule)

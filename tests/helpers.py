@@ -159,10 +159,18 @@ def column(m: IntMatrix, j: int) -> tuple[int, ...]:
     return tuple(row[j] for row in m.entries)
 
 
+def path_to_root(t: CoTree, i: int) -> list[int]:
+    """Node i followed by each of its ancestors, up to the root."""
+    path = [i]
+    while (up := t.parent(path[-1])) is not None:
+        path.append(up)
+    return path
+
+
 def lca(t: CoTree, u: int, v: int) -> int:
     """Lowest common ancestor of the leaves carrying vertex ids u and v."""
-    above = set(t.path_to_root(t.leaf_id(u)))
-    return next(node for node in t.path_to_root(t.leaf_id(v)) if node in above)
+    above = set(path_to_root(t, t.leaf_id(u)))
+    return next(node for node in path_to_root(t, t.leaf_id(v)) if node in above)
 
 
 def is_canonical(t: CoTree) -> bool:

@@ -15,6 +15,7 @@ from cographctl import (
     Graph,
     char_poly,
     cotree_to_graph,
+    eigen_blocks,
     enumerate_min_control_sets,
     integer_roots,
     is_controllable,
@@ -32,7 +33,6 @@ from cographctl import (
     spectrum,
     threshold_to_cotree,
     threshold_to_graph,
-    updated_eigenvalue,
 )
 from cographctl.cli import main
 from cographctl.cotree import CoTree
@@ -45,6 +45,7 @@ from helpers import (
     degree_sequence,
     diagonal,
     matmul,
+    path_to_root,
 )
 
 EIGHT_NODE_SETS = {(1, 6, 7), (2, 6, 7), (1, 6, 8), (2, 6, 8), (1, 7, 8), (2, 7, 8)}
@@ -211,15 +212,16 @@ def test_criterion_7_structural_identities(capsys):
         if t.n > 1:
             assert any(len(c) >= 2 for c in sibling_partition(t).cells)
         # ancestor pairs carry distinct updated eigenvalues
+        values = {b.node: b.eigenvalue for b in eigen_blocks(t)}
         for w in internals:
-            for v in t.path_to_root(w)[1:]:
-                assert updated_eigenvalue(t, v) != updated_eigenvalue(t, w)
+            for v in path_to_root(t, w)[1:]:
+                assert values[v] != values[w]
         # leaf supports intersect only along ancestor chains
         for a in internals:
             for b in internals:
                 if a == b:
                     continue
-                related = a in t.path_to_root(b) or b in t.path_to_root(a)
+                related = a in path_to_root(t, b) or b in path_to_root(t, a)
                 assert bool(t.leaves_below(a) & t.leaves_below(b)) == related
     elapsed = time.perf_counter() - start
     with capsys.disabled():

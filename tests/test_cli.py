@@ -211,16 +211,15 @@ def test_graph_built_only_for_commands_that_read_it(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cotree_to_graph", lambda t: built.append(t) or real(t))
     inputs = (("--expr", "(.+.)*(.+.+.)"), ("--cotree", "1(0(1,2),3,0(4,5))"),
               ("--threshold", THRESHOLD_EXAMPLE))
-    for argv in (["recognize"], ["spectrum", "--modal"], ["partition"], ["leaders", "--all"],
-                 ["verify", "--set", "1,3"]):
+    for argv in (["recognize"], ["spectrum", "--modal"], ["partition"],
+                 ["partition", "--degree"], ["leaders", "--all"], ["verify", "--set", "1,3"]):
         for flag, value in inputs:
             assert run(capsys, *argv, flag, value)[0] == 0
     assert built == []
-    for argv in (["partition", "--degree"], ["verify", "--set", "1,3", "--cross-check"],
-                 ["oracle"]):
+    for argv in (["verify", "--set", "1,3", "--cross-check"], ["oracle"]):
         for flag, value in inputs:
             assert run(capsys, *argv, flag, value)[0] == 0
-    assert len(built) == 9
+    assert len(built) == 6
 
 
 def test_vertex_cap_is_checked_before_allocating(capsys, tmp_path):

@@ -10,11 +10,11 @@ from cographctl import (
     NotConnectedError,
     cotree_to_graph,
     count_min_control_sets,
+    eigen_blocks,
     enumerate_min_control_sets,
     is_controllable,
     kalman_rank,
     min_control_size,
-    modal_block,
     parse_cotree,
     parse_expr,
     parse_threshold,
@@ -166,9 +166,8 @@ def test_enumeration_is_complete():
 def test_choose_block_rows_and_block_invertibility():
     # valid choices make the block rows invertible, any repeat child does not
     for t in cotree_corpus(25, 7, seed=304, mixed_roots=True):
-        for v in t.internal_ids():
-            block = modal_block(t, v)
-            kids = t.children(v)
+        for block in eigen_blocks(t):
+            kids = t.children(block.node)
             index_of = {u: r for r, u in enumerate(block.row_vertices)}
             child_of = {
                 u: c for c in kids for u in t.leaves_below(c)
@@ -204,8 +203,8 @@ def test_choose_block_rows_validation():
 
 def test_all_procedure_row_choices_are_invertible():
     for t in cotree_corpus(20, 7, seed=305, mixed_roots=True):
-        for v in t.internal_ids():
-            block = modal_block(t, v)
+        for block in eigen_blocks(t):
+            v = block.node
             kids = t.children(v)
             index_of = {u: r for r, u in enumerate(block.row_vertices)}
             for skipped in range(len(kids)):

@@ -31,6 +31,7 @@ from helpers import (
     join_of,
     lca,
     nested_text,
+    path_to_root,
     random_graph,
     scrambled,
     single,
@@ -156,7 +157,7 @@ def test_structural_queries():
     lca56 = lca(t2, 5, 6)
     assert t2.label(lca56) == 0
     assert not g2.has_edge(4, 5)
-    root_path = t2.path_to_root(lca(t2, 1, 2))
+    root_path = path_to_root(t2, lca(t2, 1, 2))
     assert root_path[0] == lca(t2, 1, 2) and root_path[-1] == t2.root
 
 
@@ -196,7 +197,7 @@ def test_leaf_sets_intersect_iff_ancestor_related():
             for b in internals:
                 if a == b:
                     continue
-                related = a in t.path_to_root(b) or b in t.path_to_root(a)
+                related = a in path_to_root(t, b) or b in path_to_root(t, a)
                 overlaps = bool(t.leaves_below(a) & t.leaves_below(b))
                 assert overlaps == related
 
@@ -228,3 +229,20 @@ def test_from_nested_validates_leaf_ids():
         CoTree.from_nested((2, [1, 2]))  # bad label
     with pytest.raises(ValueError):
         CoTree.from_nested((1, []))  # childless internal node
+
+
+@pytest.mark.parametrize("parents, labels, leaves", [
+    # node 1's children are numbered 3, 4 although leaf 2 comes first
+    ([None, 0, 0, 1, 1], [1, 0, None, None, None], [3, 1, 2]),
+    ([None, -1, 0], [1, None, None], [1, 2]),  # a parent below 0
+    ([None, 2, 0], [1, None, None], [1, 2]),  # a parent after its child
+    ([None, None, 0], [1, None, None], [1, 2]),  # a second root
+    ([0, 0, 0], [1, None, None], [1, 2]),  # a root with a parent
+    ([None, 0, 1], [1, None, None], [1, 2]),  # a leaf with a child
+    ([None, 0], [1, None, None], [1, 2]),  # columns of unequal length
+], ids=["late-children", "negative-parent", "later-parent", "none-parent",
+        "root-parent", "leaf-parent", "short-parents"])
+def test_constructor_rejects_columns_that_are_not_a_preorder_tree(parents, labels, leaves):
+    with pytest.raises(ValueError):
+        CoTree(parents, labels, leaves)
+

@@ -34,12 +34,18 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-def threshold_spectrum(bits: str) -> list[list[int]]:
-    """Merris: a threshold graph's Laplacian spectrum is the conjugate of its
-    degree sequence. Independent of the cotree, O(n)."""
+def threshold_degrees(bits: str) -> list[int]:
+    """Vertex i + 1 of a threshold graph is joined to the i earlier vertices
+    when its bit is 1, and to every later vertex whose bit is 1."""
     n = len(bits)
     joins_after = list(accumulate(int(b) for b in reversed(bits)))[::-1] + [0]
-    degrees = [joins_after[i + 1] + (i if bits[i] == "1" else 0) for i in range(n)]
+    return [joins_after[i + 1] + (i if bits[i] == "1" else 0) for i in range(n)]
+
+
+def conjugate(degrees: list[int]) -> list[list[int]]:
+    """Merris: a threshold graph's Laplacian spectrum is the conjugate of its
+    degree sequence; as (eigenvalue, multiplicity) pairs, O(n)."""
+    n = len(degrees)
     at_least = [0] * (n + 1)
     for d in degrees:
         at_least[d] += 1
@@ -51,6 +57,11 @@ def threshold_spectrum(bits: str) -> list[list[int]]:
     return sorted([v, m] for v, m in counts.items())
 
 
+def threshold_spectrum(bits: str) -> list[list[int]]:
+    """The spectrum by Merris' rule, independent of the cotree."""
+    return conjugate(threshold_degrees(bits))
+
+
 def test_hundred_thousand_bit_threshold(capsys):
     bits = alternating(10**5)
     n = len(bits)
@@ -60,6 +71,24 @@ def test_hundred_thousand_bit_threshold(capsys):
     assert cells == [[1, 2]] + [[v] for v in range(3, n + 1)]
     leaders = run_json(capsys, "leaders", "--threshold", bits)
     assert leaders["min_size"] == 1 and leaders["sets"] == [[1]]
+
+
+def test_degree_partition_of_hundred_thousand_bits_builds_no_graph(capsys, monkeypatch):
+    import cographctl.cli as cli
+
+    def refuse(tree):
+        raise AssertionError("partition --degree built the adjacency")
+
+    monkeypatch.setattr(cli, "cotree_to_graph", refuse)
+    bits = alternating(10**5)
+    payload = run_json(capsys, "partition", "--threshold", bits, "--degree")
+    degrees = [0] * len(bits)
+    for cell, d in zip(payload["degree_cells"], payload["degrees"]):
+        for v in cell:
+            degrees[v - 1] = d
+    assert degrees == threshold_degrees(bits)
+    # the leaf entries and the internal entries of the one pass agree by Merris
+    assert conjugate(degrees) == run_json(capsys, "spectrum", "--threshold", bits)["spectrum"]
 
 
 def test_deep_expression_and_cotree_text(capsys):

@@ -11,15 +11,12 @@ from cographctl import (
     eigen_blocks,
     integer_roots,
     laplacian,
-    local_eigenvalue,
-    modal_block,
     modal_matrix,
     parse_cotree,
     parse_expr,
     parse_threshold,
     spectrum,
     threshold_to_cotree,
-    updated_eigenvalue,
 )
 from cographctl.oracle import _rank_rational
 
@@ -33,6 +30,7 @@ from helpers import (
     diagonal,
     matmul,
     nontrivial,
+    path_to_root,
 )
 
 
@@ -40,21 +38,22 @@ def example_threshold_tree():
     return threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
 
 
+def node_eigenvalues(t):
+    return {b.node: b.eigenvalue for b in eigen_blocks(t)}
+
+
 def test_local_eigenvalue():
     t = parse_expr(".*.*.*.")  # K4
-    assert local_eigenvalue(t, t.root) == 4
-    t2 = example_threshold_tree()
-    for v in t2.internal_ids():
-        expected = t2.leaf_count(v) if t2.label(v) == 1 else 0
-        assert local_eigenvalue(t2, v) == expected
-    with pytest.raises(ValueError):
-        v = next(i for i in range(t2.node_count()) if t2.is_leaf(i))
-        updated_eigenvalue(t2, v)
+    assert node_eigenvalues(t) == {t.root: 4}
+    t2 = example_threshold_tree()  # 1(0(1(0(1(1,2),3),4),5,6),7)
+    assert node_eigenvalues(t2) == {0: 7, 1: 1, 2: 5, 3: 2, 4: 4}
 
 
 def test_updated_eigenvalue_at_root_is_local_for_root():
     for t in cotree_corpus(20, 8, seed=50):
-        assert updated_eigenvalue(t, t.root) == local_eigenvalue(t, t.root)
+        root = eigen_blocks(t)[0]
+        assert root.node == t.root
+        assert root.eigenvalue == t.label(t.root) * t.leaf_count(t.root)
 
 
 def test_example_threshold_spectrum_frozen_and_oracle_checked():
@@ -66,33 +65,38 @@ def test_example_threshold_spectrum_frozen_and_oracle_checked():
 
 
 def test_updated_eigenvalue_strict_bound_below_ancestor():
-    # a strict internal descendant's value at ancestor v stays inside (0, l(v))
+    # a strict internal descendant's value at ancestor v stays inside (0, l(v));
+    # it is w's eigenvalue less the corrections v itself receives
     for t in cotree_corpus(40, 9, seed=60, mixed_roots=True):
+        values = node_eigenvalues(t)
         for v in t.internal_ids():
             for w in t.internal_ids():
-                if w == v or v not in t.path_to_root(w):
+                if w == v or v not in path_to_root(t, w):
                     continue
-                val = updated_eigenvalue(t, w, ancestor=v)
+                val = values[w] - values[v] + t.label(v) * t.leaf_count(v)
                 assert 0 < val < t.leaf_count(v)
 
 
 def test_ancestor_pairs_have_distinct_eigenvalues():
     for t in cotree_corpus(60, 9, seed=61, mixed_roots=True):
+        values = node_eigenvalues(t)
         for w in t.internal_ids():
-            for v in t.path_to_root(w)[1:]:
-                assert updated_eigenvalue(t, v) != updated_eigenvalue(t, w)
+            for v in path_to_root(t, w)[1:]:
+                assert values[v] != values[w]
 
 
 def test_modal_block_two_children():
     t = parse_cotree("1(0(1,2),3)")
-    block = modal_block(t, t.root)  # child sizes (2, 1)
+    block = eigen_blocks(t)[0]  # the root's; child sizes (2, 1)
+    assert block.node == t.root
     assert block.block.entries == ((1,), (1,), (-2,))
     assert block.row_vertices == (1, 2, 3)
 
 
 def test_modal_block_k3_root():
     t = parse_expr(".*.*.")
-    block = modal_block(t, t.root)
+    block = eigen_blocks(t)[0]
+    assert block.node == t.root
     assert block.block.entries == ((1, 1), (-1, 1), (0, -2))
     assert block.eigenvalue == 3
 

@@ -10,6 +10,7 @@ from cographctl import (
     cotree_to_graph,
     degree_partition,
     min_control_size,
+    parse_cotree,
     parse_expr,
     parse_threshold,
     recognize,
@@ -23,24 +24,24 @@ from cographctl.generate import random_threshold_sequence
 from cographctl.graphs import Graph
 from cographctl.oracle import exhaustive_min_sets, find_p4
 
-from helpers import THRESHOLD_EXAMPLE, is_connected, join_of, single
+from helpers import THRESHOLD_EXAMPLE, cotree_corpus, is_connected, join_of, single
 
 K1 = single()
 
 
 def test_degree_partition_complete():
-    assert degree_partition(join_of([K1] * 5)).cells == ((1, 2, 3, 4, 5),)
+    assert degree_partition(recognize(join_of([K1] * 5))).cells == ((1, 2, 3, 4, 5),)
 
 
 def test_degree_partition_example_threshold():
-    part = degree_partition(threshold_to_graph(parse_threshold(THRESHOLD_EXAMPLE)))
+    part = degree_partition(threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE)))
     assert part.cells == ((5, 6), (3,), (1, 2), (4,), (7,))
     assert part.degrees == (1, 2, 3, 4, 6)
 
 
 def test_degree_partition_star():
     star = join_of([K1, Graph.from_edges(3, [])])
-    part = degree_partition(star)
+    part = degree_partition(recognize(star))
     assert part.cells == ((2, 3, 4), (1,))
     assert part.degrees == (1, 3)
 
@@ -92,16 +93,25 @@ def test_degree_partition_equals_sibling_partition_on_thresholds():
     for _ in range(60):
         seq = random_threshold_sequence(rng.randint(1, 12), rng)
         g = threshold_to_graph(seq)
-        deg_cells = {frozenset(c) for c in degree_partition(g).cells}
+        deg_cells = {frozenset(c) for c in degree_partition(recognize(g)).cells}
         sib_cells = {frozenset(c) for c in sibling_partition(threshold_to_cotree(seq)).cells}
         assert deg_cells == sib_cells
+
+
+def test_degree_partition_reads_graph_degrees():
+    trees = cotree_corpus(80, 12, seed=812, mixed_roots=True) + [parse_cotree("1")]
+    for t in trees:
+        g = cotree_to_graph(t)
+        part = degree_partition(t)
+        assert sorted(v for c in part.cells for v in c) == list(range(1, t.n + 1))
+        for cell, d in zip(part.cells, part.degrees):
+            assert all(g.degree(v - 1) == d for v in cell)
 
 
 def test_degree_partition_differs_from_siblings_off_thresholds():
     # regular cograph that is not complete: equal degrees, not all siblings
     t = parse_expr("(.*.)+(.*.)")  # two disjoint edges, all degrees 1
-    g = cotree_to_graph(t)
-    assert degree_partition(g).p == 1
+    assert degree_partition(t).p == 1
     assert sibling_partition(t).p == 2
 
 
@@ -129,7 +139,7 @@ def test_threshold_shortcut_matches_cotree_route():
 
 
 def test_threshold_shortcut_at_three_thousand_vertices():
-    # the degrees come off the bits in O(n), not off the O(n^2) adjacency,
+    # the degrees come off the cotree in O(n), not off the O(n^2) adjacency,
     # so the shortcut stays fast at this size
     rng = random.Random(3001)
     bits = "".join(rng.choice("01") for _ in range(2999))
