@@ -6,10 +6,11 @@ leaves a symmetry no input can break. Grouping leaves by parent yields the
 sibling partition; with p cells on n vertices the minimum number of control
 nodes is n - p, achieved exactly by taking all but one vertex from every cell.
 
-Two independent checks guard each other here: ``is_controllable`` runs the
-O(n) cell test, while ``pbh_check`` stacks the eigenvector blocks per distinct
-eigenvalue and verifies full column rank of the controlled rows over exact
-rationals. They must agree on every input.
+Two checks guard each other here, both O(n): ``is_controllable`` runs the
+cell test, while ``pbh_check`` runs the eigenvector (PBH) test one cotree
+node at a time, reading each node's eigenvector block's rank at the control
+rows off how many of its children the controls reach. They must agree on
+every input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Iterable, Iterator
 
 from .cotree import CoTree
 from .errors import NotConnectedError
-from .spectral import EigenBlock, eigen_blocks
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,10 @@ class ControlSet:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
+        if any(not isinstance(v, int) or v < 1 for v in self.vertices):
+            raise ValueError("control vertices are 1-based ids")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("control vertices must be distinct")
-        if any(v < 1 for v in self.vertices):
-            raise ValueError("control vertices are 1-based ids")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -171,57 +171,26 @@ def is_controllable(t: CoTree, control: ControlSet | Iterable[int]) -> bool:
 
 
 def pbh_check(t: CoTree, control: ControlSet | Iterable[int]) -> bool:
-    """Eigenvector test: for every distinct eigenvalue, the rows of its
-    stacked eigenvector blocks at the control vertices must have full column
-    rank, so no eigenvector vanishes on every control node.
+    """Eigenvector (PBH) test: True iff every internal node has at most one
+    child whose leaves no control vertex reaches.
 
-    Blocks sharing an eigenvalue live on disjoint leaf sets, which makes the
-    stacking valid. Must agree with ``is_controllable`` on every input.
+    Internal node v with k children carries k - 1 eigenvectors. They take
+    the same row at every leaf below one child, and any k - 1 of the k child
+    rows are independent, so the block's rank at the control rows is
+    min(children hit, k - 1). Blocks that share an eigenvalue live on
+    disjoint leaf sets, so their stacked rank is the sum of the block ranks.
+    The all-ones eigenvector needs one control, which the root's two or more
+    children already demand. One reverse-preorder pass: O(node count).
     """
     _require_controllable_setting(t, "pbh_check")
-    vertices = sorted(_control_vertices(t, control))
-    if not vertices:
-        return False  # the trivial all-ones eigenvector sees no input
-    groups: dict[int, list[tuple[EigenBlock, dict[int, int]]]] = {}
-    for block in eigen_blocks(t):
-        row_of = {v: r for r, v in enumerate(block.row_vertices)}
-        groups.setdefault(block.eigenvalue, []).append((block, row_of))
-    for blocks in groups.values():
-        rows = []
-        for v in vertices:
-            row: list[int] = []
-            for block, row_of in blocks:
-                r = row_of.get(v)
-                row.extend(block.block.entries[r] if r is not None else [0] * block.multiplicity)
-            rows.append(row)
-        ncols = sum(b.multiplicity for b, _ in blocks)
-        if _rank_fraction_free(rows) < ncols:
-            return False
-    return True
-
-
-def _rank_fraction_free(rows: list[list[int]]) -> int:
-    """Integer-preserving (fraction-free) elimination rank; every division is
-    exact by the standard two-step determinant identity."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    denom = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        head = m[rank][col]
-        for i in range(rank + 1, nrows):
-            factor = m[i][col]
-            for j in range(col + 1, ncols):
-                m[i][j] = (head * m[i][j] - factor * m[rank][j]) // denom
-            m[i][col] = 0
-        denom = head
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    count = t.node_count()
+    hit = [False] * count
+    for v in _control_vertices(t, control):
+        hit[t.leaf_id(v)] = True
+    missed = [0] * count  # children of each node that no control reaches
+    for i in range(count - 1, 0, -1):
+        if hit[i]:
+            hit[t.parent(i)] = True
+        else:
+            missed[t.parent(i)] += 1
+    return max(missed) <= 1

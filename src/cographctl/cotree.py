@@ -91,7 +91,7 @@ class CoTree:
                         raise ValueError("leaf with children")
                     k -= 1
                     v = leaves[k]
-                    if not 1 <= v <= n or leaf_node[v] >= 0:
+                    if not isinstance(v, int) or not 1 <= v <= n or leaf_node[v] >= 0:
                         raise ValueError("leaf ids must be distinct and cover 1..n")
                     leaf_node[v] = i
                     low[i] = v
@@ -175,16 +175,6 @@ class CoTree:
             stack.extend((c, len(parents) - 1) for c in reversed(children))
         return cls(parents, labels, leaves)
 
-    def to_nested(self) -> Nested:
-        built: list[Nested] = [0] * len(self._label)
-        for i in range(len(built) - 1, -1, -1):
-            label = self._label[i]
-            if label is None:
-                built[i] = self._leaves[self._start[i]]
-            else:
-                built[i] = (label, [built[c] for c in self._children[i]])
-        return built[0]
-
     # -- structural queries -------------------------------------------------
 
     @property
@@ -228,10 +218,6 @@ class CoTree:
         """Vertex ids of the leaves below node i, in preorder (a slice of the
         tree's single leaf sequence)."""
         return self._leaves[self._start[i]:self._end[i]]
-
-    def leaves_below(self, i: int) -> frozenset[int]:
-        """Vertex ids of all leaves descending from node i (i included if leaf)."""
-        return frozenset(self.leaf_sequence(i))
 
     def leaf_count(self, i: int) -> int:
         return self._end[i] - self._start[i]

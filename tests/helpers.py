@@ -159,6 +159,23 @@ def column(m: IntMatrix, j: int) -> tuple[int, ...]:
     return tuple(row[j] for row in m.entries)
 
 
+def to_nested(t: CoTree):
+    """Nested form of the tree: a leaf is its vertex id, an internal node is
+    ``(label, [children...])``; built bottom-up, without recursion."""
+    built: list = [0] * t.node_count()
+    for i in range(t.node_count() - 1, -1, -1):
+        if t.is_leaf(i):
+            built[i] = t.leaf_vertex(i)
+        else:
+            built[i] = (t.label(i), [built[c] for c in t.children(i)])
+    return built[0]
+
+
+def leaves_below(t: CoTree, i: int) -> frozenset[int]:
+    """Vertex ids of all leaves descending from node i (i included if leaf)."""
+    return frozenset(t.leaf_sequence(i))
+
+
 def path_to_root(t: CoTree, i: int) -> list[int]:
     """Node i followed by each of its ancestors, up to the root."""
     path = [i]
@@ -204,9 +221,62 @@ def choose_block_rows(t: CoTree, v: int, choice: Mapping[int, int]) -> frozenset
     for child, vertex in choice.items():
         if child not in kids:
             raise ValueError(f"node {child} is not a child of node {v}")
-        if vertex not in t.leaves_below(child):
+        if vertex not in leaves_below(t, child):
             raise ValueError(f"vertex {vertex} is not a leaf below child {child}")
     return frozenset(choice.values())
+
+
+def pbh_reference(t: CoTree, control) -> bool:
+    """PBH test by elimination: for every distinct eigenvalue, stack the
+    eigenvector blocks that carry it, zero-padded to the union of their
+    columns, and ask for full column rank of the rows at the control
+    vertices. The empty set sees no eigenvector, not even the all-ones one."""
+    vertices = sorted(control)
+    if not vertices:
+        return False
+    groups: dict[int, list] = {}
+    for block in eigen_blocks(t):
+        row_of = {v: r for r, v in enumerate(block.row_vertices)}
+        groups.setdefault(block.eigenvalue, []).append((block, row_of))
+    for blocks in groups.values():
+        rows = []
+        for v in vertices:
+            row: list[int] = []
+            for block, row_of in blocks:
+                r = row_of.get(v)
+                row.extend(block.block.entries[r] if r is not None else [0] * block.multiplicity)
+            rows.append(row)
+        ncols = sum(b.multiplicity for b, _ in blocks)
+        if _rank_fraction_free(rows) < ncols:
+            return False
+    return True
+
+
+def _rank_fraction_free(rows: list[list[int]]) -> int:
+    """Integer-preserving (fraction-free) elimination rank; every division is
+    exact by the standard two-step determinant identity."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    denom = 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        head = m[rank][col]
+        for i in range(rank + 1, nrows):
+            factor = m[i][col]
+            for j in range(col + 1, ncols):
+                m[i][j] = (head * m[i][j] - factor * m[rank][j]) // denom
+            m[i][col] = 0
+        denom = head
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def column_eigenvalues(t: CoTree) -> tuple[int, ...]:

@@ -44,6 +44,7 @@ from helpers import (
     cotree_corpus,
     degree_sequence,
     diagonal,
+    leaves_below,
     matmul,
     path_to_root,
 )
@@ -222,7 +223,7 @@ def test_criterion_7_structural_identities(capsys):
                 if a == b:
                     continue
                 related = a in path_to_root(t, b) or b in path_to_root(t, a)
-                assert bool(t.leaves_below(a) & t.leaves_below(b)) == related
+                assert bool(leaves_below(t, a) & leaves_below(t, b)) == related
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         print(f"CRITERION 7 PASS: structural identities on {len(trees)} "

@@ -8,6 +8,7 @@ import pytest
 from cographctl import (
     ControlSet,
     NotConnectedError,
+    ThresholdSequence,
     cotree_to_graph,
     count_min_control_sets,
     eigen_blocks,
@@ -19,14 +20,24 @@ from cographctl import (
     parse_expr,
     parse_threshold,
     pbh_check,
+    random_cotree,
+    random_threshold_sequence,
     select_min_control_set,
     sibling_partition,
     threshold_to_cotree,
 )
-from cographctl.control import _rank_fraction_free
 from cographctl.oracle import _rank_rational
 
-from helpers import THRESHOLD_EXAMPLE, choose_block_rows, cotree_corpus, eight_node_tree, lca
+from helpers import (
+    THRESHOLD_EXAMPLE,
+    _rank_fraction_free,
+    choose_block_rows,
+    cotree_corpus,
+    eight_node_tree,
+    lca,
+    leaves_below,
+    pbh_reference,
+)
 
 
 def threshold_example_tree():
@@ -132,6 +143,37 @@ def test_triple_agreement_exhaustive_small():
                 assert (kalman_rank(g, subset) == t.n) == cell
 
 
+def mixed_shape_tree(rng):
+    """A connected cotree on 2-25 vertices: a random cotree, a threshold
+    caterpillar, or a join of unions (wide nodes with many leaf children)."""
+    n = rng.randint(2, 25)
+    shape = rng.randrange(3)
+    if shape == 0:
+        return random_cotree(n, rng)
+    if shape == 1:
+        bits = random_threshold_sequence(n, rng).bits[:-1] + (1,)
+        return threshold_to_cotree(ThresholdSequence(bits))
+    sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
+    return parse_expr("*".join("(" + "+".join("." * k) + ")" for k in sizes))
+
+
+def test_pbh_check_matches_stacked_elimination():
+    rng = random.Random(6060)
+    pairs = 0
+    for _ in range(150):
+        t = mixed_shape_tree(rng)
+        vertices = range(1, t.n + 1)
+        chosen = select_min_control_set(t).vertices
+        sets = [(), tuple(vertices), chosen]
+        sets += [chosen[:i] + chosen[i + 1:] for i in range(len(chosen))]
+        while len(sets) < 20:
+            sets.append(tuple(v for v in vertices if rng.random() < rng.random()))
+        for subset in sets:
+            assert pbh_check(t, subset) == pbh_reference(t, subset) == is_controllable(t, subset)
+            pairs += 1
+    assert pairs >= 3000
+
+
 def test_procedure_sets_are_minimal():
     for t in cotree_corpus(20, 7, seed=301):
         for cset in enumerate_min_control_sets(t):
@@ -170,7 +212,7 @@ def test_choose_block_rows_and_block_invertibility():
             kids = t.children(block.node)
             index_of = {u: r for r, u in enumerate(block.row_vertices)}
             child_of = {
-                u: c for c in kids for u in t.leaves_below(c)
+                u: c for c in kids for u in leaves_below(t, c)
             }
             size = len(kids) - 1
             for rows in combinations(block.row_vertices, size):
@@ -209,7 +251,7 @@ def test_all_procedure_row_choices_are_invertible():
             index_of = {u: r for r, u in enumerate(block.row_vertices)}
             for skipped in range(len(kids)):
                 chosen_kids = [c for i, c in enumerate(kids) if i != skipped]
-                pools = [sorted(t.leaves_below(c)) for c in chosen_kids]
+                pools = [sorted(leaves_below(t, c)) for c in chosen_kids]
                 for leaves in product(*pools):
                     choice = dict(zip(chosen_kids, leaves))
                     rows = choose_block_rows(t, v, choice)
@@ -232,6 +274,11 @@ def test_control_set_validation():
         ControlSet((1, 1))
     with pytest.raises(ValueError):
         ControlSet((0,))
+    for ids in ((1.5, 2, 3, 4), ("1",), ([1],)):
+        with pytest.raises(ValueError):
+            ControlSet(ids)
+        with pytest.raises(ValueError):
+            is_controllable(parse_expr(".*.*.*."), ids)
     assert len(ControlSet((3, 1))) == 2
 
 

@@ -30,11 +30,13 @@ from helpers import (
     is_canonical,
     join_of,
     lca,
+    leaves_below,
     nested_text,
     path_to_root,
     random_graph,
     scrambled,
     single,
+    to_nested,
     union_of,
 )
 
@@ -104,7 +106,7 @@ def test_canonicalize_threshold_fold_and_idempotence():
     canon = CoTree.from_nested(nested)
     assert cotree_to_graph(canon) == threshold_to_graph(seq)
     assert is_canonical(canon)
-    assert CoTree.from_nested(canon.to_nested()) == canon
+    assert CoTree.from_nested(to_nested(canon)) == canon
     assert canon == threshold_to_cotree(seq)
 
 
@@ -114,7 +116,7 @@ def test_every_cotree_is_canonical():
     rng = random.Random(2718)
     for t in cotree_corpus(80, 12, seed=31, mixed_roots=True):
         for _ in range(4):
-            nested = scrambled(t.to_nested(), rng)
+            nested = scrambled(to_nested(t), rng)
             for again in (CoTree.from_nested(nested), parse_cotree(nested_text(nested))):
                 assert again == t
                 assert is_canonical(again)
@@ -144,7 +146,7 @@ def test_cotree_to_graph_examples():
 def test_structural_queries():
     t = parse_cotree(EIGHT_NODE_TEXT)
     assert t.leaf_count(t.root) == t.n == 8
-    assert t.leaves_below(t.root) == frozenset(range(1, 9))
+    assert leaves_below(t, t.root) == frozenset(range(1, 9))
     # lca of two leaf children of the same node is that node, and its label
     # decides adjacency: 6,7 are non-adjacent siblings here
     lca67 = lca(t, 6, 7)
@@ -172,7 +174,7 @@ def test_lca_label_matches_adjacency():
 def test_roundtrip_recognize_of_cotree_graph():
     for t in cotree_corpus(60, 8, seed=42, mixed_roots=True):
         again = recognize(cotree_to_graph(t))
-        assert again == CoTree.from_nested(t.to_nested()) == t
+        assert again == CoTree.from_nested(to_nested(t)) == t
         assert is_canonical(t)
 
 
@@ -198,7 +200,7 @@ def test_leaf_sets_intersect_iff_ancestor_related():
                 if a == b:
                     continue
                 related = a in path_to_root(t, b) or b in path_to_root(t, a)
-                overlaps = bool(t.leaves_below(a) & t.leaves_below(b))
+                overlaps = bool(leaves_below(t, a) & leaves_below(t, b))
                 assert overlaps == related
 
 
@@ -240,8 +242,10 @@ def test_from_nested_validates_leaf_ids():
     ([0, 0, 0], [1, None, None], [1, 2]),  # a root with a parent
     ([None, 0, 1], [1, None, None], [1, 2]),  # a leaf with a child
     ([None, 0], [1, None, None], [1, 2]),  # columns of unequal length
+    ([None, 0, 0], [1, None, None], ["1", 2]),  # a text leaf id
+    ([None, 0, 0], [1, None, None], [1.0, 2]),  # a float leaf id
 ], ids=["late-children", "negative-parent", "later-parent", "none-parent",
-        "root-parent", "leaf-parent", "short-parents"])
+        "root-parent", "leaf-parent", "short-parents", "text-leaf", "float-leaf"])
 def test_constructor_rejects_columns_that_are_not_a_preorder_tree(parents, labels, leaves):
     with pytest.raises(ValueError):
         CoTree(parents, labels, leaves)

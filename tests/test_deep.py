@@ -6,6 +6,7 @@ every traversal must handle both without touching the recursion limit.
 """
 
 import json
+import random
 import sys
 from itertools import accumulate
 
@@ -13,14 +14,20 @@ import pytest
 
 from cographctl import (
     CoTree,
+    is_controllable,
     parse_cotree,
     parse_threshold,
+    pbh_check,
+    random_cotree,
     read_edge_list,
+    select_min_control_set,
     serialize_cotree,
     threshold_to_cotree,
     threshold_to_graph,
 )
 from cographctl.cli import main
+
+from helpers import to_nested
 
 
 def alternating(bits: int) -> str:
@@ -130,7 +137,20 @@ def test_serialize_parse_roundtrip_deep():
     assert text.count("(") == 2000
     again = parse_cotree(text)
     assert again == tree
-    assert CoTree.from_nested(again.to_nested()) == tree
+    assert CoTree.from_nested(to_nested(again)) == tree
+
+
+@pytest.mark.parametrize("n, seed", [(500, 2), (10**5, 3)], ids=["wide-root", "hundred-thousand"])
+def test_pbh_check_on_large_trees(n, seed):
+    """The n = 500, seed-2 tree has 491 children at its root; a stacked
+    elimination over the root's block alone is 490 x 490 there."""
+    t = random_cotree(n, random.Random(seed))
+    if n == 500:
+        assert len(t.children(t.root)) == 491
+    chosen = select_min_control_set(t).vertices
+    assert pbh_check(t, chosen) is is_controllable(t, chosen) is True
+    short = chosen[1:]
+    assert pbh_check(t, short) is is_controllable(t, short) is False
 
 
 def _stack_depth() -> int:

@@ -13,7 +13,7 @@ import pytest
 from cographctl import random_cotree, random_threshold_sequence, write_edge_list
 from cographctl.cli import main
 
-from helpers import nested_text, random_graph, scrambled
+from helpers import nested_text, random_graph, scrambled, to_nested
 
 COMMANDS = [
     ["recognize"],
@@ -79,7 +79,7 @@ def inputs(rng: random.Random, tmp_path):
         graph = random_graph(n, rng, rng.random())
         texts = [
             ("--expr", random_expr(n, rng)),
-            ("--cotree", nested_text(scrambled(tree.to_nested(), rng))),
+            ("--cotree", nested_text(scrambled(to_nested(tree), rng))),
             ("--threshold", str(random_threshold_sequence(n, rng))),
             ("--edges", write_edge_list(graph)),
         ]
