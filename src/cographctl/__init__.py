@@ -32,7 +32,6 @@ from .parsing import (
     read_edge_list,
     serialize_cotree,
     threshold_to_cotree,
-    threshold_to_graph,
     write_edge_list,
 )
 from .spectral import (
@@ -90,6 +89,5 @@ __all__ = [
     "spectrum",
     "threshold_min_control",
     "threshold_to_cotree",
-    "threshold_to_graph",
     "write_edge_list",
 ]

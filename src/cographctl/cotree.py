@@ -264,23 +264,33 @@ def cotree_to_graph(t: CoTree) -> Graph:
         join = t.label(i) == 1
         for c in t.children(i):
             above[c] = above[i] | (mask[i] & ~mask[c]) if join else above[i]
-    return Graph(t.n, tuple(rows))
+    return Graph._trusted(t.n, tuple(rows))
 
 
-def _components(rows: Sequence[int], mask: int) -> list[int]:
+def _components(rows: Sequence[int], mask: int, flip: int = 0) -> list[int]:
+    """Components of the subgraph induced on ``mask``, in order of their
+    smallest vertex; with ``flip=mask``, of its complement, which is never
+    built: ``rows[i] ^ mask`` holds i's non-neighbours in the mask, and
+    ``& rem`` (the vertices not reached yet) cuts the bits outside it.
+    Without a flip the loop skips the XOR, which would copy every row."""
     comps = []
     rem = mask
     while rem:
         comp = rem & -rem
+        rem ^= comp
         frontier = comp
         while frontier:
             grown = 0
-            for i in _bits(frontier):
-                grown |= rows[i] & mask
-            frontier = grown & ~comp
+            if flip:
+                for i in _bits(frontier):
+                    grown |= rows[i] ^ flip
+            else:
+                for i in _bits(frontier):
+                    grown |= rows[i]
+            frontier = grown & rem
+            rem ^= frontier
             comp |= frontier
         comps.append(comp)
-        rem &= ~comp
     return comps
 
 
@@ -314,7 +324,9 @@ def recognize(g: Graph) -> CoTree | P4Witness:
     Single vertices are leaves; a disconnected (sub)graph splits into a
     0-labeled node over its components; a connected one with disconnected
     complement splits into a 1-labeled node over the complement's components.
-    A graph stuck in both directions contains an induced P4. Disconnected
+    A graph stuck in both directions contains an induced P4 (Corneil,
+    Lerchs & Stewart Burlingham, 1981). The complement's components are read
+    from the graph's own rows, so the complement is never built. Disconnected
     inputs are accepted (the root comes out labeled 0); the controllability
     operations reject them downstream.
 
@@ -322,7 +334,6 @@ def recognize(g: Graph) -> CoTree | P4Witness:
     masks and emits the arena directly.
     """
     full = (1 << g.n) - 1
-    co_rows = [full & ~row & ~(1 << i) for i, row in enumerate(g.rows)]
     parents: list[int | None] = []
     labels: list[int | None] = []
     leaves: list[int] = []
@@ -339,7 +350,7 @@ def recognize(g: Graph) -> CoTree | P4Witness:
         if len(comps) > 1:
             labels.append(0)
         else:
-            comps = _components(co_rows, mask)
+            comps = _components(g.rows, mask, flip=mask)
             if len(comps) == 1:
                 return _p4_in_subgraph(g, mask)
             labels.append(1)

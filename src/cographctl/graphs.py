@@ -47,19 +47,23 @@ class Graph:
     """Undirected simple graph over vertices 0..n-1.
 
     ``rows[i]`` is a bitmask; bit j is set iff {i, j} is an edge. The mask is
-    symmetric and the diagonal is empty.
+    symmetric and the diagonal is empty. ``Graph(n, rows)`` checks all of
+    this; the package's own builders, whose rows hold it by construction, go
+    through ``_trusted`` and skip the walk over every edge.
     """
 
     n: int
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError("graph needs a positive int vertex count")
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << self.n) - 1
         for i, row in enumerate(self.rows):
+            if not isinstance(row, int):
+                raise ValueError("adjacency rows must be int bitmasks")
             if row & ~full:
                 raise ValueError("adjacency bit outside vertex range")
             if row >> i & 1:
@@ -70,17 +74,13 @@ class Graph:
                     raise ValueError("adjacency not symmetric")
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build from 0-based endpoint pairs."""
-        rows = [0] * n
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge endpoint out of range: ({i}, {j})")
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(n, tuple(rows))
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph over rows that are in range, loop-free and symmetric by
+        construction, built without ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)

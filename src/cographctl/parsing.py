@@ -57,10 +57,10 @@ def _tokenize_expr(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
             startcol = col
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
                 col += 1
             tokens.append(_Token("INT", int(text[start:i]), line, startcol))
@@ -199,20 +199,6 @@ def parse_threshold(text: str) -> ThresholdSequence:
     return ThresholdSequence(tuple(bits))
 
 
-def threshold_to_graph(seq: ThresholdSequence) -> Graph:
-    """Adjacency straight from the attachment rule: the vertex added at step j
-    by a join is adjacent to every earlier vertex, so {i, j} with i < j is an
-    edge exactly when bit j is 1."""
-    n = seq.n
-    rows = [0] * n
-    for j in range(n):
-        if seq.bits[j] == 1:
-            for i in range(j):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
-
-
 def threshold_to_cotree(seq: ThresholdSequence) -> CoTree:
     """Cotree of the threshold graph, in O(n): the fold in which step j hangs
     the tree so far and vertex j under a node labeled by bit j. In preorder
@@ -267,7 +253,7 @@ def parse_cotree(text: str) -> CoTree:
     def read_int() -> int:
         nonlocal pos
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and text[pos].isdecimal():
             pos += 1
         if start == pos:
             raise ParseError("expected a number", 1, pos + 1)
@@ -321,14 +307,17 @@ def parse_cotree(text: str) -> CoTree:
 
 
 def read_edge_list(text: str) -> Graph:
-    rows = []
+    """Each edge line is checked once and sets its two bits; a bit that is
+    already set is a duplicate. The rows are symmetric, loop-free and in
+    range by construction, so the graph skips ``Graph``'s checks."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            rows.append((lineno, body.split()))
-    if not rows:
+            lines.append((lineno, body.split()))
+    if not lines:
         raise ParseError("empty edge list", 1, 1)
-    header_line, header = rows[0]
+    header_line, header = lines[0]
     if len(header) != 2:
         raise ParseError("header must be 'n m'", header_line, 1)
     try:
@@ -338,11 +327,10 @@ def read_edge_list(text: str) -> Graph:
     if n < 1:
         raise ParseError("vertex count must be positive", header_line, 1)
     check_vertex_count(n)
-    if len(rows) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}", header_line, 1)
-    seen = set()
-    edges = []
-    for lineno, fields in rows[1:]:
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", header_line, 1)
+    rows = [0] * n
+    for lineno, fields in lines[1:]:
         if len(fields) != 2:
             raise ParseError("edge line must hold two endpoints", lineno, 1)
         try:
@@ -353,12 +341,12 @@ def read_edge_list(text: str) -> Graph:
             raise ParseError(f"edge endpoint out of range 1..{n}", lineno, 1)
         if a == b:
             raise ParseError(f"self-loop at vertex {a}", lineno, 1)
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ParseError(f"duplicate edge {key[0]} {key[1]}", lineno, 1)
-        seen.add(key)
-        edges.append((a - 1, b - 1))
-    return Graph.from_edges(n, edges)
+        bit = 1 << (b - 1)
+        if rows[a - 1] & bit:
+            raise ParseError(f"duplicate edge {min(a, b)} {max(a, b)}", lineno, 1)
+        rows[a - 1] |= bit
+        rows[b - 1] |= 1 << (a - 1)
+    return Graph._trusted(n, tuple(rows))
 
 
 def write_edge_list(g: Graph) -> str:

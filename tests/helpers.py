@@ -11,6 +11,7 @@ from cographctl import (
     Graph,
     IntMatrix,
     Spectrum,
+    ThresholdSequence,
     eigen_blocks,
     parse_cotree,
     random_cotree,
@@ -36,7 +37,7 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    return Graph.from_edges(n, edges)
+    return from_edges(n, edges)
 
 
 def cotree_corpus(
@@ -87,6 +88,30 @@ def nested_text(nested) -> str:
 
 def single() -> Graph:
     return Graph(1, (0,))
+
+
+def from_edges(n: int, edges) -> Graph:
+    """The graph on vertices 0..n-1 with the given 0-based endpoint pairs,
+    through the checked ``Graph`` constructor."""
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
+def threshold_to_graph(seq: ThresholdSequence) -> Graph:
+    """Adjacency straight from the attachment rule: the vertex added at step j
+    by a join is adjacent to every earlier vertex, so {i, j} with i < j is an
+    edge exactly when bit j is 1."""
+    n = seq.n
+    rows = [0] * n
+    for j in range(n):
+        if seq.bits[j] == 1:
+            for i in range(j):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
 
 
 def union_of(parts: Sequence[Graph]) -> Graph:

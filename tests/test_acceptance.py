@@ -12,7 +12,6 @@ from collections import Counter
 from itertools import combinations
 
 from cographctl import (
-    Graph,
     char_poly,
     cotree_to_graph,
     eigen_blocks,
@@ -32,7 +31,6 @@ from cographctl import (
     sibling_partition,
     spectrum,
     threshold_to_cotree,
-    threshold_to_graph,
 )
 from cographctl.cli import main
 from cographctl.cotree import CoTree
@@ -44,9 +42,11 @@ from helpers import (
     cotree_corpus,
     degree_sequence,
     diagonal,
+    from_edges,
     leaves_below,
     matmul,
     path_to_root,
+    threshold_to_graph,
 )
 
 EIGHT_NODE_SETS = {(1, 6, 7), (2, 6, 7), (1, 6, 8), (2, 6, 8), (1, 7, 8), (2, 7, 8)}
@@ -243,7 +243,7 @@ def test_criterion_8_recognition_soundness(capsys):
             for j in range(i + 1, n)
             if rng.random() < p
         ]
-        graphs.append(Graph.from_edges(n, edges))
+        graphs.append(from_edges(n, edges))
     for _ in range(500):
         n = rng.randint(1, 8)
         label = 1 if n == 1 else rng.randint(0, 1)

@@ -163,6 +163,10 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "verify", "--expr", ".*.", "--set", "1,,x")[0] == 2
     assert run(capsys, "spectrum", "--edges", "/nonexistent/file")[0] == 2
+    # str.isdigit() accepts superscripts that int() rejects
+    for flag, text in (("--expr", "\u00b2"), ("--cotree", "1(1,\u00b2)")):
+        code, _, err = run(capsys, "spectrum", flag, text)
+        assert code == 2 and "(line 1, column" in err, err
 
 
 def test_domain_errors_exit_one(capsys, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from cographctl import (
     CoTree,
-    Graph,
     P4Witness,
     cotree_to_graph,
     is_controllable,
@@ -20,13 +19,13 @@ from cographctl import (
     serialize_cotree,
     sibling_partition,
     threshold_to_cotree,
-    threshold_to_graph,
 )
 
 from helpers import (
     EIGHT_NODE_TEXT,
     THRESHOLD_EXAMPLE,
     cotree_corpus,
+    from_edges,
     is_canonical,
     join_of,
     lca,
@@ -36,6 +35,7 @@ from helpers import (
     random_graph,
     scrambled,
     single,
+    threshold_to_graph,
     to_nested,
     union_of,
 )
@@ -44,7 +44,7 @@ K1 = single()
 
 
 def test_recognize_p4_gives_witness():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     result = recognize(g)
     assert isinstance(result, P4Witness)
     assert result.vertices == (1, 2, 3, 4)

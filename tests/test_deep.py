@@ -8,26 +8,28 @@ every traversal must handle both without touching the recursion limit.
 import json
 import random
 import sys
+import tracemalloc
 from itertools import accumulate
 
 import pytest
 
 from cographctl import (
     CoTree,
+    Graph,
     is_controllable,
     parse_cotree,
     parse_threshold,
     pbh_check,
     random_cotree,
     read_edge_list,
+    recognize,
     select_min_control_set,
     serialize_cotree,
     threshold_to_cotree,
-    threshold_to_graph,
 )
 from cographctl.cli import main
 
-from helpers import to_nested
+from helpers import threshold_to_graph, to_nested
 
 
 def alternating(bits: int) -> str:
@@ -128,6 +130,24 @@ def test_recognize_deep_threshold_edge_list(capsys, tmp_path):
     path.write_text(threshold_edge_list(bits))
     payload = run_json(capsys, "recognize", "--edges", str(path))
     assert payload["cotree"] == serialize_cotree(threshold_to_cotree(parse_threshold(bits)))
+
+
+def test_recognize_builds_no_complement():
+    """A 10^4-vertex perfect matching: the graph's own rows take about n^2/16
+    bytes, and a copy of its complement would take n^2/8 more. Recognition
+    must stay under that."""
+    n = 10**4
+    rows = [1 << (i ^ 1) for i in range(n)]
+    g = Graph(n, tuple(rows))
+    tracemalloc.start()
+    try:
+        tree = recognize(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 8, peak
+    assert tree.label(0) == 0 and len(tree.children(0)) == n // 2
+    assert all(tree.label(c) == 1 and tree.leaf_count(c) == 2 for c in tree.children(0))
 
 
 def test_serialize_parse_roundtrip_deep():

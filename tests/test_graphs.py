@@ -8,15 +8,20 @@ from cographctl import (
     Graph,
     IntMatrix,
     char_poly,
+    cotree_to_graph,
     integer_roots,
     laplacian,
     parse_threshold,
-    threshold_to_graph,
+    read_edge_list,
+    threshold_to_cotree,
+    write_edge_list,
 )
+from cographctl.generate import random_threshold_sequence
 
 from helpers import (
     THRESHOLD_EXAMPLE,
     complement,
+    cotree_corpus,
     degree_sequence,
     diagonal,
     is_connected,
@@ -24,6 +29,7 @@ from helpers import (
     matmul,
     random_graph,
     single,
+    threshold_to_graph,
     transpose,
     union_of,
 )
@@ -130,14 +136,36 @@ def test_complement_involution_and_de_morgan():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (1,))  # self-loop
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 5)])
+    cases = [
+        ((2, (0b01, 0)), "self-loop in adjacency"),  # bit 0 of row 0
+        ((1, (1,)), "self-loop in adjacency"),
+        ((2, (0b100, 0)), "adjacency bit outside vertex range"),
+        ((2, (-1, 0)), "adjacency bit outside vertex range"),
+        ((2, (0b10, 0)), "adjacency not symmetric"),
+        ((2, (0,)), "adjacency row count does not match n"),
+        ((0, ()), "graph needs a positive int vertex count"),
+        ((2.0, (0, 0)), "graph needs a positive int vertex count"),
+        ((2, ("a", 0)), "adjacency rows must be int bitmasks"),
+        ((2, (1.0, 0)), "adjacency rows must be int bitmasks"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as info:
+            Graph(*args)
+        assert str(info.value) == message, args
+
+
+def test_package_built_graphs_pass_the_public_checks():
+    """The reader and the cotree builder skip ``Graph``'s checks; every graph
+    they return must pass them."""
+    rng = random.Random(41)
+    trees = cotree_corpus(60, 14, seed=41, mixed_roots=True)
+    trees += [threshold_to_cotree(random_threshold_sequence(rng.randint(1, 14), rng))
+              for _ in range(20)]
+    graphs = [cotree_to_graph(t) for t in trees]
+    graphs += [random_graph(rng.randint(1, 14), rng, rng.random()) for _ in range(60)]
+    for g in graphs:
+        for built in (g, read_edge_list(write_edge_list(g))):
+            assert Graph(built.n, built.rows) == built == g
 
 
 def test_intmatrix_ops():

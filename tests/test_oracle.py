@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from cographctl import (
-    Graph,
     NonIntegerRootError,
     SizeCapError,
     char_poly,
@@ -26,6 +25,7 @@ from cographctl.oracle import _rank_rational
 from helpers import (
     EIGHT_NODE_TEXT,
     cotree_corpus,
+    from_edges,
     is_connected,
     join_of,
     random_graph,
@@ -106,7 +106,7 @@ def test_integer_roots_fails_loudly():
 
 
 def test_is_p4_free_examples():
-    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     witness = find_p4(p4)
     assert witness is not None and witness.vertices == (1, 2, 3, 4)
     assert not is_p4_free(p4)

@@ -13,12 +13,11 @@ from cographctl import (
     read_edge_list,
     recognize,
     serialize_cotree,
-    threshold_to_graph,
     write_edge_list,
 )
 from cographctl.generate import random_cotree, random_threshold_sequence
 
-from helpers import THRESHOLD_EXAMPLE, join_of, single, union_of
+from helpers import THRESHOLD_EXAMPLE, join_of, single, threshold_to_graph, union_of
 
 K1 = single()
 
@@ -133,16 +132,26 @@ def test_edge_list_comments_and_whitespace():
 
 def test_edge_list_errors():
     cases = [
-        "",  # empty
-        "2\n",  # bad header
-        "2 1\n",  # missing edge line
-        "2 1\n1 2\n2 1\n",  # extra line
-        "2 1\n1 3\n",  # endpoint out of range
-        "2 1\n1 1\n",  # self loop
-        "3 2\n1 2\n2 1\n",  # duplicate edge
-        "0 0\n",  # no vertices
-        "2 1\n1 x\n",  # non-integer endpoint
+        ("", "empty edge list (line 1, column 1)"),
+        ("# only a comment\n\n", "empty edge list (line 1, column 1)"),
+        ("2\n", "header must be 'n m' (line 1, column 1)"),
+        ("a b\n", "header must hold two integers (line 1, column 1)"),
+        ("2 1\n", "expected 1 edge lines, found 0 (line 1, column 1)"),
+        ("2 1\n1 2\n2 1\n", "expected 1 edge lines, found 2 (line 1, column 1)"),
+        ("2 1\n1 3\n", "edge endpoint out of range 1..2 (line 2, column 1)"),
+        ("2 1\n0 1\n", "edge endpoint out of range 1..2 (line 2, column 1)"),
+        ("2 1\n1 1\n", "self-loop at vertex 1 (line 2, column 1)"),
+        ("3 2\n1 2\n2 1\n", "duplicate edge 1 2 (line 3, column 1)"),
+        ("3 2\n2 3\n3 2\n", "duplicate edge 2 3 (line 3, column 1)"),
+        ("0 0\n", "vertex count must be positive (line 1, column 1)"),
+        ("2 1\n1 x\n", "edge endpoints must be integers (line 2, column 1)"),
+        ("2 1\n1 2 3\n", "edge line must hold two endpoints (line 2, column 1)"),
+        # comment and blank lines still count toward the reported line
+        ("# header next\n\n3 1 # n m\n# edges\n\n1 4\n",
+         "edge endpoint out of range 1..3 (line 6, column 1)"),
+        ("4 2\n1 2\n# c\n\n1 2 # again\n", "duplicate edge 1 2 (line 5, column 1)"),
     ]
-    for bad in cases:
-        with pytest.raises(ParseError):
+    for bad, message in cases:
+        with pytest.raises(ParseError) as info:
             read_edge_list(bad)
+        assert str(info.value) == message, bad

@@ -18,13 +18,19 @@ from cographctl import (
     sibling_partition,
     threshold_min_control,
     threshold_to_cotree,
-    threshold_to_graph,
 )
 from cographctl.generate import random_threshold_sequence
-from cographctl.graphs import Graph
 from cographctl.oracle import exhaustive_min_sets, find_p4
 
-from helpers import THRESHOLD_EXAMPLE, cotree_corpus, is_connected, join_of, single
+from helpers import (
+    THRESHOLD_EXAMPLE,
+    cotree_corpus,
+    from_edges,
+    is_connected,
+    join_of,
+    single,
+    threshold_to_graph,
+)
 
 K1 = single()
 
@@ -40,7 +46,7 @@ def test_degree_partition_example_threshold():
 
 
 def test_degree_partition_star():
-    star = join_of([K1, Graph.from_edges(3, [])])
+    star = join_of([K1, from_edges(3, [])])
     part = degree_partition(recognize(star))
     assert part.cells == ((2, 3, 4), (1,))
     assert part.degrees == (1, 3)
