@@ -1,17 +1,16 @@
 """Independent brute-force ground truth.
 
 Everything here is deliberately written against the raw adjacency and with its
-own linear algebra (rational Gaussian elimination, division-free
+own linear algebra (a fraction-free integer Krylov basis, division-free
 characteristic polynomial) so that it shares no code with the fast closed-form
 paths it validates.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
+from collections import Counter, deque
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .cotree import P4Witness
@@ -21,57 +20,57 @@ from .graphs import Graph, IntMatrix
 EXHAUSTIVE_CAP = 10
 
 
-def _rank_rational(rows: Sequence[Sequence[int]]) -> int:
-    """Rank via plain Gaussian elimination over exact rationals."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def kalman_rank(g: Graph, control: Iterable[int]) -> int:
     """Exact rank of [B, AB, ..., A^(n-1)B] with A = -L(g).
 
     ``control`` holds 1-based vertex ids; B stacks the matching unit columns.
     Rank n certifies controllability.
+
+    That column space is the smallest L-invariant subspace holding B's
+    columns: it holds them, L maps each A^k B into the next block and A^n B
+    back into the span (Cayley-Hamilton), and an L-invariant space holding B
+    holds every A^k B. The loop grows exactly that span from e_v for each
+    control: a vector off the work list that is not in the span joins the
+    basis and queues L.w. So every basis vector lies in the subspace, and
+    once the list is empty L maps the span into itself.
+
+    The basis holds primitive integer vectors in echelon form, each with a
+    pivot where every later one is 0. Reduction is fraction-free,
+    w <- b[p].w - w[p].b and then w / gcd(w); L.w is deg(i).w_i minus the sum
+    of w_j over the neighbours j of i, read off the raw adjacency. That is at
+    most |S| + n reductions of O(n.rank) integer operations each.
     """
     vertices = list(control)
     n = g.n
     for v in vertices:
+        if not isinstance(v, int):
+            raise ValueError(f"control vertex {v!r} is not an int id")
         if not (1 <= v <= n):
             raise ValueError(f"control vertex {v} out of range 1..{n}")
     if len(set(vertices)) != len(vertices):
         raise ValueError("control vertices must be distinct")
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if g.has_edge(i, j):
-                a[i][j] = 1
-        a[i][i] = -g.degree(i)
-    # columns of the controllability matrix, accumulated power by power
-    block = [[1 if i == v - 1 else 0 for v in vertices] for i in range(n)]
-    cols: list[list[int]] = [list(c) for c in zip(*block)] if vertices else []
-    for _ in range(n - 1):
-        block = [[sum(a[i][k] * block[k][j] for k in range(n)) for j in range(len(vertices))]
-                 for i in range(n)]
-        cols.extend(list(c) for c in zip(*block))
-    return _rank_rational(cols)
+    neighbours = [[j for j in range(n) if g.has_edge(i, j)] for i in range(n)]
+    work = deque([1 if i == v - 1 else 0 for i in range(n)] for v in vertices)
+    basis: list[tuple[int, list[int]]] = []
+    while work and len(basis) < n:
+        w = work.popleft()
+        for p, b in basis:
+            c, d = w[p], b[p]
+            if c:
+                w = _primitive([d * x - c * y for x, y in zip(w, b)])
+        if any(w):
+            # the smallest entry as pivot keeps the multipliers b[p] small
+            pivot = min((i for i, x in enumerate(w) if x), key=lambda i: abs(w[i]))
+            basis.append((pivot, w))
+            work.append(_primitive([len(near) * w[i] - sum(w[j] for j in near)
+                                    for i, near in enumerate(neighbours)]))
+    return len(basis)
+
+
+def _primitive(w: list[int]) -> list[int]:
+    """w divided by the gcd of its entries (w itself when that is 0 or 1)."""
+    k = gcd(*w)
+    return [x // k for x in w] if k > 1 else w
 
 
 def char_poly(m: IntMatrix) -> list[int]:

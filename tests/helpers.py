@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Mapping, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 from cographctl import (
     CoTree,
@@ -13,6 +14,7 @@ from cographctl import (
     Spectrum,
     ThresholdSequence,
     eigen_blocks,
+    laplacian,
     parse_cotree,
     random_cotree,
 )
@@ -302,6 +304,77 @@ def _rank_fraction_free(rows: list[list[int]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+KALMAN_REFERENCE_CAP = 16
+
+
+def kalman_reference(g: Graph, control: Iterable[int]) -> int:
+    """Rank of [B, AB, ..., A^(n-1)B] with A = -L(g), the textbook way: build
+    the whole n x n.|S| matrix power by power and eliminate over exact
+    rationals. Its integers grow with every power, so it is capped at small n."""
+    if g.n > KALMAN_REFERENCE_CAP:
+        raise ValueError(f"kalman_reference capped at n <= {KALMAN_REFERENCE_CAP}")
+    vertices = list(control)
+    if not vertices:
+        return 0
+    n = g.n
+    a = [[-x for x in row] for row in laplacian(g).entries]
+    block = [[1 if i == v - 1 else 0 for v in vertices] for i in range(n)]
+    kalman = [list(row) for row in block]
+    for _ in range(n - 1):
+        block = [[sum(a[i][k] * block[k][j] for k in range(n)) for j in range(len(vertices))]
+                 for i in range(n)]
+        for row, more in zip(kalman, block):
+            row.extend(more)
+    return rank_rational(kalman)
+
+
+def rank_rational(rows: Sequence[Sequence[int]]) -> int:
+    """Rank via plain Gaussian elimination over exact rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(nrows):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def kalman_rank_closed_form(t: CoTree, control: Iterable[int]) -> int:
+    """Kalman rank of a connected cograph from its cotree alone:
+    n - sum over internal nodes of ((k - 1) - min(hits, k - 1)), where k is
+    the node's child count and hits the number of its children with a
+    control leaf below. A node's k - 1 eigenvectors take one row per child
+    and any k - 1 of those rows are independent, so the controls see
+    min(hits, k - 1) of them, and any control sees the all-ones vector.
+    Under a union root the root's block shares the eigenvalue 0 with the
+    all-ones vector and the count is off, hence a join root and a nonempty
+    set."""
+    hit_vertices = set(control)
+    if not hit_vertices:
+        raise ValueError("the closed form needs a nonempty control set")
+    if not t.is_leaf(t.root) and t.label(t.root) != 1:
+        raise ValueError("the closed form needs a connected cograph (join root)")
+    deficit = 0
+    for i in t.internal_ids():
+        kids = t.children(i)
+        hits = sum(1 for c in kids if hit_vertices.intersection(t.leaf_sequence(c)))
+        deficit += (len(kids) - 1) - min(hits, len(kids) - 1)
+    return t.n - deficit
 
 
 def column_eigenvalues(t: CoTree) -> tuple[int, ...]:

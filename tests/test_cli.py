@@ -258,9 +258,9 @@ def test_super_polynomial_paths_are_capped_before_their_work(monkeypatch, capsys
         # only 1000 sets, but each holds 999 vertices
         (["leaders", "--expr", ".*1000", "--all"], "got 1000 x 1001"),
         (["leaders", "--expr", "11*9091", "--all"], "got 100001 x 9102"),
-        # verify --cross-check: Kalman rank, capped at n <= 30
-        (["verify", "--expr", ".*30", "--set", "1", "--cross-check"],
-         "cross-check capped at n <= 30, got 31"),
+        # verify --cross-check: Kalman rank, capped at n <= 100
+        (["verify", "--expr", ".*100", "--set", "1", "--cross-check"],
+         "cross-check capped at n <= 100, got 101"),
         (["oracle", "--expr", ".*10"], "oracle battery capped at n <= 10, got 11"),
     ]
     for argv, message in cases:

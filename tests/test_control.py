@@ -26,7 +26,6 @@ from cographctl import (
     sibling_partition,
     threshold_to_cotree,
 )
-from cographctl.oracle import _rank_rational
 
 from helpers import (
     THRESHOLD_EXAMPLE,
@@ -37,6 +36,7 @@ from helpers import (
     lca,
     leaves_below,
     pbh_reference,
+    rank_rational,
 )
 
 
@@ -218,7 +218,7 @@ def test_choose_block_rows_and_block_invertibility():
             for rows in combinations(block.row_vertices, size):
                 fine = len({child_of[u] for u in rows}) == size
                 sub = [block.block.entries[index_of[u]] for u in rows]
-                assert (_rank_rational(sub) == size) == fine
+                assert (rank_rational(sub) == size) == fine
 
 
 def test_choose_block_rows_validation():
@@ -256,7 +256,7 @@ def test_all_procedure_row_choices_are_invertible():
                     choice = dict(zip(chosen_kids, leaves))
                     rows = choose_block_rows(t, v, choice)
                     sub = [block.block.entries[index_of[u]] for u in sorted(rows)]
-                    assert _rank_rational(sub) == len(kids) - 1
+                    assert rank_rational(sub) == len(kids) - 1
 
 
 def test_fraction_free_rank_matches_rational_rank():
@@ -264,7 +264,7 @@ def test_fraction_free_rank_matches_rational_rank():
     for _ in range(60):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-        assert _rank_fraction_free(m) == _rank_rational(m)
+        assert _rank_fraction_free(m) == rank_rational(m)
     assert _rank_fraction_free([]) == 0
     assert _rank_fraction_free([[0, 0], [0, 0]]) == 0
 

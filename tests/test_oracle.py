@@ -17,10 +17,13 @@ from cographctl import (
     kalman_rank,
     laplacian,
     parse_cotree,
+    parse_expr,
+    parse_threshold,
+    random_cotree,
     spectrum,
+    threshold_to_cotree,
 )
 from cographctl.graphs import IntMatrix
-from cographctl.oracle import _rank_rational
 
 from helpers import (
     EIGHT_NODE_TEXT,
@@ -28,7 +31,10 @@ from helpers import (
     from_edges,
     is_connected,
     join_of,
+    kalman_rank_closed_form,
+    kalman_reference,
     random_graph,
+    rank_rational,
     single,
     union_of,
 )
@@ -62,7 +68,41 @@ def test_kalman_rank_validation():
         kalman_rank(g, (3,))
     with pytest.raises(ValueError):
         kalman_rank(g, (1, 1))
+    with pytest.raises(ValueError):
+        kalman_rank(g, (1.5,))
+    with pytest.raises(ValueError):
+        kalman_rank(g, (2.0, 3))
     assert kalman_rank(g, ()) == 0
+
+
+def test_kalman_rank_matches_reference():
+    # 2,100 (graph, set) pairs: cographs of both root labels and arbitrary
+    # graphs with n <= 12, each with the empty set, full actuation and a
+    # random set
+    rng = random.Random(41)
+    for i in range(700):
+        n = rng.randint(1, 12)
+        if i % 2 or n == 1:
+            g = random_graph(n, rng, p=rng.uniform(0.2, 0.8))
+        else:
+            g = cotree_to_graph(random_cotree(n, rng, root_label=rng.randint(0, 1)))
+        for size in (0, n, rng.randint(1, n)):
+            control = rng.sample(range(1, n + 1), size)
+            assert kalman_rank(g, control) == kalman_reference(g, control), (g, control)
+
+
+def test_kalman_rank_matches_closed_form_up_to_n_100():
+    rng = random.Random(43)
+    trees = []
+    for n in (12, 40, 100):
+        trees.append(random_cotree(n, rng))
+        trees.append(parse_expr(f".*{n - 1}"))  # the star K_{1,n-1}
+        trees.append(threshold_to_cotree(parse_threshold("01" * (n // 2))))
+    for t in trees:
+        g = cotree_to_graph(t)
+        for size in (1, 2, t.n // 2):
+            control = rng.sample(range(1, t.n + 1), size)
+            assert kalman_rank(g, control) == kalman_rank_closed_form(t, control), (t, control)
 
 
 def test_char_poly_k2_k3():
@@ -140,7 +180,7 @@ def test_oracle_spectrum_matches_closed_form():
 
 
 def test_rational_rank_basics():
-    assert _rank_rational([]) == 0
-    assert _rank_rational([[0, 0]]) == 0
-    assert _rank_rational([[1, 2], [2, 4]]) == 1
-    assert _rank_rational([[1, 0], [0, 1], [1, 1]]) == 2
+    assert rank_rational([]) == 0
+    assert rank_rational([[0, 0]]) == 0
+    assert rank_rational([[1, 2], [2, 4]]) == 1
+    assert rank_rational([[1, 0], [0, 1], [1, 1]]) == 2

@@ -18,7 +18,6 @@ from cographctl import (
     spectrum,
     threshold_to_cotree,
 )
-from cographctl.oracle import _rank_rational
 
 from helpers import (
     THRESHOLD_EXAMPLE,
@@ -31,6 +30,7 @@ from helpers import (
     matmul,
     nontrivial,
     path_to_root,
+    rank_rational,
 )
 
 
@@ -123,7 +123,7 @@ def test_modal_matrix_is_exact_eigenbasis():
         D = diagonal(column_eigenvalues(t))
         assert matmul(L, V) == matmul(V, D)
         assert all(sum(column(V, j)) == 0 for j in range(V.ncols))
-        assert _rank_rational(V.entries) == t.n - 1
+        assert rank_rational(V.entries) == t.n - 1
 
 
 def test_blocks_with_equal_eigenvalue_have_disjoint_support():
