@@ -10,6 +10,7 @@ unparseable input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -58,7 +59,10 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept: each
+    ``parse_args`` call fills a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="cographctl",
         description="Cotree decomposition, exact Laplacian spectra, and "
@@ -339,6 +343,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
+    except MemoryError:
+        pass  # reported below, once the failed request's data is freed
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 def entry() -> None:

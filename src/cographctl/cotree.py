@@ -32,7 +32,6 @@ Nested form: a plain ``int`` is a leaf (its vertex id) and a pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence, Union
 
 from .graphs import Graph, _bits
@@ -295,26 +294,54 @@ def _components(rows: Sequence[int], mask: int, flip: int = 0) -> list[int]:
 
 
 def _p4_in_subgraph(g: Graph, mask: int) -> P4Witness:
-    # Runs only at the level where both the component and co-component splits
-    # failed, so a search over this subgraph's 4-subsets must succeed.
-    verts = list(_bits(mask))
-    for quad in combinations(verts, 4):
-        adj = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
-        if len(adj) != 3:
-            continue
-        deg = {v: 0 for v in quad}
-        for a, b in adj:
-            deg[a] += 1
-            deg[b] += 1
-        if sorted(deg.values()) != [1, 1, 2, 2]:
-            continue
-        start = min(v for v in quad if deg[v] == 1)
-        order = [start]
-        while len(order) < 4:
-            order.append(next(v for v in quad
-                              if v not in order and g.has_edge(order[-1], v)))
-        return P4Witness(tuple(v + 1 for v in order))
+    """The lexicographically first induced P4 {x < y < z < d} on ``mask``.
+
+    Runs only where both the component and the co-component split failed,
+    so one exists (Corneil, Lerchs & Stewart Burlingham, 1981). Every 3-subset
+    of a P4 induces a path p-m-q or an edge u-v beside a lone w; the fourth
+    vertices that complete {x, y, z} are then ``(r_p ^ r_q) & ~r_m`` or
+    ``r_w & (r_u ^ r_v)`` over the adjacency rows, and a triangle or three
+    lone vertices have none. For each pair x < y the later z are scanned by
+    their adjacency to x and y, each class reading its candidates as
+    ``(p ^ r_z) & q``: at most O(k^3) big-int steps for k vertices."""
+    rows = g.rows
+    for x in _bits(mask):
+        rx = rows[x]
+        after_x = mask >> (x + 1) << (x + 1)
+        for y in _bits(after_x):
+            ry = rows[y]
+            later = after_x >> (y + 1) << (y + 1)
+            one_of = (rx ^ ry) & mask
+            if ry >> x & 1:  # z ~ x only, z ~ y only, z ~ neither; no triangles
+                classes = ((later & rx & ~ry, ry, mask & ~rx),  # path y-x-z
+                           (later & ry & ~rx, rx, mask & ~ry),  # path x-y-z
+                           (later & ~(rx | ry), 0, one_of))  # edge x-y beside z
+            else:  # z ~ both, z ~ x only, z ~ y only; no three lone vertices
+                classes = ((later & rx & ry, -1, one_of),  # path x-z-y
+                           (later & rx & ~ry, rx, ry & mask),  # edge x-z beside y
+                           (later & ry & ~rx, ry, rx & mask))  # edge y-z beside x
+            hit = None  # (z, d) with the smallest z so far
+            for zs, p, q in classes:
+                for z in _bits(zs):
+                    if hit and z > hit[0]:
+                        break
+                    ds = ((p ^ rows[z]) & q) >> (z + 1)
+                    if ds:
+                        hit = (z, z + (ds & -ds).bit_length())
+                        break
+            if hit:
+                return _path_order(rows, (x, y, *hit))
     raise AssertionError("undecomposable subgraph without an induced P4")
+
+
+def _path_order(rows: Sequence[int], quad: tuple[int, int, int, int]) -> P4Witness:
+    """The induced path on ``quad`` (0-based), walked from its smaller end."""
+    ends = [v for v in quad if sum(rows[v] >> u & 1 for u in quad) == 1]
+    order = [min(ends)]
+    while len(order) < 4:
+        order.append(next(v for v in quad
+                          if v not in order and rows[order[-1]] >> v & 1))
+    return P4Witness(tuple(v + 1 for v in order))
 
 
 def recognize(g: Graph) -> CoTree | P4Witness:

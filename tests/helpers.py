@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from cographctl import (
     CoTree,
     Graph,
     IntMatrix,
+    P4Witness,
     Spectrum,
     ThresholdSequence,
     eigen_blocks,
@@ -251,6 +253,31 @@ def choose_block_rows(t: CoTree, v: int, choice: Mapping[int, int]) -> frozenset
         if vertex not in leaves_below(t, child):
             raise ValueError(f"vertex {vertex} is not a leaf below child {child}")
     return frozenset(choice.values())
+
+
+def p4_reference(g: Graph, mask: int) -> P4Witness | None:
+    """The first induced P4 on the vertices of ``mask`` (0-based bits) by a
+    search over their 4-subsets in lexicographic order, in path order from
+    its smaller end as 1-based ids; None when there is none. Visits up to
+    k^4 / 24 quads, so it is only for small k."""
+    verts = list(_bits(mask))
+    for quad in combinations(verts, 4):
+        adj = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
+        if len(adj) != 3:
+            continue
+        deg = {v: 0 for v in quad}
+        for a, b in adj:
+            deg[a] += 1
+            deg[b] += 1
+        if sorted(deg.values()) != [1, 1, 2, 2]:
+            continue
+        start = min(v for v in quad if deg[v] == 1)
+        order = [start]
+        while len(order) < 4:
+            order.append(next(v for v in quad
+                              if v not in order and g.has_edge(order[-1], v)))
+        return P4Witness(tuple(v + 1 for v in order))
+    return None
 
 
 def pbh_reference(t: CoTree, control) -> bool:

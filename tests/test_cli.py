@@ -1,6 +1,9 @@
 """Command surface, JSON schema, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,8 @@ from cographctl import (
     read_edge_list,
     serialize_cotree,
 )
+import cographctl
+import cographctl.cli as cli
 from cographctl.cli import main
 
 from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE, is_canonical
@@ -268,3 +273,50 @@ def test_super_polynomial_paths_are_capped_before_their_work(monkeypatch, capsys
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err
     assert built == []
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """Each call in one process answers as the same call on a freshly built
+    parser does, whatever flags the call before it set."""
+    verify = ["verify", "--expr", "(.+.)*(.+.+.)", "--set", "1,3,4"]
+    sequence = [
+        ["leaders", "--threshold", THRESHOLD_EXAMPLE, "--tie", "highest"],
+        ["leaders", "--threshold", THRESHOLD_EXAMPLE],
+        [*verify, "--cross-check"],
+        verify,
+        ["spectrum", "--expr", ".", "--modal", "--bogus"],
+        ["spectrum", "--expr", "(.+.)*(.+.+.)"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    kept = [run(capsys, *argv) for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 0, 0, 0, 2, 0]
+    assert kept[0][1] != kept[1][1]  # the tie rule was reset to its default
+    assert "kalman_rank" in kept[2][1] and "kalman_rank" not in kept[3][1]
+    assert "unrecognized arguments: --bogus" in kept[4][2]
+    assert "modal" not in kept[5][1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the address-space limit is enforced on Linux")
+def test_out_of_memory_exits_one_without_a_traceback(tmp_path):
+    """A 9-byte edge list asks for 2 * 10^5 vertices, within the vertex cap;
+    recognition's bit masks on it need more than a 1 GB address space."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "edgeless.txt"
+    path.write_text("200000 0")
+    src = os.path.dirname(os.path.dirname(cographctl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cographctl.cli", "recognize", "--edges", str(path)],
+                          env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import cographctl.cotree as cotree
+
 from cographctl import (
     CoTree,
     P4Witness,
@@ -31,6 +33,7 @@ from helpers import (
     lca,
     leaves_below,
     nested_text,
+    p4_reference,
     path_to_root,
     random_graph,
     scrambled,
@@ -220,6 +223,36 @@ def test_recognize_agrees_with_p4_search():
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
             assert not g.has_edge(a, c) and not g.has_edge(a, d) and not g.has_edge(b, d)
     assert hits > 10  # sanity: the sample includes real cographs
+
+
+def test_p4_search_matches_reference(monkeypatch):
+    """The triple scan returns the witness of the 4-subset search on random
+    graphs of every density, on their full vertex set, on random subsets,
+    and on the masks where recognition gets stuck; where the reference finds
+    no P4 the scan raises."""
+    rng = random.Random(9090)
+    stuck = []
+    real = cotree._p4_in_subgraph
+    monkeypatch.setattr(cotree, "_p4_in_subgraph",
+                        lambda g, mask: stuck.append((g, mask)) or real(g, mask))
+    pairs = []
+    for _ in range(1200):
+        n = rng.randint(4, 14)
+        g = random_graph(n, rng, rng.random())
+        pairs += [(g, (1 << n) - 1), (g, rng.getrandbits(n))]
+        recognize(g)
+    pairs += stuck
+    assert len(pairs) >= 3000 and len(stuck) > 300
+    found = 0
+    for g, mask in pairs:
+        expected = p4_reference(g, mask)
+        if expected is None:
+            with pytest.raises(AssertionError):
+                real(g, mask)
+        else:
+            found += 1
+            assert real(g, mask) == expected
+    assert found > 1000
 
 
 def test_from_nested_validates_leaf_ids():

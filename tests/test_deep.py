@@ -16,6 +16,7 @@ import pytest
 from cographctl import (
     CoTree,
     Graph,
+    P4Witness,
     is_controllable,
     parse_cotree,
     parse_threshold,
@@ -148,6 +149,25 @@ def test_recognize_builds_no_complement():
     assert peak < n * n // 8, peak
     assert tree.label(0) == 0 and len(tree.children(0)) == n // 2
     assert all(tree.label(c) == 1 and tree.leaf_count(c) == 2 for c in tree.children(0))
+
+
+def adversarial(n: int) -> Graph:
+    """A clique on 1..n-4 joined to b and c of the path a-b-c-d on the four
+    highest ids: both splits fail on the whole graph, whose only induced P4
+    is a-b-c-d, and it comes last among the 4-subsets."""
+    k = n - 4
+    clique = (1 << k) - 1
+    a, b, c, d = k, k + 1, k + 2, k + 3
+    rows = [clique & ~(1 << i) | 1 << b | 1 << c for i in range(k)]
+    rows += [1 << b, clique | 1 << a | 1 << c, clique | 1 << b | 1 << d, 1 << c]
+    return Graph(n, tuple(rows))
+
+
+@pytest.mark.parametrize("n", [120, 200])
+def test_recognize_finds_the_last_p4_of_a_large_graph(n):
+    """A search over 4-subsets visits about n^4 / 24 of them here (about 20 s
+    at n = 120); the triple scan needs no more than n^3 / 6 steps."""
+    assert recognize(adversarial(n)) == P4Witness((n - 3, n - 2, n - 1, n))
 
 
 def test_serialize_parse_roundtrip_deep():
