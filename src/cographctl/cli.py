@@ -124,8 +124,12 @@ def _load_input(
     degree."""
     kind = _check_one_input(parser, args)
     if kind == "edges":
-        with open(args.edges, encoding="utf-8") as fh:
-            edges = read_edge_list(fh.read())
+        with open(args.edges, encoding="utf-8-sig") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError("edge list is not UTF-8 text") from exc
+        edges = read_edge_list(text)
         result = recognize(edges)
         if isinstance(result, P4Witness):
             raise _NotCograph(edges.n, result)

@@ -8,6 +8,7 @@ which vertex ids later appear in sibling cells and control sets.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .cotree import CoTree, Nested
@@ -304,9 +305,77 @@ def parse_cotree(text: str) -> CoTree:
 #
 # First line "n m", then m lines "i j" with 1-based endpoints. '#' starts a
 # comment; blank lines are ignored.
+#
+# Two routes read it. ``_read_lines`` is the grammar: it reads any edge list
+# line by line and raises every positioned ``ParseError``. ``_read_plain``
+# reads only the plain form that writers produce, in one tokenize pass, and
+# declines (returns None) on anything else, so each error, and each text it
+# is unsure of, goes to the line loop.
+
+# A whole-line comment after a '\n', up to the next line break that
+# ``str.splitlines`` knows. The '\n' that ends it stays; any other break
+# stays too, and sends the text to the line loop.
+_COMMENT_LINE = re.compile("\n#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
+class _VertexIds(dict):
+    """Endpoint token -> 0-based vertex id, filled in the first time each
+    token is looked up. A token outside 1..n raises KeyError."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, token: str) -> int:
+        v = int(token)
+        if not 1 <= v <= self.n:
+            raise KeyError(token)
+        self[token] = v - 1
+        return v - 1
 
 
 def read_edge_list(text: str) -> Graph:
+    """The graph of an edge list. Plain text takes the one-pass route; any
+    other text, and every malformed one, is read by the line loop."""
+    g = _read_plain(text)
+    return g if g is not None else _read_lines(text)
+
+
+def _read_plain(text: str) -> Graph | None:
+    """The graph of a plain edge list, or None when the text is not plain.
+
+    Plain means: whole-line '#' comments each ended by '\\n' or the end of
+    the text, and otherwise "n m" and then m lines "a b" of ASCII digits,
+    one space inside a line and '\\n' after it (the last may be missing),
+    with n <= ``VERTEX_CAP`` and no self-loop or duplicate edge. On such a
+    text the line loop sees the same tokens and raises nothing, so both
+    routes return the same graph."""
+    body = _COMMENT_LINE.sub("", "\n" + text)[1:]
+    if not body.endswith("\n"):
+        body += "\n"
+    tokens = body.split()
+    edge_count = len(tokens) // 2 - 1
+    # ASCII digit runs alternately ended by ' ' and '\n', none of them empty
+    if edge_count < 0 or body.translate(_DROP_DIGITS) != " \n" * (edge_count + 1):
+        return None
+    try:
+        n, m = int(tokens[0]), int(tokens[1])
+        if m != edge_count or not 1 <= n <= VERTEX_CAP:
+            return None
+        ends = list(map(_VertexIds(n).__getitem__, tokens[2:]))
+    except (KeyError, ValueError):  # out of range, or too many digits for int()
+        return None
+    rows = [0] * n
+    for x, y in zip(ends[0::2], ends[1::2]):
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    # each edge line sets two new bits, a self-loop one, a repeated edge none
+    if sum(map(int.bit_count, rows)) != 2 * m:
+        return None
+    return Graph._trusted(n, tuple(rows))
+
+
+def _read_lines(text: str) -> Graph:
     """Each edge line is checked once and sets its two bits; a bit that is
     already set is a duplicate. The rows are symmetric, loop-free and in
     range by construction, so the graph skips ``Graph``'s checks."""
@@ -327,6 +396,8 @@ def read_edge_list(text: str) -> Graph:
     if n < 1:
         raise ParseError("vertex count must be positive", header_line, 1)
     check_vertex_count(n)
+    if m < 0:
+        raise ParseError("edge count must be non-negative", header_line, 1)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", header_line, 1)
     rows = [0] * n

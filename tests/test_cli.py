@@ -186,6 +186,17 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert run(capsys, "leaders", "--expr", ".")[0] == 1
 
 
+def test_edge_file_encoding(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff4 3\n1 2\n2 3\n3 4\n")
+    code, _, err = run(capsys, "recognize", "--edges", str(path))
+    assert (code, err) == (2, "error: edge list is not UTF-8 text\n")
+    # a byte-order mark is not part of the header
+    path.write_bytes("\ufeff4 3\n1 2\n2 3\n3 4\n".encode("utf-8"))
+    code, out, _ = run(capsys, "recognize", "--edges", str(path))
+    assert (code, out) == (1, "P4: 1 2 3 4\n")
+
+
 def test_text_output_lines(capsys):
     code, out, _ = run(capsys, "leaders", "--threshold", THRESHOLD_EXAMPLE, "--all")
     assert code == 0

@@ -150,6 +150,7 @@ def test_edge_list_errors():
         ("# header next\n\n3 1 # n m\n# edges\n\n1 4\n",
          "edge endpoint out of range 1..3 (line 6, column 1)"),
         ("4 2\n1 2\n# c\n\n1 2 # again\n", "duplicate edge 1 2 (line 5, column 1)"),
+        ("3 -1\n", "edge count must be non-negative (line 1, column 1)"),
     ]
     for bad, message in cases:
         with pytest.raises(ParseError) as info:
