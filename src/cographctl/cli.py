@@ -181,7 +181,8 @@ def _cmd_recognize(args, parser) -> int:
         print("not a cograph", file=sys.stderr)
         _emit(args, {"n": exc.n, "p4": witness}, ["P4: " + " ".join(str(v) for v in witness)])
         return 1
-    _emit(args, {"n": tree.n, "cotree": serialize_cotree(tree)}, [serialize_cotree(tree)])
+    text = serialize_cotree(tree)
+    _emit(args, {"n": tree.n, "cotree": text}, [text])
     return 0
 
 

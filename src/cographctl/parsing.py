@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cotree import CoTree, Nested
+from .cotree import CoTree
 from .errors import ParseError, SizeCapError
 from .graphs import Graph
 
@@ -26,6 +26,30 @@ def check_vertex_count(n: int) -> None:
         raise SizeCapError(f"input has more than {VERTEX_CAP} vertices")
 
 
+# -- tokens -------------------------------------------------------------------
+#
+# Both tree grammars read the same tokens: a run of decimal digits (``\d`` is
+# exactly ``str.isdecimal``, what ``int()`` accepts), any other non-space
+# character, and an empty token at the end of the text. Errors point at the
+# first character of the offending token.
+
+_TOKEN = re.compile(r"\d+|\S|\Z")
+
+
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """ParseError at a 0-based offset into text: lines end at '\\n' and both
+    line and column count from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def _number(text: str, token: re.Match) -> int:
+    try:
+        return int(token[0])
+    except ValueError:  # more digits than int() converts
+        raise _error("number too long", text, token.start()) from None
+
+
 # -- cograph expressions ------------------------------------------------------
 #
 # expr   := term ('+' term)*          union, binds loosest
@@ -34,126 +58,64 @@ def check_vertex_count(n: int) -> None:
 # atom   := '.'                       a single vertex
 #         | positive integer k        shorthand for k isolated vertices
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # DOT INT PLUS STAR LPAREN RPAREN EOF
-    value: int
-    line: int
-    col: int
-
-
-def _tokenize_expr(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            start = i
-            startcol = col
-            while i < len(text) and text[i].isdecimal():
-                i += 1
-                col += 1
-            tokens.append(_Token("INT", int(text[start:i]), line, startcol))
-            continue
-        kind = {".": "DOT", "+": "PLUS", "*": "STAR", "(": "LPAREN", ")": "RPAREN"}.get(ch)
-        if kind is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append(_Token(kind, 0, line, col))
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", 0, line, col))
-    return tokens
-
-
-class _ExprParser:
-    """Operator-precedence parser over an explicit stack of open groups.
-
-    Each open '(' saves the enclosing group's finished terms and the factors
-    of its unfinished term; the matching ')' restores them. Tokens are
-    consumed, and errors raised, in the same order as a recursive-descent
-    parser of the grammar above would."""
-
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.next_vertex = 1
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def atom(self, tok: _Token) -> Nested:
-        if tok.kind not in ("DOT", "INT"):
-            raise ParseError(f"unexpected token {tok.kind}", tok.line, tok.col)
-        count = 1 if tok.kind == "DOT" else tok.value
-        if count == 0:
-            raise ParseError("atom must be a positive vertex count", tok.line, tok.col)
-        first = self.next_vertex
-        check_vertex_count(first - 1 + count)
-        self.next_vertex += count
-        return first if count == 1 else (0, list(range(first, first + count)))
-
-    def expr(self) -> Nested:
-        groups: list[tuple[list[Nested], list[Nested]]] = []
-        terms: list[Nested] = []
-        factors: list[Nested] = []
-        while True:
-            tok = self.take()
-            if tok.kind == "LPAREN":
-                groups.append((terms, factors))
-                terms, factors = [], []
-                continue
-            factors.append(self.atom(tok))
-            while True:
-                kind = self.peek().kind
-                if kind == "STAR":
-                    self.take()
-                    break
-                terms.append(_compose(1, factors))
-                factors = []
-                if kind == "PLUS":
-                    self.take()
-                    break
-                group = _compose(0, terms)
-                if not groups:
-                    return group
-                closing = self.take()
-                if closing.kind != "RPAREN":
-                    raise ParseError("unbalanced parenthesis", closing.line, closing.col)
-                terms, factors = groups.pop()
-                factors.append(group)
-
-
-def _compose(label: int, parts: list[Nested]) -> Nested:
-    return parts[0] if len(parts) == 1 else (label, parts)
+_NOT_EXPR = re.compile(r"[^\s\d.+*()]")
+_KIND = {"+": "PLUS", "*": "STAR", ")": "RPAREN", "": "EOF"}
 
 
 def parse_expr(text: str) -> CoTree:
-    """Parse a cograph expression into its cotree."""
-    tokens = _tokenize_expr(text)
-    if tokens[0].kind == "EOF":
-        raise ParseError("empty expression", tokens[0].line, tokens[0].col)
-    parser = _ExprParser(tokens)
-    nested = parser.expr()
-    trailing = parser.take()
-    if trailing.kind != "EOF":
-        raise ParseError("stray token after expression", trailing.line, trailing.col)
-    return CoTree.from_nested(nested)
+    """Parse a cograph expression into its cotree.
+
+    Nodes are appended to the arena in reading order, which is preorder: the
+    text and each '(' open a union node, each term opens a join node below
+    it, and an integer atom k > 1 opens a union node over k leaves. The
+    constructor splices out the unary nodes and merges equal labels."""
+    bad = _NOT_EXPR.search(text)
+    if bad:
+        raise _error(f"unexpected character {bad[0]!r}", text, bad.start())
+    if not text.strip():
+        raise _error("empty expression", text, len(text))
+    parents: list[int | None] = [None, 0]
+    labels: list[int | None] = [0, 1]
+    union, join = 0, 1  # the innermost open group and its last term
+    groups: list[tuple[int, int]] = []  # the enclosing ones, one per open '('
+    n = 0
+    tokens = _TOKEN.finditer(text)
+    for token in tokens:  # a factor, then the operator or ')' after it
+        tok = token[0]
+        if tok == "(":
+            groups.append((union, join))
+            parents += (join, len(parents))
+            labels += (0, 1)
+            union, join = len(parents) - 2, len(parents) - 1
+            continue
+        if tok == ".":
+            count = 1
+        elif tok.isdecimal():
+            count = _number(text, token)
+            if count == 0:
+                raise _error("atom must be a positive vertex count", text, token.start())
+        else:
+            raise _error(f"unexpected token {_KIND[tok]}", text, token.start())
+        check_vertex_count(n + count)
+        n += count
+        if count == 1:
+            parents.append(join)
+            labels.append(None)
+        else:
+            parents += [join] + [len(parents)] * count
+            labels += [0] + [None] * count
+        after = next(tokens)  # the last token is the empty one, never an atom
+        while after[0] == ")" and groups:
+            union, join = groups.pop()
+            after = next(tokens)
+        if after[0] == "+":
+            join = len(parents)
+            parents.append(union)
+            labels.append(1)
+        elif after[0] != "*" and (after[0] or groups):
+            message = "unbalanced parenthesis" if groups else "stray token after expression"
+            raise _error(message, text, after.start())
+    return CoTree(parents, labels, range(1, n + 1))
 
 
 # -- threshold construction sequences -----------------------------------------
@@ -182,22 +144,20 @@ class ThresholdSequence:
         return "".join(str(b) for b in self.bits)
 
 
-_THRESHOLD_SEPARATORS = set(" \t\n\r,;()[]")
+_NOT_THRESHOLD = re.compile(r"[^01 \t\n\r,;()\[\]]")
+_DROP_SEPARATORS = str.maketrans("", "", " \t\n\r,;()[]")
 
 
 def parse_threshold(text: str) -> ThresholdSequence:
-    bits = []
-    for col, ch in enumerate(text, start=1):
-        if ch in _THRESHOLD_SEPARATORS:
-            continue
-        if ch not in "01":
-            raise ParseError(f"threshold sequence may only contain 0/1, got {ch!r}", 1, col)
-        bits.append(int(ch))
+    bad = _NOT_THRESHOLD.search(text)
+    if bad:
+        raise _error(f"threshold sequence may only contain 0/1, got {bad[0]!r}", text, bad.start())
+    bits = text.translate(_DROP_SEPARATORS)
     if not bits:
         raise ParseError("empty threshold sequence", 1, 1)
-    if bits[0] != 0:
-        raise ParseError("threshold sequence must start with 0", 1, 1)
-    return ThresholdSequence(tuple(bits))
+    if bits[0] != "0":
+        raise _error("threshold sequence must start with 0", text, text.index("1"))
+    return ThresholdSequence(tuple(map(int, bits)))
 
 
 def threshold_to_cotree(seq: ThresholdSequence) -> CoTree:
@@ -244,57 +204,34 @@ def parse_cotree(text: str) -> CoTree:
 
     Nodes are appended to the arena in reading order, which is preorder;
     ``open_nodes`` holds the internal nodes whose ')' is still to come."""
-    pos = 0
-
-    def skip_space():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdecimal():
-            pos += 1
-        if start == pos:
-            raise ParseError("expected a number", 1, pos + 1)
-        return int(text[start:pos])
-
     parents: list[int | None] = []
     labels: list[int | None] = []
     leaves: list[int] = []
     open_nodes: list[int] = []
-    while True:
-        skip_space()
-        value = read_int()
-        skip_space()
+    tokens = _TOKEN.finditer(text)
+    for token in tokens:  # a node's number, then the token that tells its kind
+        if not token[0].isdecimal():
+            raise _error("expected a number", text, token.start())
+        value = _number(text, token)
         parents.append(open_nodes[-1] if open_nodes else None)
-        if pos < len(text) and text[pos] == "(":
+        after = next(tokens)  # the last token is the empty one, never a number
+        if after[0] == "(":
             if value not in (0, 1):
-                raise ParseError(f"internal label must be 0 or 1, got {value}", 1, pos)
-            pos += 1
+                raise _error(f"internal label must be 0 or 1, got {value}", text, token.start())
             labels.append(value)
             open_nodes.append(len(parents) - 1)
             continue
         if value == 0:
-            raise ParseError("leaf ids are 1-based, got 0", 1, pos)
+            raise _error("leaf ids are 1-based, got 0", text, token.start())
         labels.append(None)
         leaves.append(value)
-        # close every group this node ends, up to the next ',' or the end
-        while open_nodes:
-            skip_space()
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                break
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError("unbalanced parenthesis in cotree", 1, pos + 1)
-            pos += 1
+        # close every group this leaf ends; then a ',' must follow, or the end
+        while open_nodes and after[0] == ")":
             open_nodes.pop()
-        else:
-            break
-    skip_space()
-    if pos != len(text):
-        raise ParseError("stray text after cotree", 1, pos + 1)
+            after = next(tokens)
+        if after[0] != ("," if open_nodes else ""):
+            message = "unbalanced parenthesis in cotree" if open_nodes else "stray text after cotree"
+            raise _error(message, text, after.start())
     try:
         return CoTree(parents, labels, leaves)
     except ValueError as exc:
@@ -312,10 +249,14 @@ def parse_cotree(text: str) -> CoTree:
 # declines (returns None) on anything else, so each error, and each text it
 # is unsure of, goes to the line loop.
 
-# A whole-line comment after a '\n', up to the next line break that
-# ``str.splitlines`` knows. The '\n' that ends it stays; any other break
-# stays too, and sends the text to the line loop.
-_COMMENT_LINE = re.compile("\n#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+# Every line break that ``str.splitlines`` knows.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# A whole-line comment after a '\n', up to the next line break. The '\n'
+# that ends it stays; any other break stays too, and sends the text to the
+# line loop.
+_COMMENT_LINE = re.compile(f"\n#[^{_BREAKS}]*")
+# One line with its break, cut where ``str.splitlines`` cuts.
+_LINE = re.compile(f"[^{_BREAKS}]*(?:\r\n|[{_BREAKS}])|[^{_BREAKS}]+")
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
 
 
@@ -375,18 +316,26 @@ def _read_plain(text: str) -> Graph | None:
     return Graph._trusted(n, tuple(rows))
 
 
-def _read_lines(text: str) -> Graph:
-    """Each edge line is checked once and sets its two bits; a bit that is
-    already set is a duplicate. The rows are symmetric, loop-free and in
-    range by construction, so the graph skips ``Graph``'s checks."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+def _lines(text: str):
+    """(line number, text before any '#', stripped) of each line that holds
+    something, one at a time."""
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        body = line[0].split("#", 1)[0].strip()
         if body:
-            lines.append((lineno, body.split()))
-    if not lines:
+            yield lineno, body
+
+
+def _read_lines(text: str) -> Graph:
+    """The header is checked first, then the edge lines are counted, then
+    each is checked once and sets its two bits; a bit that is already set is
+    a duplicate. The rows are symmetric, loop-free and in range by
+    construction, so the graph skips ``Graph``'s checks. No pass keeps more
+    than one line."""
+    lines = _lines(text)
+    header_line, body = next(lines, (1, ""))
+    header = body.split()
+    if not header:
         raise ParseError("empty edge list", 1, 1)
-    header_line, header = lines[0]
     if len(header) != 2:
         raise ParseError("header must be 'n m'", header_line, 1)
     try:
@@ -398,10 +347,14 @@ def _read_lines(text: str) -> Graph:
     check_vertex_count(n)
     if m < 0:
         raise ParseError("edge count must be non-negative", header_line, 1)
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", header_line, 1)
+    found = sum(1 for _ in lines)
+    if found != m:
+        raise ParseError(f"expected {m} edge lines, found {found}", header_line, 1)
     rows = [0] * n
-    for lineno, fields in lines[1:]:
+    lines = _lines(text)
+    next(lines)
+    for lineno, body in lines:
+        fields = body.split()
         if len(fields) != 2:
             raise ParseError("edge line must hold two endpoints", lineno, 1)
         try:

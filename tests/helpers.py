@@ -146,6 +146,62 @@ def join_of(parts: Sequence[Graph]) -> Graph:
     return Graph(base.n, tuple(rows))
 
 
+def expr_reference(text: str) -> Graph:
+    """The graph of a well-formed cograph expression, by recursive descent
+    over its characters: '+' is union_of, '*' is join_of and binds tighter,
+    '.' is one vertex and an integer k is k isolated vertices. Raises
+    ValueError on anything else."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        j = i + 1
+        if text[i].isdecimal():
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+        if not text[i].isspace():
+            tokens.append(text[i:j])
+        i = j
+    tokens.append("")
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr() -> Graph:
+        parts = [term()]
+        while tokens[pos] == "+":
+            take()
+            parts.append(term())
+        return union_of(parts)
+
+    def term() -> Graph:
+        parts = [factor()]
+        while tokens[pos] == "*":
+            take()
+            parts.append(factor())
+        return join_of(parts)
+
+    def factor() -> Graph:
+        tok = take()
+        if tok == "(":
+            inner = expr()
+            if take() != ")":
+                raise ValueError("unbalanced parenthesis")
+            return inner
+        if tok == ".":
+            return single()
+        if tok.isdecimal() and int(tok) > 0:
+            return union_of([single()] * int(tok))
+        raise ValueError(f"unexpected token {tok!r}")
+
+    g = expr()
+    if take() != "":
+        raise ValueError("stray token")
+    return g
+
+
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.rows)))

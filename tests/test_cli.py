@@ -174,6 +174,18 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2 and "(line 1, column" in err, err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts decimal strings of any length")
+def test_number_too_long_for_int_exits_two(capsys):
+    digits = "9" * 5000  # past int()'s default limit of 4300 digits
+    for flag, text, column in (("--expr", digits, 1), ("--expr", ".*\n" + digits, 1),
+                               ("--cotree", f"1(1,{digits})", 5)):
+        code, out, err = run(capsys, "spectrum", flag, text)
+        line = text.count("\n") + 1
+        assert (code, out) == (2, "")
+        assert err == f"error: number too long (line {line}, column {column})\n"
+
+
 def test_domain_errors_exit_one(capsys, tmp_path):
     # disconnected input for a control command
     assert run(capsys, "leaders", "--expr", ".+.")[0] == 1

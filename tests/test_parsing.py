@@ -6,6 +6,7 @@ import pytest
 
 from cographctl import (
     ParseError,
+    SizeCapError,
     cotree_to_graph,
     parse_cotree,
     parse_expr,
@@ -17,7 +18,14 @@ from cographctl import (
 )
 from cographctl.generate import random_cotree, random_threshold_sequence
 
-from helpers import THRESHOLD_EXAMPLE, join_of, single, threshold_to_graph, union_of
+from helpers import (
+    THRESHOLD_EXAMPLE,
+    expr_reference,
+    join_of,
+    single,
+    threshold_to_graph,
+    union_of,
+)
 
 K1 = single()
 
@@ -62,9 +70,74 @@ def test_parse_expr_matches_direct_fold():
 
 
 def test_parse_expr_errors():
-    for bad in ["", "   ", "(.+.", ".+.)", ". .", "0", ".+", "*.", "(.+.))", ".x."]:
-        with pytest.raises(ParseError):
+    cases = [
+        ("", "empty expression (line 1, column 1)"),
+        ("   ", "empty expression (line 1, column 4)"),
+        ("(.+.", "unbalanced parenthesis (line 1, column 5)"),
+        (".+.)", "stray token after expression (line 1, column 4)"),
+        (". .", "stray token after expression (line 1, column 3)"),
+        ("0", "atom must be a positive vertex count (line 1, column 1)"),
+        (".+", "unexpected token EOF (line 1, column 3)"),
+        ("*.", "unexpected token STAR (line 1, column 1)"),
+        ("(.+.))", "stray token after expression (line 1, column 6)"),
+        (".x.", "unexpected character 'x' (line 1, column 2)"),
+        (".+\n.x", "unexpected character 'x' (line 2, column 2)"),
+        # '²' is a digit but not a decimal, so int() would refuse it
+        ("²", "unexpected character '²' (line 1, column 1)"),
+        (". 3", "stray token after expression (line 1, column 3)"),
+        ("(. .)", "unbalanced parenthesis (line 1, column 4)"),
+        ("()", "unexpected token RPAREN (line 1, column 2)"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ParseError) as info:
             parse_expr(bad)
+        assert str(info.value) == message, bad
+    with pytest.raises(SizeCapError, match="more than 1000000 vertices"):
+        parse_expr("1000001")
+    # an Arabic-Indic three is a decimal digit: three isolated vertices
+    assert parse_expr("\u0663") == parse_expr("3") == parse_expr(".+.+.")
+
+
+def random_expr(rng: random.Random, depth: int = 0) -> str:
+    """An expression of one to four factors joined by unparenthesized '+'
+    and '*' in any mix, with integer atoms, groups up to four deep, and
+    spaces, tabs and line breaks around the operators."""
+    parts = []
+    for i in range(rng.randint(1, 4)):
+        if i:
+            parts.append(rng.choice(["+", "*", " + ", " * ", "\n+", "*\n", "\t*  "]))
+        roll = rng.random()
+        if depth < 4 and roll < 0.3:
+            parts.append("(" + random_expr(rng, depth + 1) + rng.choice(["", " ", "\n"]) + ")")
+        elif roll < 0.5:
+            parts.append(rng.choice(["1", "2", "3", "4", "04", "\u0663"]))
+        else:
+            parts.append(".")
+    return "".join(parts)
+
+
+def test_parse_expr_matches_recursive_descent_reference():
+    rng = random.Random(20261018)
+    pieces = [".", "+", "*", "(", ")", " ", "\n", "0", "7", "x", "\u00b2", "\u0663", "9999999"]
+    escaped = 0
+    for _ in range(3000):
+        text = random_expr(rng)
+        assert cotree_to_graph(parse_expr(text)) == expr_reference(text), text
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            if rng.random() < 0.5 and i < len(chars):
+                del chars[i]
+            else:
+                chars.insert(i, rng.choice(pieces))
+        bad = "".join(chars)
+        try:
+            tree = parse_expr(bad)
+        except (ParseError, SizeCapError):
+            escaped += 1
+            continue
+        assert cotree_to_graph(tree) == expr_reference(bad), bad
+    assert escaped > 1000
 
 
 def test_parse_threshold_basics():
@@ -115,6 +188,30 @@ def test_parse_cotree_errors():
     for bad in ["", "1(", "1(1,2", "2(1,2)", "1(1,1)", "1(1,3)", "1(1,2)x", "0", "1()"]:
         with pytest.raises(ParseError):
             parse_cotree(bad)
+
+
+def test_error_positions_count_lines_and_name_the_token():
+    """Each parser reports the line and column of the offending token's
+    first character, with lines ended by '\\n'."""
+    cases = [
+        (parse_cotree, "2022 (12", "internal label must be 0 or 1, got 2022 (line 1, column 1)"),
+        (parse_cotree, "1(10,\n  345(1,2))",
+         "internal label must be 0 or 1, got 345 (line 2, column 3)"),
+        (parse_cotree, "1(\n1,0)", "leaf ids are 1-based, got 0 (line 2, column 3)"),
+        (parse_cotree, "1(2, 00 )", "leaf ids are 1-based, got 0 (line 1, column 6)"),
+        (parse_cotree, "1(1,\n 2x", "unbalanced parenthesis in cotree (line 2, column 3)"),
+        (parse_cotree, "1(1,\n2\n", "unbalanced parenthesis in cotree (line 3, column 1)"),
+        (parse_cotree, "1(1,2)\n x", "stray text after cotree (line 2, column 2)"),
+        (parse_cotree, "1(1,\n\n  )", "expected a number (line 3, column 3)"),
+        (parse_threshold, "0\n1x", "threshold sequence may only contain 0/1, got 'x' (line 2, column 2)"),
+        (parse_threshold, "01\n0 2", "threshold sequence may only contain 0/1, got '2' (line 2, column 3)"),
+        (parse_threshold, "\n 1", "threshold sequence must start with 0 (line 2, column 2)"),
+        (parse_expr, "(.+.)\n*(..)", "unbalanced parenthesis (line 2, column 4)"),
+    ]
+    for parse, bad, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse(bad)
+        assert str(info.value) == message, bad
 
 
 def test_edge_list_roundtrip_and_recognition():
