@@ -34,7 +34,9 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "IntMatrix":
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        entries = tuple(map(tuple, rows))
+        if not all(isinstance(x, int) for row in entries for x in row):
+            raise ValueError("matrix entries must be ints")
         if ncols is None:
             if not entries:
                 raise ValueError("column count required for a matrix with no rows")

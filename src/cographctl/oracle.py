@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .cotree import P4Witness
@@ -74,90 +75,58 @@ def _primitive(w: list[int]) -> list[int]:
 
 
 def char_poly(m: IntMatrix) -> list[int]:
-    """Coefficients of det(xI - M), highest degree first, by a division-free
-    recursion on trailing principal submatrices."""
+    """Coefficients of det(xI - M), highest degree first, by Berkowitz's
+    division-free recurrence from the last row up: head a_kk, row r, column c
+    and block S below give the Toeplitz column [1, -a_kk, -r.c, -r.S.c, ...]."""
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    return _berkowitz([list(r) for r in m.entries])
-
-
-def _berkowitz(a: list[list[int]]) -> list[int]:
-    n = len(a)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return [1, -a[0][0]]
-    head = a[0][0]
-    row = a[0][1:]
-    col = [r[0] for r in a[1:]]
-    rest = [r[1:] for r in a[1:]]
-    q = _berkowitz(rest)
-    t = [1, -head]
-    w = col
-    for _ in range(n - 1):
-        t.append(-sum(x * y for x, y in zip(row, w)))
-        w = [sum(rest[i][k] * w[k] for k in range(n - 1)) for i in range(n - 1)]
-    return [
-        sum(t[i - j] * q[j] for j in range(len(q)) if 0 <= i - j < len(t))
-        for i in range(n + 1)
-    ]
-
-
-def _divisors(value: int) -> list[int]:
-    value = abs(value)
-    small, large = [], []
-    for d in range(1, isqrt(value) + 1):
-        if value % d == 0:
-            small.append(d)
-            large.append(value // d)
-    return small + large[::-1]
+    a = m.entries
+    poly = [1]
+    for k in reversed(range(m.nrows)):
+        row = a[k][k + 1:]
+        rest = [r[k + 1:] for r in a[k + 1:]]
+        t = [1, -a[k][k]]
+        w = [r[k] for r in a[k + 1:]]
+        for _ in rest:  # one entry per row of S
+            t.append(-sum(map(mul, row, w)))
+            w = [sum(map(mul, r, w)) for r in rest]
+        poly = [sum(map(mul, t[i::-1], poly)) for i in range(len(t))]
+    return poly
 
 
 def integer_roots(coeffs: Sequence[int]) -> Counter:
     """Integer roots (with multiplicity) of a monic integer polynomial.
 
-    Raises NonIntegerRootError if the polynomial does not split over the
-    integers, which for a cograph Laplacian would signal a bug upstream.
+    Divides out 0, 1, -1, 2, -2, ... by Horner's scheme, each as often as it
+    divides; the d roots left after magnitude m all exceed m and multiply to
+    the constant term c, so they are not all integers once m^d > |c|. Raises
+    ValueError on a non-int coefficient and NonIntegerRootError if the
+    polynomial does not split, which for a Laplacian means a bug upstream.
     """
+    if not all(isinstance(c, int) for c in coeffs):
+        raise ValueError("polynomial coefficients must be ints")
     if not coeffs or coeffs[0] != 1:
         raise ValueError("polynomial must be monic with leading coefficient 1")
-    poly = [int(c) for c in coeffs]
+    poly = list(coeffs)
     roots: Counter = Counter()
-    while len(poly) > 1:
-        if poly[-1] == 0:
-            roots[0] += 1
-            poly.pop()
-            continue
-        for mag in _divisors(poly[-1]):
-            for r in (mag, -mag):
-                if _eval_poly(poly, r) == 0:
-                    poly = _deflate(poly, r)
-                    roots[r] += 1
+    m = 0
+    while len(poly) > 2:
+        if m ** (len(poly) - 1) > abs(poly[-1]):
+            raise NonIntegerRootError(f"no integer roots of magnitude >= {m} "
+                                      f"multiply to constant term {poly[-1]}")
+        for r in (m, -m) if m else (0,):
+            while len(poly) > 1:
+                quotient = [1]
+                for c in poly[1:]:
+                    quotient.append(c + r * quotient[-1])
+                if quotient.pop():
                     break
-            else:
-                continue
-            break
-        else:
-            raise NonIntegerRootError(
-                f"no integer root divides constant term {poly[-1]}"
-            )
+                poly = quotient
+                roots[r] += 1
+        m += 1
+    if len(poly) == 2:
+        roots[-poly[1]] += 1
     return roots
-
-
-def _eval_poly(poly: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in poly:
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(poly: Sequence[int], root: int) -> list[int]:
-    out = [poly[0]]
-    for c in poly[1:-1]:
-        out.append(c + root * out[-1])
-    if poly[-1] + root * out[-1] != 0:
-        raise ArithmeticError("deflation by a non-root")
-    return out
 
 
 def find_p4(g: Graph) -> P4Witness | None:

@@ -105,35 +105,23 @@ def _node_eigenvalues(t: CoTree) -> list[int]:
 
 
 def _block(t: CoTree, v: int, eigenvalue: int) -> EigenBlock:
-    """Integer eigenvector block of internal node v.
-
-    With child leaf counts (n_1, ..., n_k), column j (0-based) holds
-    n_{j+2} on the leaves of children 0..j, -(n_1 + ... + n_{j+1}) on the
-    leaves of child j+1, and 0 below. Each column sums to zero.
-    """
+    """Integer eigenvector block of internal node v. With child leaf counts
+    (n_1, ..., n_k), the leaves of child i > 0 (0-based) get the row of i - 1
+    zeros, -(n_1 + ... + n_i), then n_{i+2}, ..., n_k; child 0 gets n_2, ...,
+    n_k. So each column sums to zero and is constant on each child."""
     kids = t.children(v)
     sizes = [t.leaf_count(c) for c in kids]
-    prefix = [0] + list(accumulate(sizes))
     rows = []
     row_vertices: list[int] = []
-    for ci, child in enumerate(kids):
-        for vertex in sorted(t.leaf_sequence(child)):
-            row_vertices.append(vertex)
-            row = []
-            for j in range(len(kids) - 1):
-                if ci <= j:
-                    row.append(sizes[j + 1])
-                elif ci == j + 1:
-                    row.append(-prefix[j + 1])
-                else:
-                    row.append(0)
-            rows.append(row)
-    return EigenBlock(
-        node=v,
-        eigenvalue=eigenvalue,
-        block=IntMatrix.from_rows(rows, len(kids) - 1),
-        row_vertices=tuple(row_vertices),
-    )
+    for i, (child, before) in enumerate(zip(kids, accumulate(sizes, initial=0))):
+        row = [0] * i + sizes[i + 1:]
+        if i:
+            row[i - 1] = -before
+        leaves = sorted(t.leaf_sequence(child))
+        row_vertices += leaves
+        rows += [tuple(row)] * len(leaves)
+    return EigenBlock(v, eigenvalue, IntMatrix(tuple(rows), len(kids) - 1),
+                      tuple(row_vertices))
 
 
 def eigen_blocks(t: CoTree) -> list[EigenBlock]:

@@ -5,13 +5,15 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from cographctl import (
     CoTree,
     Graph,
     IntMatrix,
+    NonIntegerRootError,
     P4Witness,
     Spectrum,
     ThresholdSequence,
@@ -496,3 +498,123 @@ def compose_spectrum(op: str, parts: Sequence[Spectrum]) -> Spectrum:
         counts[n] += len(parts) - 1
     counts[0] += 1
     return Spectrum.from_counts(n, counts)
+
+
+def char_poly_reference(m: IntMatrix) -> list[int]:
+    """det(xI - M), highest degree first, by Berkowitz's recurrence written as
+    a recursion on the trailing principal submatrix (one frame per row)."""
+    return _berkowitz([list(r) for r in m.entries])
+
+
+def _berkowitz(a: list[list[int]]) -> list[int]:
+    n = len(a)
+    if n == 0:
+        return [1]
+    if n == 1:
+        return [1, -a[0][0]]
+    head = a[0][0]
+    row = a[0][1:]
+    col = [r[0] for r in a[1:]]
+    rest = [r[1:] for r in a[1:]]
+    q = _berkowitz(rest)
+    t = [1, -head]
+    w = col
+    for _ in range(n - 1):
+        t.append(-sum(x * y for x, y in zip(row, w)))
+        w = [sum(rest[i][k] * w[k] for k in range(n - 1)) for i in range(n - 1)]
+    return [
+        sum(t[i - j] * q[j] for j in range(len(q)) if 0 <= i - j < len(t))
+        for i in range(n + 1)
+    ]
+
+
+def integer_roots_reference(coeffs: Sequence[int]) -> Counter:
+    """Integer roots of a monic integer polynomial by the rational root test:
+    try every divisor of the constant term, smallest first, deflate by the
+    first root found and start again. The divisor search is exponential in
+    the degree of a Laplacian's polynomial, so keep its inputs small."""
+    if not coeffs or coeffs[0] != 1:
+        raise ValueError("polynomial must be monic with leading coefficient 1")
+    poly = list(coeffs)
+    roots: Counter = Counter()
+    while len(poly) > 1:
+        if poly[-1] == 0:
+            roots[0] += 1
+            poly.pop()
+            continue
+        for mag in _divisors(poly[-1]):
+            for r in (mag, -mag):
+                if _eval_poly(poly, r) == 0:
+                    poly = _deflate(poly, r)
+                    roots[r] += 1
+                    break
+            else:
+                continue
+            break
+        else:
+            raise NonIntegerRootError(f"no integer root divides constant term {poly[-1]}")
+    return roots
+
+
+def _divisors(value: int) -> list[int]:
+    value = abs(value)
+    small, large = [], []
+    for d in range(1, isqrt(value) + 1):
+        if value % d == 0:
+            small.append(d)
+            large.append(value // d)
+    return small + large[::-1]
+
+
+def _eval_poly(poly: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in poly:
+        acc = acc * x + c
+    return acc
+
+
+def _deflate(poly: Sequence[int], root: int) -> list[int]:
+    out = [poly[0]]
+    for c in poly[1:-1]:
+        out.append(c + root * out[-1])
+    if poly[-1] + root * out[-1] != 0:
+        raise ArithmeticError("deflation by a non-root")
+    return out
+
+
+def block_reference(t: CoTree, v: int) -> tuple[IntMatrix, tuple[int, ...]]:
+    """Eigenvector block of internal node v and its row vertices, entry by
+    entry: with child leaf counts (n_1, ..., n_k), column j (0-based) holds
+    n_{j+2} on the leaves of children 0..j, -(n_1 + ... + n_{j+1}) on the
+    leaves of child j+1, and 0 below."""
+    kids = t.children(v)
+    sizes = [t.leaf_count(c) for c in kids]
+    prefix = [0] + list(accumulate(sizes))
+    rows = []
+    row_vertices: list[int] = []
+    for ci, child in enumerate(kids):
+        for vertex in sorted(t.leaf_sequence(child)):
+            row_vertices.append(vertex)
+            row = []
+            for j in range(len(kids) - 1):
+                if ci <= j:
+                    row.append(sizes[j + 1])
+                elif ci == j + 1:
+                    row.append(-prefix[j + 1])
+                else:
+                    row.append(0)
+            rows.append(row)
+    return IntMatrix.from_rows(rows, len(kids) - 1), tuple(row_vertices)
+
+
+def modal_reference(t: CoTree) -> IntMatrix:
+    """The n x (n-1) modal matrix assembled from ``block_reference``, node by
+    node in preorder, each block in its own columns at its vertices' rows."""
+    rows = [[0] * (t.n - 1) for _ in range(t.n)]
+    col = 0
+    for v in t.internal_ids():
+        block, vertices = block_reference(t, v)
+        for vertex, entries in zip(vertices, block.entries):
+            rows[vertex - 1][col:col + block.ncols] = entries
+        col += block.ncols
+    return IntMatrix.from_rows(rows, t.n - 1)

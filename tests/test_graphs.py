@@ -177,3 +177,6 @@ def test_intmatrix_ops():
         matmul(a, IntMatrix.from_rows([[1, 2, 3]]))
     with pytest.raises(ValueError):
         IntMatrix(((1, 2), (3,)), 2)
+    for bad in ([[1.7]], [[1, 2.0]], [["1"]]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows(bad)

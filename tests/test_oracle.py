@@ -1,6 +1,9 @@
 """The brute-force ground-truth routines themselves."""
 
+import inspect
 import random
+import sys
+import time
 from collections import Counter
 
 import pytest
@@ -27,8 +30,10 @@ from cographctl.graphs import IntMatrix
 
 from helpers import (
     EIGHT_NODE_TEXT,
+    char_poly_reference,
     cotree_corpus,
     from_edges,
+    integer_roots_reference,
     is_connected,
     join_of,
     kalman_rank_closed_form,
@@ -125,6 +130,29 @@ def test_char_poly_trace_identity():
         assert coeffs[1] == -trace
 
 
+def test_char_poly_matches_recursive_reference():
+    # 2,000 non-symmetric integer matrices with negative entries, n = 0..9
+    rng = random.Random(71)
+    for i in range(2000):
+        n = i % 10
+        m = IntMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)), n)
+        assert char_poly(m) == char_poly_reference(m), m
+
+
+def test_char_poly_uses_no_recursion():
+    # a Laplacian with 40 rows under a recursion limit 20 frames above the
+    # current depth: a recursion with one frame per row cannot finish
+    t = random_cotree(40, random.Random(72))
+    lap = laplacian(cotree_to_graph(t))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 20)
+    try:
+        coeffs = char_poly(lap)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert integer_roots(coeffs) == Counter(dict(spectrum(t).pairs))
+
+
 def test_char_poly_requires_square():
     with pytest.raises(ValueError):
         char_poly(IntMatrix.from_rows([[1, 2]]))
@@ -143,6 +171,38 @@ def test_integer_roots_fails_loudly():
         integer_roots([1, 0, 1])  # x^2 + 1
     with pytest.raises(ValueError):
         integer_roots([2, 1])  # not monic
+    with pytest.raises(ValueError):
+        integer_roots([1, -2.5])  # x - 2.5 has no integer root
+    with pytest.raises(ValueError):
+        integer_roots([1.0, 2])
+
+
+def _roots_outcome(find, coeffs):
+    try:
+        return find(coeffs)
+    except (NonIntegerRootError, ValueError) as error:
+        return type(error)
+
+
+def test_integer_roots_matches_divisor_reference():
+    # 21,000 polynomials: split ones with roots in -15..15, the same with the
+    # constant term moved by +-1, and random monic ones
+    rng = random.Random(73)
+    polys = []
+    for _ in range(7000):
+        poly = [1]
+        for _ in range(rng.randint(1, 6)):
+            r = rng.randint(-15, 15)
+            poly = [a - r * b for a, b in zip(poly + [0], [0] + poly)]  # times (x - r)
+        moved = poly[:-1] + [poly[-1] + rng.choice((-1, 1))]
+        monic = [1] + [rng.randint(-20, 20) for _ in range(rng.randint(0, 6))]
+        polys += [poly, moved, monic]
+    outcomes = Counter()
+    for poly in polys:
+        got = _roots_outcome(integer_roots, poly)
+        assert got == _roots_outcome(integer_roots_reference, poly), poly
+        outcomes[got is NonIntegerRootError] += 1
+    assert outcomes[True] > 5000 and outcomes[False] > 5000
 
 
 def test_is_p4_free_examples():
@@ -177,6 +237,20 @@ def test_oracle_spectrum_matches_closed_form():
     for t in cotree_corpus(30, 7, seed=37, mixed_roots=True):
         roots = integer_roots(char_poly(laplacian(cotree_to_graph(t))))
         assert roots == Counter(dict(spectrum(t).pairs))
+
+
+def test_oracle_spectrum_matches_closed_form_at_n_12_to_40():
+    # random_cotree(16, Random(2)) alone took about 90 s under a divisor search
+    rng = random.Random(74)
+    trees = [random_cotree(16, random.Random(2))]
+    trees += [random_cotree(rng.randint(12, 40), rng, root_label=rng.randint(0, 1))
+              for _ in range(15)]
+    for t in trees:
+        lap = laplacian(cotree_to_graph(t))
+        start = time.perf_counter()
+        roots = integer_roots(char_poly(lap))
+        assert time.perf_counter() - start < 10.0
+        assert roots == Counter(dict(spectrum(t).pairs)), t
 
 
 def test_rational_rank_basics():

@@ -1,5 +1,6 @@
 """Closed-form eigenstructure against the exact characteristic polynomial."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from cographctl import (
 
 from helpers import (
     THRESHOLD_EXAMPLE,
+    block_reference,
     column,
     column_eigenvalues,
     compose_spectrum,
@@ -28,6 +30,7 @@ from helpers import (
     degree_sequence,
     diagonal,
     matmul,
+    modal_reference,
     nontrivial,
     path_to_root,
     rank_rational,
@@ -99,6 +102,21 @@ def test_modal_block_k3_root():
     assert block.node == t.root
     assert block.block.entries == ((1, 1), (-1, 1), (0, -2))
     assert block.eigenvalue == 3
+
+
+def test_blocks_and_modal_matrix_match_entrywise_reference():
+    rng = random.Random(65)
+    trees = cotree_corpus(200, 14, seed=65, mixed_roots=True)
+    trees += [parse_expr(f".*{k}") for k in (2, 30)]  # stars
+    trees += [parse_expr("+".join(["."] * 30)), parse_expr("*".join(["."] * 30))]
+    bits = ["01" * 60, "0" + "01" * 59 + "1", "0" * 40 + "1" * 40]
+    bits += ["0" + "".join(rng.choice("01") for _ in range(rng.randint(1, 120)))
+             for _ in range(10)]
+    trees += [threshold_to_cotree(parse_threshold(b)) for b in bits]
+    for t in trees:
+        expected = [(v, *block_reference(t, v)) for v in t.internal_ids()]
+        assert [(b.node, b.block, b.row_vertices) for b in eigen_blocks(t)] == expected, t
+        assert modal_matrix(t) == modal_reference(t), t
 
 
 def test_block_columns_sum_to_zero():
