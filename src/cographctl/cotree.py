@@ -32,7 +32,10 @@ Nested form: a plain ``int`` is a leaf (its vertex id) and a pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import reduce
+from itertools import compress
+from operator import and_, or_
+from typing import Iterator, Sequence, Union
 
 from .graphs import Graph, _bits
 
@@ -266,29 +269,43 @@ def cotree_to_graph(t: CoTree) -> Graph:
     return Graph._trusted(t.n, tuple(rows))
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selected(rows: Sequence[int], frontier: int) -> Iterator[int]:
+    """The rows of the vertices in ``frontier``: its bits, lowest first,
+    become a 0/1 byte string that ``compress`` applies to a slice of
+    ``rows``, so no Python-level loop runs per vertex."""
+    low = (frontier & -frontier).bit_length() - 1
+    flags = format(frontier >> low, "b")[::-1].encode().translate(_FLAGS)
+    return compress(rows[low:low + len(flags)], flags)
+
+
 def _components(rows: Sequence[int], mask: int, flip: int = 0) -> list[int]:
     """Components of the subgraph induced on ``mask``, in order of their
     smallest vertex; with ``flip=mask``, of its complement, which is never
-    built: ``rows[i] ^ mask`` holds i's non-neighbours in the mask, and
-    ``& rem`` (the vertices not reached yet) cuts the bits outside it.
-    Without a flip the loop skips the XOR, which would copy every row."""
+    built. Each BFS level is one C-level reduction over the rows its
+    frontier selects: the OR of those rows, or for the complement
+    ``rem & ~AND``, since ``(rows[i] ^ mask) & rem == rem & ~rows[i]``
+    for ``rem`` (the vertices not reached yet) inside ``mask``. The start
+    vertex's row is read directly, and a component stops growing as soon
+    as every vertex is reached."""
     comps = []
     rem = mask
     while rem:
-        comp = rem & -rem
+        start = (rem & -rem).bit_length() - 1
+        comp = 1 << start
         rem ^= comp
-        frontier = comp
+        frontier = rem & ~rows[start] if flip else rem & rows[start]
         while frontier:
-            grown = 0
-            if flip:
-                for i in _bits(frontier):
-                    grown |= rows[i] ^ flip
-            else:
-                for i in _bits(frontier):
-                    grown |= rows[i]
-            frontier = grown & rem
             rem ^= frontier
             comp |= frontier
+            if not rem:
+                break
+            if flip:
+                frontier = rem & ~reduce(and_, _selected(rows, frontier))
+            else:
+                frontier = rem & reduce(or_, _selected(rows, frontier))
         comps.append(comp)
     return comps
 

@@ -77,9 +77,12 @@ def _primitive(w: list[int]) -> list[int]:
 def char_poly(m: IntMatrix) -> list[int]:
     """Coefficients of det(xI - M), highest degree first, by Berkowitz's
     division-free recurrence from the last row up: head a_kk, row r, column c
-    and block S below give the Toeplitz column [1, -a_kk, -r.c, -r.S.c, ...]."""
+    and block S below give the Toeplitz column [1, -a_kk, -r.c, -r.S.c, ...].
+    Raises ValueError on a non-square matrix or a non-int entry."""
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial needs a square matrix")
+    if not all(isinstance(x, int) for row in m.entries for x in row):
+        raise ValueError("matrix entries must be ints")
     a = m.entries
     poly = [1]
     for k in reversed(range(m.nrows)):

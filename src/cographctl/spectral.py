@@ -125,9 +125,19 @@ def _block(t: CoTree, v: int, eigenvalue: int) -> EigenBlock:
 
 
 def eigen_blocks(t: CoTree) -> list[EigenBlock]:
-    """Blocks of all internal nodes in canonical (preorder) order."""
+    """Blocks of all internal nodes in canonical (preorder) order.
+
+    Raises SizeCapError, before any block is built, when the blocks hold more
+    than ``MODAL_CAP * (MODAL_CAP - 1)`` entries (leaf_count x (children - 1)
+    per node). Every tree ``modal_matrix`` accepts is within that, because
+    the children - 1 sum to n - 1 and no node has more than n leaves."""
+    ids = t.internal_ids()
+    entries = sum(t.leaf_count(v) * (len(t.children(v)) - 1) for v in ids)
+    if entries > MODAL_CAP * (MODAL_CAP - 1):
+        raise SizeCapError(f"eigenvector blocks capped at {MODAL_CAP * (MODAL_CAP - 1)} "
+                           f"entries, got {entries}")
     values = _node_eigenvalues(t)
-    return [_block(t, v, values[v]) for v in t.internal_ids()]
+    return [_block(t, v, values[v]) for v in ids]
 
 
 def spectrum(t: CoTree) -> Spectrum:

@@ -209,6 +209,27 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.rows)))
 
 
+def components_reference(rows: Sequence[int], mask: int, flip: int = 0) -> list[int]:
+    """Components of the subgraph induced on ``mask`` (of its complement with
+    ``flip=mask``), in order of their smallest vertex, by a BFS that ORs
+    ``rows[i] ^ flip`` one frontier vertex at a time."""
+    comps = []
+    rem = mask
+    while rem:
+        comp = rem & -rem
+        rem ^= comp
+        frontier = comp
+        while frontier:
+            grown = 0
+            for i in _bits(frontier):
+                grown |= rows[i] ^ flip
+            frontier = grown & rem
+            rem ^= frontier
+            comp |= frontier
+        comps.append(comp)
+    return comps
+
+
 def is_connected(g: Graph) -> bool:
     full = (1 << g.n) - 1
     seen = frontier = 1

@@ -26,6 +26,7 @@ from cographctl import (
 from helpers import (
     EIGHT_NODE_TEXT,
     THRESHOLD_EXAMPLE,
+    components_reference,
     cotree_corpus,
     from_edges,
     is_canonical,
@@ -253,6 +254,54 @@ def test_p4_search_matches_reference(monkeypatch):
             found += 1
             assert real(g, mask) == expected
     assert found > 1000
+
+
+def component_cases(rng: random.Random, count: int):
+    """(rows, mask) pairs on random graphs of every density, with full and
+    random submasks: a third as drawn, a third with a random set of isolated
+    vertices, a third whose mask's lowest vertex is adjacent to every other
+    vertex in the mask, so its row reaches the whole mask at once."""
+    for k in range(count):
+        n = rng.randint(1, 40)
+        rows = list(random_graph(n, rng, rng.random()).rows)
+        mask = rng.getrandbits(n) if rng.random() < 0.6 else (1 << n) - 1
+        if k % 3 == 1:
+            lone = rng.getrandbits(n)
+            rows = [0 if lone >> i & 1 else row & ~lone for i, row in enumerate(rows)]
+        elif k % 3 == 2 and mask:
+            s = (mask & -mask).bit_length() - 1
+            others = mask & ~(1 << s)
+            rows = [row | others if i == s else row | (others >> i & 1) << s
+                    for i, row in enumerate(rows)]
+        yield rows, mask
+
+
+def test_components_match_per_bit_reference():
+    """One reduction per BFS level gives the per-bit BFS's components, in
+    the same order, on the graph and on its complement inside the mask."""
+    rng = random.Random(1313)
+    shapes = {0: set(), 1: set()}
+    for rows, mask in component_cases(rng, 3000):
+        for direction, flip in enumerate((0, mask)):
+            comps = cotree._components(rows, mask, flip)
+            assert comps == components_reference(rows, mask, flip), (rows, mask, flip)
+            shapes[direction].add(min(len(comps), 3))
+    assert shapes[0] == shapes[1] == {0, 1, 2, 3}  # empty, one, two, many
+    assert cotree._components((0, 0, 0), 0b101) == [0b001, 0b100]
+    assert cotree._components((0, 0, 0), 0b101, flip=0b101) == [0b101]
+
+
+def test_recognize_matches_per_bit_reference(monkeypatch):
+    """recognize returns the same cotree or the same witness when its
+    component search is the per-bit reference."""
+    rng = random.Random(2424)
+    graphs = [random_graph(rng.randint(1, 24), rng, rng.random()) for _ in range(4000)]
+    graphs += [cotree_to_graph(t) for t in cotree_corpus(1000, 24, 2425, mixed_roots=True)]
+    fast = [recognize(g) for g in graphs]
+    monkeypatch.setattr(cotree, "_components", components_reference)
+    assert [recognize(g) for g in graphs] == fast
+    trees = sum(isinstance(r, CoTree) for r in fast)
+    assert trees > 1500 and len(graphs) - trees > 1500
 
 
 def test_from_nested_validates_leaf_ids():

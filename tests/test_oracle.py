@@ -158,6 +158,16 @@ def test_char_poly_requires_square():
         char_poly(IntMatrix.from_rows([[1, 2]]))
 
 
+def test_char_poly_rejects_non_int_entries():
+    """A matrix built directly skips ``from_rows``'s check; the exact
+    arithmetic must not run on floats either way."""
+    with pytest.raises(ValueError, match="must be ints"):
+        char_poly(IntMatrix(((1.5, 0), (0, 2)), 2))
+    with pytest.raises(ValueError, match="must be ints"):
+        char_poly(IntMatrix(((1, 0), (0, 2.0)), 2))
+    assert char_poly(IntMatrix(((1, 0), (0, 2)), 2)) == [1, -3, 2]
+
+
 def test_integer_roots_extraction():
     # (x - 2)^2 (x + 3) x = x^4 - x^3 - 8x^2 + 12x
     assert integer_roots([1, -1, -8, 12, 0]) == Counter({2: 2, -3: 1, 0: 1})

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from cographctl import (
+    SizeCapError,
     Spectrum,
     char_poly,
     cotree_to_graph,
@@ -19,6 +20,7 @@ from cographctl import (
     spectrum,
     threshold_to_cotree,
 )
+from cographctl.spectral import MODAL_CAP
 
 from helpers import (
     THRESHOLD_EXAMPLE,
@@ -216,3 +218,20 @@ def test_spectrum_single_vertex():
     assert spectrum(t).pairs == ((0, 1),)
     assert modal_matrix(t).shape == (1, 0)
     assert eigen_blocks(t) == []
+
+
+def test_eigen_blocks_size_cap():
+    """A node with k children over L leaves has an L x (k - 1) block; the
+    total is capped before any block is built, at a bound that the largest
+    tree ``modal_matrix`` accepts reaches exactly (an edgeless graph on
+    MODAL_CAP vertices)."""
+    with pytest.raises(SizeCapError, match="eigenvector blocks capped"):
+        eigen_blocks(parse_expr("100000"))
+    with pytest.raises(SizeCapError, match="eigenvector blocks capped"):
+        eigen_blocks(parse_expr(str(MODAL_CAP + 1)))
+    blocks = eigen_blocks(parse_expr(str(MODAL_CAP)))
+    assert [b.block.shape for b in blocks] == [(MODAL_CAP, MODAL_CAP - 1)]
+    # a deep caterpillar: one column per node, but a row for every leaf
+    # below it, about n^2 / 2 entries in all (n = 4400)
+    with pytest.raises(SizeCapError, match="got 9682199"):
+        eigen_blocks(threshold_to_cotree(parse_threshold("01" * 2200)))
