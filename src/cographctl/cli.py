@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exactly one input flag (--expr, --cotree, --threshold, --edges) feeds each
-analysis command. Results go to stdout (text, or a stable JSON schema with
---json); diagnostics go to stderr. Exit codes: 0 success, 1 domain errors
-(not a cograph, disconnected input, size cap), 2 usage errors (bad flags or
-unparseable input).
+analysis command. Results go to stdout as text, or with --json in a stable
+JSON schema; each command builds only the form it prints. Diagnostics go to
+stderr. Exit codes: 0 success, 1 domain errors (not a cograph, disconnected
+input, size cap), 2 usage errors (bad flags or unparseable input).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import functools
 import json
 import random
 import sys
-from collections import Counter
 from typing import Sequence
 
 from . import control, generate, oracle, spectral, threshold
@@ -107,14 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_one_input(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
-    flags = [name for name in ("expr", "cotree", "threshold", "edges")
-             if getattr(args, name, None) is not None]
-    if len(flags) != 1:
-        parser.error("exactly one of --expr/--cotree/--threshold/--edges is required")
-    return flags[0]
-
-
 def _load_input(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> tuple[CoTree, Graph | None]:
@@ -122,7 +113,11 @@ def _load_input(
     Only the commands that read the graph build it from a cotree, O(n^2);
     degrees need none, since a leaf's ancestor sum in the cotree is its
     degree."""
-    kind = _check_one_input(parser, args)
+    flags = [name for name in ("expr", "cotree", "threshold", "edges")
+             if getattr(args, name, None) is not None]
+    if len(flags) != 1:
+        parser.error("exactly one of --expr/--cotree/--threshold/--edges is required")
+    kind = flags[0]
     if kind == "edges":
         with open(args.edges, encoding="utf-8-sig") as fh:
             try:
@@ -143,24 +138,13 @@ def _load_input(
     return tree, None
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _spectrum_pairs(spec: spectral.Spectrum) -> list[list[int]]:
-    return [[value, mult] for value, mult in spec.pairs]
-
-
-def _cells_payload(cells: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(c) for c in cells]
+def _json(payload: dict) -> str:
+    """One JSON line; the package's tuples are written as arrays unchanged."""
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
 def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
-    return " ".join("{" + ",".join(str(v) for v in c) + "}" for c in cells)
+    return " ".join("{" + ",".join(map(str, c)) + "}" for c in cells)
 
 
 def _parse_set(text: str) -> control.ControlSet:
@@ -177,69 +161,76 @@ def _cmd_recognize(args, parser) -> int:
     try:
         tree, _ = _load_input(parser, args)
     except _NotCograph as exc:
-        witness = list(exc.witness.vertices)
         print("not a cograph", file=sys.stderr)
-        _emit(args, {"n": exc.n, "p4": witness}, ["P4: " + " ".join(str(v) for v in witness)])
+        witness = exc.witness.vertices
+        print(_json({"n": exc.n, "p4": witness}) if args.json
+              else "P4: " + " ".join(map(str, witness)))
         return 1
     text = serialize_cotree(tree)
-    _emit(args, {"n": tree.n, "cotree": text}, [text])
+    print(_json({"n": tree.n, "cotree": text}) if args.json else text)
     return 0
 
 
 def _cmd_spectrum(args, parser) -> int:
     tree, _ = _load_input(parser, args)
     spec = spectral.spectrum(tree)
-    payload = {"n": tree.n, "cotree": serialize_cotree(tree),
-               "spectrum": _spectrum_pairs(spec)}
-    lines = ["spectrum: " + " ".join(f"{v}^{m}" for v, m in spec.pairs)]
+    modal = spectral.modal_matrix(tree) if args.modal else None
+    if args.json:
+        payload = {"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec.pairs}
+        if args.modal:
+            payload["modal"] = modal.entries
+        print(_json(payload))
+        return 0
+    print("spectrum: " + " ".join(f"{v}^{m}" for v, m in spec.pairs))
     if args.modal:
-        modal = spectral.modal_matrix(tree)
-        payload["modal"] = [list(row) for row in modal.entries]
-        lines.append("modal:")
-        lines.extend(" ".join(str(x) for x in row) for row in modal.entries)
-    _emit(args, payload, lines)
+        print("modal:")
+        for row in modal.entries:
+            print(" ".join(map(str, row)))
     return 0
 
 
 def _cmd_partition(args, parser) -> int:
     tree, _ = _load_input(parser, args)
     cells = control.sibling_partition(tree).cells
-    payload = {"n": tree.n, "cotree": serialize_cotree(tree),
-               "cells": _cells_payload(cells)}
-    lines = ["cells: " + _fmt_cells(cells)]
+    deg = threshold.degree_partition(tree) if args.degree else None
+    if args.json:
+        payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells}
+        if args.degree:
+            payload.update(degree_cells=deg.cells, degrees=deg.degrees)
+        print(_json(payload))
+        return 0
+    print("cells: " + _fmt_cells(cells))
     if args.degree:
-        deg = threshold.degree_partition(tree)
-        payload["degree_cells"] = _cells_payload(deg.cells)
-        payload["degrees"] = list(deg.degrees)
-        lines.append("degree cells: " + _fmt_cells(deg.cells))
-        lines.append("degrees: " + " ".join(str(d) for d in deg.degrees))
-    _emit(args, payload, lines)
+        print("degree cells: " + _fmt_cells(deg.cells))
+        print("degrees: " + " ".join(map(str, deg.degrees)))
     return 0
 
 
 def _cmd_leaders(args, parser) -> int:
     tree, _ = _load_input(parser, args)
+    size = control.min_control_size(tree)  # first, so its name is on any error
     tie = "lowest-ids" if args.tie == "lowest" else "highest-ids"
-    size = control.min_control_size(tree)
-    cells = control.sibling_partition(tree).cells
-    selected = control.select_min_control_set(tree, tie)
-    payload = {"n": tree.n, "cotree": serialize_cotree(tree),
-               "cells": _cells_payload(cells), "min_size": size}
-    lines = [f"min_size: {size}",
-             "set: " + ",".join(str(v) for v in selected.vertices)]
     if args.all:
         count = control.count_min_control_sets(tree)
         if count * tree.n > ALL_SETS_CAP:
             raise SizeCapError(f"leaders --all capped at {ALL_SETS_CAP} for sets x vertices, "
                                f"got {count} x {tree.n}")
-        sets = [list(s.vertices) for s in control.enumerate_min_control_sets(tree)]
-        payload["sets"] = sets
-        payload["count"] = count
-        lines.append(f"count: {payload['count']}")
-        lines.extend("set: " + ",".join(str(v) for v in s) for s in sets)
-    else:
-        payload["sets"] = [list(selected.vertices)]
-    _emit(args, payload, lines)
+        sets = (s.vertices for s in control.enumerate_min_control_sets(tree))
+    if args.json:
+        payload = {"n": tree.n, "cotree": serialize_cotree(tree),
+                   "cells": control.sibling_partition(tree).cells, "min_size": size}
+        if args.all:
+            payload.update(sets=list(sets), count=count)
+        else:
+            payload["sets"] = [control.select_min_control_set(tree, tie).vertices]
+        print(_json(payload))
+        return 0
+    print(f"min_size: {size}")
+    print("set: " + ",".join(map(str, control.select_min_control_set(tree, tie).vertices)))
+    if args.all:
+        print(f"count: {count}")
+        for s in sets:
+            print("set: " + ",".join(map(str, s)))
     return 0
 
 
@@ -249,20 +240,24 @@ def _cmd_verify(args, parser) -> int:
         raise SizeCapError(f"cross-check capped at n <= {CROSS_CHECK_CAP}, got {tree.n}")
     cset = _parse_set(args.set)
     ok = control.is_controllable(tree, cset)
-    payload = {"n": tree.n, "cotree": serialize_cotree(tree),
-               "set": list(cset.vertices), "controllable": ok}
-    lines = [f"controllable: {'true' if ok else 'false'}"]
     if args.cross_check:
         pbh = control.pbh_check(tree, cset)
         rank = oracle.kalman_rank(graph or cotree_to_graph(tree), cset.vertices)
-        agree = (pbh == ok) and ((rank == tree.n) == ok)
-        payload.update({"pbh": pbh, "kalman_rank": rank, "agree": agree})
-        lines.append(f"pbh: {'true' if pbh else 'false'}")
-        lines.append(f"kalman_rank: {rank}")
-        lines.append(f"agree: {'true' if agree else 'false'}")
+        agree = pbh == ok == (rank == tree.n)
         if not agree:
             raise _DomainError("cross-check disagreement; this is a bug")
-    _emit(args, payload, lines)
+    if args.json:
+        payload = {"n": tree.n, "cotree": serialize_cotree(tree),
+                   "set": cset.vertices, "controllable": ok}
+        if args.cross_check:
+            payload.update(pbh=pbh, kalman_rank=rank, agree=agree)
+        print(_json(payload))
+        return 0
+    print(f"controllable: {'true' if ok else 'false'}")
+    if args.cross_check:
+        print(f"pbh: {'true' if pbh else 'false'}")
+        print(f"kalman_rank: {rank}")
+        print(f"agree: {'true' if agree else 'false'}")
     return 0
 
 
@@ -273,31 +268,22 @@ def _cmd_oracle(args, parser) -> int:
     graph = graph or cotree_to_graph(tree)
     p4_free = oracle.is_p4_free(graph)
     spec = spectral.spectrum(tree)
-    roots = oracle.integer_roots(oracle.char_poly(laplacian(graph)))
-    spectrum_agree = roots == Counter(dict(spec.pairs))
+    roots = tuple(sorted(oracle.integer_roots(oracle.char_poly(laplacian(graph))).items()))
+    spectrum_agree = roots == spec.pairs
     size, sets = oracle.exhaustive_min_sets(graph)
-    enum = [list(s.vertices) for s in control.enumerate_min_control_sets(tree)]
-    control_agree = (size == control.min_control_size(tree)
-                     and [list(s) for s in sets] == enum)
-    payload = {
-        "n": graph.n,
-        "cotree": serialize_cotree(tree),
-        "p4_free": p4_free,
-        "spectrum": _spectrum_pairs(spec),
-        "oracle_spectrum": [[v, m] for v, m in sorted(roots.items())],
-        "spectrum_agree": spectrum_agree,
-        "min_size": size,
-        "sets": [list(s) for s in sets],
-        "control_agree": control_agree,
-    }
-    lines = [
-        f"p4_free: {'true' if p4_free else 'false'}",
-        "oracle spectrum: " + " ".join(f"{v}^{m}" for v, m in sorted(roots.items())),
-        f"spectrum_agree: {'true' if spectrum_agree else 'false'}",
-        f"min_size: {size}",
-        f"control_agree: {'true' if control_agree else 'false'}",
-    ]
-    _emit(args, payload, lines)
+    enum = [s.vertices for s in control.enumerate_min_control_sets(tree)]
+    control_agree = size == control.min_control_size(tree) and sets == enum
+    if args.json:
+        print(_json({"n": graph.n, "cotree": serialize_cotree(tree), "p4_free": p4_free,
+                     "spectrum": spec.pairs, "oracle_spectrum": roots,
+                     "spectrum_agree": spectrum_agree, "min_size": size, "sets": sets,
+                     "control_agree": control_agree}))
+    else:
+        print(f"p4_free: {'true' if p4_free else 'false'}")
+        print("oracle spectrum: " + " ".join(f"{v}^{m}" for v, m in roots))
+        print(f"spectrum_agree: {'true' if spectrum_agree else 'false'}")
+        print(f"min_size: {size}")
+        print(f"control_agree: {'true' if control_agree else 'false'}")
     if not (p4_free and spectrum_agree and control_agree):
         raise _DomainError("oracle battery found a disagreement; this is a bug")
     return 0
@@ -309,12 +295,10 @@ def _cmd_random(args, parser) -> int:
     check_vertex_count(args.nodes)
     rng = random.Random(args.seed)
     if args.threshold:
-        seq = generate.random_threshold_sequence(args.nodes, rng)
-        _emit(args, {"n": seq.n, "threshold": str(seq)}, [str(seq)])
+        key, text = "threshold", str(generate.random_threshold_sequence(args.nodes, rng))
     else:
-        tree = generate.random_cotree(args.nodes, rng)
-        _emit(args, {"n": tree.n, "cotree": serialize_cotree(tree)},
-              [serialize_cotree(tree)])
+        key, text = "cotree", serialize_cotree(generate.random_cotree(args.nodes, rng))
+    print(_json({"n": args.nodes, key: text}) if args.json else text)
     return 0
 
 

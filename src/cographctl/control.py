@@ -47,7 +47,7 @@ class ControlSet:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not isinstance(v, int) or v < 1 for v in self.vertices):
+        if any(type(v) is not int or v < 1 for v in self.vertices):
             raise ValueError("control vertices are 1-based ids")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("control vertices must be distinct")

@@ -64,70 +64,74 @@ class CoTree:
         leaf), and the leaf vertex ids in preorder. Raises ValueError unless
         the columns describe a tree numbered in preorder, the leaf ids are
         1..n, each exactly once, every label is 0 or 1, every internal node
-        has a child and no leaf has one.
+        has a child and no leaf has one. Ids, parents and labels must be
+        exact ints: a bool or a float is rejected.
 
-        A bottom-up pass checks and indexes the columns. If they are not
-        canonical, a top-down pass lays out the canonical tree (unary nodes
+        One bottom-up pass checks and indexes the columns. If they are not
+        canonical, one top-down pass lays out the canonical tree (unary nodes
         spliced out, a child with its parent's label merged into it, children
-        sorted by smallest leaf) and the first pass runs again on it."""
-        while True:
-            count = len(parents)
-            n = len(leaves)
-            if n == 0 or labels.count(None) != n:
-                raise ValueError("leaf ids must be distinct and cover 1..n")
-            if len(labels) != count or parents[0] is not None:
-                raise ValueError("nodes must form a tree numbered in preorder")
-            children: list[list[int]] = [[] for _ in range(count)]  # filled last to first
-            last = list(range(count))  # largest node id in each subtree
-            low = [n + 1] * count  # smallest vertex id below each node
-            start = [0] * count
-            end = [0] * count
-            leaf_node = [-1] * (n + 1)
-            canonical = True
-            k = n  # leaves before node i in preorder, once i is reached
-            for i in range(count - 1, -1, -1):
-                label = labels[i]
-                kids = children[i]
-                if label is None:
-                    if kids:
-                        raise ValueError("leaf with children")
-                    k -= 1
-                    v = leaves[k]
-                    if not isinstance(v, int) or not 1 <= v <= n or leaf_node[v] >= 0:
-                        raise ValueError("leaf ids must be distinct and cover 1..n")
-                    leaf_node[v] = i
-                    low[i] = v
-                    end[i] = k + 1
-                elif label not in (0, 1):
-                    raise ValueError(f"internal label must be 0 or 1, got {label!r}")
-                elif not kids:
-                    raise ValueError("internal node with no children")
-                else:
-                    kids.reverse()
-                    # preorder: a child follows its parent or its elder sibling's subtree
-                    for c in kids:
-                        if c != last[i] + 1:
-                            raise ValueError("nodes must form a tree numbered in preorder")
-                        last[i] = last[c]
-                    end[i] = end[kids[-1]]
-                    if len(kids) == 1:
-                        canonical = False
-                start[i] = k
-                if i:
-                    up = parents[i]
-                    if not isinstance(up, int) or not 0 <= up < i:
+        sorted by smallest leaf) and writes the stored columns as it places
+        each node; nothing checks that output again."""
+        count = len(parents)
+        n = len(leaves)
+        if n == 0 or labels.count(None) != n:
+            raise ValueError("leaf ids must be distinct and cover 1..n")
+        if len(labels) != count or parents[0] is not None:
+            raise ValueError("nodes must form a tree numbered in preorder")
+        children: list[list[int]] = [[] for _ in range(count)]  # filled last to first
+        last = list(range(count))  # largest node id in each subtree
+        low = [n + 1] * count  # smallest vertex id below each node
+        start = [0] * count
+        end = [0] * count
+        leaf_node = [-1] * (n + 1)
+        canonical = True
+        k = n  # leaves before node i in preorder, once i is reached
+        for i in range(count - 1, -1, -1):
+            label = labels[i]
+            kids = children[i]
+            if label is None:
+                if kids:
+                    raise ValueError("leaf with children")
+                k -= 1
+                v = leaves[k]
+                if type(v) is not int or not 1 <= v <= n or leaf_node[v] >= 0:
+                    raise ValueError("leaf ids must be distinct and cover 1..n")
+                leaf_node[v] = i
+                low[i] = v
+                end[i] = k + 1
+            elif type(label) is not int or label not in (0, 1):
+                raise ValueError(f"internal label must be 0 or 1, got {label!r}")
+            elif not kids:
+                raise ValueError("internal node with no children")
+            else:
+                kids.reverse()
+                # preorder: a child follows its parent or its elder sibling's subtree
+                for c in kids:
+                    if c != last[i] + 1:
                         raise ValueError("nodes must form a tree numbered in preorder")
-                    children[up].append(i)
-                    # siblings arrive last to first, so each must lower the minimum
-                    if low[i] > low[up] or labels[up] == label:
-                        canonical = False
-                    if low[i] < low[up]:
-                        low[up] = low[i]
-            if canonical:
-                break
+                    last[i] = last[c]
+                end[i] = end[kids[-1]]
+                if len(kids) == 1:
+                    canonical = False
+            start[i] = k
+            if i:
+                up = parents[i]
+                if type(up) is not int or not 0 <= up < i:
+                    raise ValueError("nodes must form a tree numbered in preorder")
+                children[up].append(i)
+                # siblings arrive last to first, so each must lower the minimum
+                if low[i] > low[up] or labels[up] == label:
+                    canonical = False
+                if low[i] < low[up]:
+                    low[up] = low[i]
+        if not canonical:
+            del last  # only the check reads it; the layout's peak memory is lower without it
             out_parents: list[int | None] = []
             out_labels: list[int | None] = []
             out_leaves: list[int] = []
+            out_children: list[list[int]] = []
+            out_start: list[int] = []
+            out_end: list[int] = []
             stack: list[tuple[int, int | None]] = [(0, None)]
             while stack:
                 node, parent = stack.pop()
@@ -135,13 +139,19 @@ class CoTree:
                     node = children[node][0]
                 idx = len(out_parents)
                 out_parents.append(parent)
+                if parent is not None:
+                    out_children[parent].append(idx)
+                out_children.append(children[node])  # emptied below, refilled by its children
+                out_start.append(len(out_leaves))  # the first pass counted its leaves
+                out_end.append(len(out_leaves) + end[node] - start[node])
                 label = labels[node]
                 out_labels.append(label)
                 if label is None:
                     out_leaves.append(low[node])
+                    leaf_node[low[node]] = idx
                     continue
                 merged: list[int] = []
-                pending = children[node]  # consumed; every node is laid out once
+                pending = children[node]  # consumed here; every node is laid out once
                 while pending:
                     c = pending.pop()
                     if labels[c] == label or len(children[c]) == 1:
@@ -151,6 +161,7 @@ class CoTree:
                 merged.sort(key=low.__getitem__, reverse=True)
                 stack.extend([(c, idx) for c in merged])
             parents, labels, leaves = out_parents, out_labels, out_leaves
+            children, start, end = out_children, out_start, out_end
         self._parent = tuple(parents)
         self._label = tuple(labels)
         self._children = tuple(map(tuple, children))

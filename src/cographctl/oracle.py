@@ -44,7 +44,7 @@ def kalman_rank(g: Graph, control: Iterable[int]) -> int:
     vertices = list(control)
     n = g.n
     for v in vertices:
-        if not isinstance(v, int):
+        if type(v) is not int:  # a bool is not a vertex id
             raise ValueError(f"control vertex {v!r} is not an int id")
         if not (1 <= v <= n):
             raise ValueError(f"control vertex {v} out of range 1..{n}")

@@ -133,7 +133,7 @@ class ThresholdSequence:
             raise ValueError("threshold sequence must be nonempty")
         if self.bits[0] != 0:
             raise ValueError("threshold sequence must start with 0")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
             raise ValueError("threshold sequence bits must be 0 or 1")
 
     @property

@@ -343,3 +343,43 @@ def test_out_of_memory_exits_one_without_a_traceback(tmp_path):
                           env=env, preexec_fn=limit_memory, capture_output=True, text=True,
                           timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
+def test_text_output_builds_no_payload_and_no_cotree_text(monkeypatch, capsys):
+    """Text output carries neither the JSON payload nor the cotree text, so
+    the analysis commands never build either in text mode."""
+    def refuse(*args):
+        raise AssertionError("built for output that is not printed")
+
+    monkeypatch.setattr(cli, "serialize_cotree", refuse)
+    monkeypatch.setattr(cli, "_json", refuse)
+    inputs = (("--expr", "(.+.)*(.+.+.)"), ("--cotree", "1(0(1,2),3,0(4,5))"),
+              ("--threshold", THRESHOLD_EXAMPLE))
+    for argv in (["spectrum"], ["spectrum", "--modal"], ["partition"], ["partition", "--degree"],
+                 ["leaders"], ["leaders", "--all", "--tie", "highest"], ["verify", "--set", "1,3"],
+                 ["verify", "--set", "1,3", "--cross-check"], ["oracle"]):
+        for flag, value in inputs:
+            code, out, err = run(capsys, *argv, flag, value)
+            assert (code, err) == (0, "") and out
+
+
+def test_json_output_builds_no_text_lines(monkeypatch, capsys):
+    """With --json, ``partition --degree`` and ``leaders --all`` turn no
+    number into text and pick no single set for a text line; the same
+    commands in text mode do both."""
+    import builtins
+
+    formatted, selected = [], []
+    real_select = cli.control.select_min_control_set
+    monkeypatch.setattr(cli, "str", lambda x: formatted.append(x) or builtins.str(x),
+                        raising=False)
+    monkeypatch.setattr(cli.control, "select_min_control_set",
+                        lambda *a: selected.append(a) or real_select(*a))
+    commands = (["partition", "--degree"], ["leaders", "--all"])
+    for argv in commands:
+        code, payload, _ = run_json(capsys, *argv, "--threshold", THRESHOLD_EXAMPLE)
+        assert code == 0 and payload["cells"]
+    assert formatted == [] and selected == []
+    for argv in commands:
+        assert run(capsys, *argv, "--threshold", THRESHOLD_EXAMPLE)[0] == 0
+    assert len(formatted) > 7 and len(selected) == 1

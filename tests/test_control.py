@@ -282,6 +282,18 @@ def test_control_set_validation():
     assert len(ControlSet((3, 1))) == 2
 
 
+def test_bool_is_not_a_vertex_id():
+    # True == 1, but a flag is not a vertex
+    t = parse_expr(".*.")
+    for ids in ((True,), (False,), (2, True)):
+        with pytest.raises(ValueError, match="1-based ids"):
+            ControlSet(ids)
+        for check in (is_controllable, pbh_check):
+            with pytest.raises(ValueError):
+                check(t, ids)
+    assert is_controllable(t, [1]) and pbh_check(t, [1])
+
+
 def test_disconnected_rejected_by_all_ops():
     t = parse_expr(".+.")
     for op in (

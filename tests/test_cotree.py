@@ -15,6 +15,7 @@ from cographctl import (
     kalman_rank,
     min_control_size,
     parse_cotree,
+    parse_expr,
     parse_threshold,
     pbh_check,
     recognize,
@@ -124,6 +125,48 @@ def test_every_cotree_is_canonical():
             for again in (CoTree.from_nested(nested), parse_cotree(nested_text(nested))):
                 assert again == t
                 assert is_canonical(again)
+
+
+def _stored(t: CoTree):
+    return (t._parent, t._label, t._children, t._leaves, t._start, t._end, t._leaf_node)
+
+
+def _answers(t: CoTree):
+    """Every accessor at every node and vertex."""
+    nodes = [(t.is_leaf(i), t.leaf_vertex(i) if t.is_leaf(i) else t.label(i), t.parent(i),
+              t.children(i), t.leaf_sequence(i), t.leaf_count(i))
+             for i in range(t.node_count())]
+    return (t.n, t.node_count(), t.root, t.internal_ids(), nodes,
+            [t.leaf_id(v) for v in range(1, t.n + 1)], hash(t))
+
+
+def test_layout_writes_what_the_checking_pass_would_index():
+    """A tree built from non-canonical columns, whose stored columns the
+    top-down layout wrote, equals in every stored column and every accessor
+    the same tree built from its canonical columns, which only the checking
+    pass indexes."""
+    rng = random.Random(4242)
+    cases = []  # (tree from non-canonical columns, the tree it must equal or None)
+    for t in cotree_corpus(60, 300, seed=4243, mixed_roots=True):
+        for _ in range(2):
+            nested = scrambled(to_nested(t), rng)
+            assert nested != to_nested(t)
+            cases.append((CoTree.from_nested(nested), t))
+    # wide expressions: unary term and group nodes around unions of thousands
+    for text in ("3000", "(.+.)*3000", "2*(3+(4*(1000)))", "((.))*.*(2000)"):
+        cases.append((parse_expr(text), None))
+    # threshold trees with long runs of equal bits
+    for bits in ("0" + "1" * 800, "0" * 500 + "1" * 700 + "0" * 3 + "1",
+                 "0" + "01" * 50 + "1" * 900):
+        cases.append((threshold_to_cotree(parse_threshold(bits)), None))
+    for laid_out, expected in cases:
+        assert is_canonical(laid_out)
+        again = CoTree(laid_out._parent, laid_out._label, laid_out._leaves)
+        assert _stored(again) == _stored(laid_out)
+        assert _answers(again) == _answers(laid_out)
+        if expected is not None:
+            assert _stored(laid_out) == _stored(expected)
+    assert _answers(parse_expr("3000"))[:4] == (3000, 3001, 0, (0,))
 
 
 def test_noncanonical_k3_gets_the_k3_answers():
@@ -313,6 +356,8 @@ def test_from_nested_validates_leaf_ids():
         CoTree.from_nested((2, [1, 2]))  # bad label
     with pytest.raises(ValueError):
         CoTree.from_nested((1, []))  # childless internal node
+    with pytest.raises(ValueError):
+        CoTree.from_nested((True, [1, 2]))  # a bool label
 
 
 @pytest.mark.parametrize("parents, labels, leaves", [
@@ -326,8 +371,13 @@ def test_from_nested_validates_leaf_ids():
     ([None, 0], [1, None, None], [1, 2]),  # columns of unequal length
     ([None, 0, 0], [1, None, None], ["1", 2]),  # a text leaf id
     ([None, 0, 0], [1, None, None], [1.0, 2]),  # a float leaf id
+    ([None, 0, 0], [True, None, None], [1, 2]),  # a bool label
+    ([None, 0, 0], [1.0, None, None], [1, 2]),  # a float label
+    ([None, 0, 0], [1, None, None], [True, 2]),  # a bool leaf id
+    ([None, False, 0], [1, None, None], [1, 2]),  # a bool parent
 ], ids=["late-children", "negative-parent", "later-parent", "none-parent",
-        "root-parent", "leaf-parent", "short-parents", "text-leaf", "float-leaf"])
+        "root-parent", "leaf-parent", "short-parents", "text-leaf", "float-leaf",
+        "bool-label", "float-label", "bool-leaf", "bool-parent"])
 def test_constructor_rejects_columns_that_are_not_a_preorder_tree(parents, labels, leaves):
     with pytest.raises(ValueError):
         CoTree(parents, labels, leaves)

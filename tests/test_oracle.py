@@ -65,6 +65,15 @@ def test_kalman_rank_full_actuation():
             assert kalman_rank(g, range(1, g.n + 1)) == g.n
 
 
+def test_kalman_rank_rejects_bool_ids():
+    # the oracle checks its input itself, without ControlSet
+    g = join_of([K1, K1])
+    for ids in ((True,), (False,), (2, True)):
+        with pytest.raises(ValueError, match="is not an int id"):
+            kalman_rank(g, ids)
+    assert kalman_rank(g, (1,)) == 2
+
+
 def test_kalman_rank_validation():
     g = join_of([K1, K1])
     with pytest.raises(ValueError):

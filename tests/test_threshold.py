@@ -16,6 +16,7 @@ from cographctl import (
     recognize,
     select_min_control_set,
     sibling_partition,
+    ThresholdSequence,
     threshold_min_control,
     threshold_to_cotree,
 )
@@ -33,6 +34,15 @@ from helpers import (
 )
 
 K1 = single()
+
+
+def test_threshold_sequence_bits_are_exact_ints():
+    # 1.0 and True equal 1, but would print as "01.0" and "FalseTrue" and
+    # label a cotree node 1.0
+    for bits in ((0, 1.0), (0.0, 1), (False, True), (0, True), (0, "1")):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            ThresholdSequence(bits)
+    assert str(ThresholdSequence((0, 1, 0))) == "010"
 
 
 def test_degree_partition_complete():
