@@ -2,7 +2,6 @@
 selection for cograph consensus networks."""
 
 from .control import (
-    ControlSet,
     SiblingPartition,
     count_min_control_sets,
     enumerate_min_control_sets,
@@ -46,7 +45,6 @@ from .threshold import DegreePartition, degree_partition, threshold_min_control
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControlSet",
     "CoTree",
     "DegreePartition",
     "EigenBlock",

@@ -147,14 +147,16 @@ def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
     return " ".join("{" + ",".join(map(str, c)) + "}" for c in cells)
 
 
-def _parse_set(text: str) -> control.ControlSet:
+def _parse_set(text: str) -> tuple[int, ...]:
+    """The --set ids, checked here so that a bad id is reported before a
+    disconnected input; ``is_controllable`` checks their range 1..n."""
     try:
         ids = tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise ParseError(f"--set expects comma-separated integers, got {text!r}") from exc
     if not ids:
         raise ParseError("--set needs at least one vertex id")
-    return control.ControlSet(ids)
+    return control._control_vertices(ids)
 
 
 def _cmd_recognize(args, parser) -> int:
@@ -215,18 +217,18 @@ def _cmd_leaders(args, parser) -> int:
         if count * tree.n > ALL_SETS_CAP:
             raise SizeCapError(f"leaders --all capped at {ALL_SETS_CAP} for sets x vertices, "
                                f"got {count} x {tree.n}")
-        sets = (s.vertices for s in control.enumerate_min_control_sets(tree))
+        sets = control.enumerate_min_control_sets(tree)
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree),
                    "cells": control.sibling_partition(tree).cells, "min_size": size}
         if args.all:
             payload.update(sets=list(sets), count=count)
         else:
-            payload["sets"] = [control.select_min_control_set(tree, tie).vertices]
+            payload["sets"] = [control.select_min_control_set(tree, tie)]
         print(_json(payload))
         return 0
     print(f"min_size: {size}")
-    print("set: " + ",".join(map(str, control.select_min_control_set(tree, tie).vertices)))
+    print("set: " + ",".join(map(str, control.select_min_control_set(tree, tie))))
     if args.all:
         print(f"count: {count}")
         for s in sets:
@@ -242,13 +244,13 @@ def _cmd_verify(args, parser) -> int:
     ok = control.is_controllable(tree, cset)
     if args.cross_check:
         pbh = control.pbh_check(tree, cset)
-        rank = oracle.kalman_rank(graph or cotree_to_graph(tree), cset.vertices)
+        rank = oracle.kalman_rank(graph or cotree_to_graph(tree), cset)
         agree = pbh == ok == (rank == tree.n)
         if not agree:
             raise _DomainError("cross-check disagreement; this is a bug")
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree),
-                   "set": cset.vertices, "controllable": ok}
+                   "set": cset, "controllable": ok}
         if args.cross_check:
             payload.update(pbh=pbh, kalman_rank=rank, agree=agree)
         print(_json(payload))
@@ -271,7 +273,7 @@ def _cmd_oracle(args, parser) -> int:
     roots = tuple(sorted(oracle.integer_roots(oracle.char_poly(laplacian(graph))).items()))
     spectrum_agree = roots == spec.pairs
     size, sets = oracle.exhaustive_min_sets(graph)
-    enum = [s.vertices for s in control.enumerate_min_control_sets(tree)]
+    enum = list(control.enumerate_min_control_sets(tree))
     control_agree = size == control.min_control_size(tree) and sets == enum
     if args.json:
         print(_json({"n": graph.n, "cotree": serialize_cotree(tree), "p4_free": p4_free,

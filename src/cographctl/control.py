@@ -39,41 +39,29 @@ class SiblingPartition:
         return tuple(len(c) for c in self.cells)
 
 
-@dataclass(frozen=True)
-class ControlSet:
-    """Ordered distinct vertex ids; the input matrix takes the matching
-    columns of the identity."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(type(v) is not int or v < 1 for v in self.vertices):
-            raise ValueError("control vertices are 1-based ids")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("control vertices must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+def _control_vertices(control: Iterable[int], n: int | None = None) -> tuple[int, ...]:
+    """The control vertices as a tuple, checked to be distinct int ids
+    (a bool is not one) of at least 1 and, when n is given, at most n."""
+    vertices = tuple(control)
+    if any(type(v) is not int or v < 1 for v in vertices):
+        raise ValueError("control vertices are 1-based ids")
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("control vertices must be distinct")
+    if n is not None:
+        for v in vertices:
+            if v > n:
+                raise ValueError(f"control vertex {v} out of range 1..{n}")
+    return vertices
 
 
-def _control_vertices(t: CoTree, control: ControlSet | Iterable[int]) -> tuple[int, ...]:
-    """The control vertices, checked to be distinct ids in 1..n."""
-    if not isinstance(control, ControlSet):
-        control = ControlSet(tuple(control))
-    for v in control.vertices:
-        if v > t.n:
-            raise ValueError(f"control vertex {v} out of range 1..{t.n}")
-    return control.vertices
-
-
-def _all_but_one_per_cell(cells: Iterable[tuple[int, ...]], tie_rule: str) -> ControlSet:
+def _all_but_one_per_cell(cells: Iterable[tuple[int, ...]], tie_rule: str) -> tuple[int, ...]:
     """Every vertex but one from each cell; ``tie_rule`` picks which one
     stays out (lowest-ids keeps the smallest ids in the set)."""
     if tie_rule not in ("lowest-ids", "highest-ids"):
         raise ValueError(f"tie_rule must be 'lowest-ids' or 'highest-ids', got {tie_rule!r}")
     chosen = [v for cell in cells
               for v in (cell[:-1] if tie_rule == "lowest-ids" else cell[1:])]
-    return ControlSet(tuple(sorted(chosen)))
+    return tuple(sorted(chosen))
 
 
 def _require_controllable_setting(t: CoTree, op: str) -> None:
@@ -99,7 +87,7 @@ def min_control_size(t: CoTree) -> int:
     return t.n - sibling_partition(t).p
 
 
-def select_min_control_set(t: CoTree, tie_rule: str = "lowest-ids") -> ControlSet:
+def select_min_control_set(t: CoTree, tie_rule: str = "lowest-ids") -> tuple[int, ...]:
     """One minimum control set: all but one vertex from every sibling cell.
     ``tie_rule`` picks which vertices stay (lowest-ids keeps the smallest)."""
     _require_controllable_setting(t, "select_min_control_set")
@@ -112,7 +100,7 @@ def count_min_control_sets(t: CoTree) -> int:
     return prod(sibling_partition(t).sizes)
 
 
-def enumerate_min_control_sets(t: CoTree) -> Iterator[ControlSet]:
+def enumerate_min_control_sets(t: CoTree) -> Iterator[tuple[int, ...]]:
     """All minimum control sets, one dropped vertex per cell, emitted in
     lexicographic order of the sorted vertex tuple.
 
@@ -147,7 +135,7 @@ def enumerate_min_control_sets(t: CoTree) -> Iterator[ControlSet]:
                 branches.append((v, len(kept)))
                 kept.append(v)
             v += 1
-        yield ControlSet(tuple(kept))
+        yield tuple(kept)
         if not branches:
             return
         v, size = branches.pop()
@@ -159,18 +147,18 @@ def enumerate_min_control_sets(t: CoTree) -> Iterator[ControlSet]:
         v += 1
 
 
-def is_controllable(t: CoTree, control: ControlSet | Iterable[int]) -> bool:
+def is_controllable(t: CoTree, control: Iterable[int]) -> bool:
     """Cell test: controllable iff every sibling cell has at most one vertex
     outside the control set."""
     _require_controllable_setting(t, "is_controllable")
-    chosen = set(_control_vertices(t, control))
+    chosen = set(_control_vertices(control, t.n))
     return all(
         sum(1 for v in cell if v not in chosen) <= 1
         for cell in sibling_partition(t).cells
     )
 
 
-def pbh_check(t: CoTree, control: ControlSet | Iterable[int]) -> bool:
+def pbh_check(t: CoTree, control: Iterable[int]) -> bool:
     """Eigenvector (PBH) test: True iff every internal node has at most one
     child whose leaves no control vertex reaches.
 
@@ -185,7 +173,7 @@ def pbh_check(t: CoTree, control: ControlSet | Iterable[int]) -> bool:
     _require_controllable_setting(t, "pbh_check")
     count = t.node_count()
     hit = [False] * count
-    for v in _control_vertices(t, control):
+    for v in _control_vertices(control, t.n):
         hit[t.leaf_id(v)] = True
     missed = [0] * count  # children of each node that no control reaches
     for i in range(count - 1, 0, -1):

@@ -183,6 +183,10 @@ class CoTree:
                 labels.append(None)
                 leaves.append(node)
                 continue
+            if not (isinstance(node, (tuple, list)) and len(node) == 2
+                    and isinstance(node[1], (tuple, list))):
+                raise ValueError("a nested node must be an int leaf or a "
+                                 "(label, children) pair with a list or tuple of children")
             label, children = node
             labels.append(label)
             stack.extend((c, len(parents) - 1) for c in reversed(children))

@@ -19,7 +19,7 @@ def random_cotree(n: int, rng: random.Random, root_label: int = 1) -> CoTree:
     connected cograph, 0 a disconnected one (needs n >= 2)."""
     if n < 1:
         raise ValueError("need at least one leaf")
-    if root_label not in (0, 1):
+    if type(root_label) is not int or root_label not in (0, 1):  # True and 1.0 are not labels
         raise ValueError("root label must be 0 or 1")
     if n == 1 and root_label == 0:
         raise ValueError("a single vertex is connected; root label 0 needs n >= 2")

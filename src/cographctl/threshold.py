@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .control import ControlSet, _all_but_one_per_cell
+from .control import _all_but_one_per_cell
 from .cotree import CoTree
 from .errors import NotConnectedError
 from .parsing import ThresholdSequence, threshold_to_cotree
@@ -50,7 +50,7 @@ def degree_partition(t: CoTree) -> DegreePartition:
 
 def threshold_min_control(
     seq: ThresholdSequence, tie_rule: str = "lowest-ids"
-) -> tuple[int, ControlSet]:
+) -> tuple[int, tuple[int, ...]]:
     """Minimum control-set size and one such set for a connected threshold
     graph, read directly off the degree partition.
 

@@ -123,7 +123,7 @@ def test_criterion_3_complete_and_bipartite_families(capsys):
         assert min_control_size(t) == n - 1
         sets = list(enumerate_min_control_sets(t))
         assert len(sets) == n
-        assert {s.vertices for s in sets} == {
+        assert set(sets) == {
             tuple(v for v in range(1, n + 1) if v != drop) for drop in range(1, n + 1)
         }
     for n1 in range(1, 8):
@@ -187,7 +187,7 @@ def test_criterion_6_minimum_exactness(capsys):
     table = _kalman_table()
     for t, g, verdict in table:
         size = min_control_size(t)
-        enumerated = {s.vertices for s in enumerate_min_control_sets(t)}
+        enumerated = set(enumerate_min_control_sets(t))
         for cset in enumerated:
             assert verdict[cset]
         controllable_exact = {s for s in verdict if len(s) == size and verdict[s]}

@@ -1,5 +1,7 @@
-"""The public surface: ``cographctl.__all__`` is exactly what README documents."""
+"""The public surface: ``cographctl.__all__`` is exactly what README documents,
+and README's library example gives the values its comments state."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -20,3 +22,31 @@ def test_exports_are_the_documented_surface():
     assert set(cographctl.__all__) == names
     for name in names:
         assert getattr(cographctl, name).__module__.startswith("cographctl.")
+
+
+def test_readme_library_example_gives_its_commented_values():
+    """Runs the example and checks each expression line against the value
+    its comment starts with (the comment's prose after ", " is skipped)."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        code = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        line = block.splitlines()[stmt.lineno - 1]
+        comment = line.split("#", 1)[1].strip()
+        stated = ast.literal_eval(re.match(r"(.*?)(, [a-z].*)?$", comment).group(1))
+        assert eval(code, namespace) == stated, code
+        checked.append(stated)
+    assert checked == [
+        ((0, 1), (2, 2), (3, 1), (5, 1)),
+        ((1, 2), (3, 4, 5)),
+        3,
+        [(1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5)],
+        True,
+        True,
+        5,
+    ]

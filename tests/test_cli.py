@@ -174,6 +174,17 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2 and "(line 1, column" in err, err
 
 
+@pytest.mark.parametrize("expr, ids, message", [
+    (".+.", "1,1", "control vertices must be distinct"),
+    (".+.", "0", "control vertices are 1-based ids"),
+    (".*.", "3", "control vertex 3 out of range 1..2"),
+    # an id past n is reported only after the connectivity check
+    (".+.", "3", "is_controllable requires a connected graph (root label 1)"),
+])
+def test_verify_set_errors(capsys, expr, ids, message):
+    assert run(capsys, "verify", "--expr", expr, "--set", ids) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="int() converts decimal strings of any length")
 def test_number_too_long_for_int_exits_two(capsys):

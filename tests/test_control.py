@@ -6,7 +6,6 @@ from itertools import combinations, islice, product
 import pytest
 
 from cographctl import (
-    ControlSet,
     NotConnectedError,
     ThresholdSequence,
     cotree_to_graph,
@@ -87,17 +86,17 @@ def test_min_control_size_rejects_bad_inputs():
 
 
 def test_select_min_control_set():
-    assert select_min_control_set(eight_node_tree()).vertices == (1, 6, 7)
-    assert select_min_control_set(eight_node_tree(), "highest-ids").vertices == (2, 7, 8)
-    assert select_min_control_set(complete(3)).vertices == (1, 2)
-    assert select_min_control_set(threshold_example_tree()).vertices == (1, 5)
+    assert select_min_control_set(eight_node_tree()) == (1, 6, 7)
+    assert select_min_control_set(eight_node_tree(), "highest-ids") == (2, 7, 8)
+    assert select_min_control_set(complete(3)) == (1, 2)
+    assert select_min_control_set(threshold_example_tree()) == (1, 5)
     assert kalman_rank(cotree_to_graph(threshold_example_tree()), (1, 5)) == 7
     with pytest.raises(ValueError):
         select_min_control_set(eight_node_tree(), "random-ids")
 
 
 def test_enumerate_min_control_sets_eight_node():
-    sets = [s.vertices for s in enumerate_min_control_sets(eight_node_tree())]
+    sets = list(enumerate_min_control_sets(eight_node_tree()))
     assert sets == sorted(sets)  # lexicographic emission
     assert set(sets) == {
         (1, 6, 7), (2, 6, 7), (1, 6, 8), (2, 6, 8), (1, 7, 8), (2, 7, 8),
@@ -163,7 +162,7 @@ def test_pbh_check_matches_stacked_elimination():
     for _ in range(150):
         t = mixed_shape_tree(rng)
         vertices = range(1, t.n + 1)
-        chosen = select_min_control_set(t).vertices
+        chosen = select_min_control_set(t)
         sets = [(), tuple(vertices), chosen]
         sets += [chosen[:i] + chosen[i + 1:] for i in range(len(chosen))]
         while len(sets) < 20:
@@ -178,8 +177,8 @@ def test_procedure_sets_are_minimal():
     for t in cotree_corpus(20, 7, seed=301):
         for cset in enumerate_min_control_sets(t):
             assert is_controllable(t, cset)
-            for v in cset.vertices:
-                rest = tuple(u for u in cset.vertices if u != v)
+            for v in cset:
+                rest = tuple(u for u in cset if u != v)
                 assert not is_controllable(t, rest)
 
 
@@ -196,7 +195,7 @@ def test_no_smaller_set_is_controllable():
 def test_enumeration_is_complete():
     for t in cotree_corpus(15, 6, seed=303):
         size = min_control_size(t)
-        expected = {s.vertices for s in enumerate_min_control_sets(t)}
+        expected = set(enumerate_min_control_sets(t))
         found = {
             subset
             for subset in combinations(range(1, t.n + 1), size)
@@ -270,28 +269,49 @@ def test_fraction_free_rank_matches_rational_rank():
 
 
 def test_control_set_validation():
-    with pytest.raises(ValueError):
-        ControlSet((1, 1))
-    with pytest.raises(ValueError):
-        ControlSet((0,))
-    for ids in ((1.5, 2, 3, 4), ("1",), ([1],)):
-        with pytest.raises(ValueError):
-            ControlSet(ids)
-        with pytest.raises(ValueError):
-            is_controllable(parse_expr(".*.*.*."), ids)
-    assert len(ControlSet((3, 1))) == 2
+    t = parse_expr(".*.*.*.")
+    for ids, message in (
+        ((1, 1), "must be distinct"),
+        ((0,), "1-based ids"),
+        ((1.5, 2, 3, 4), "1-based ids"),
+        (("1",), "1-based ids"),
+        (([1],), "1-based ids"),
+        ((5, 1), "control vertex 5 out of range 1..4"),
+    ):
+        for check in (is_controllable, pbh_check):
+            with pytest.raises(ValueError, match=message):
+                check(t, ids)
+    # any order of distinct ids is a set
+    assert is_controllable(t, (3, 1)) is pbh_check(t, (3, 1)) is False
+    assert is_controllable(t, (3, 1, 2)) is pbh_check(t, (3, 1, 2)) is True
 
 
 def test_bool_is_not_a_vertex_id():
     # True == 1, but a flag is not a vertex
     t = parse_expr(".*.")
     for ids in ((True,), (False,), (2, True)):
-        with pytest.raises(ValueError, match="1-based ids"):
-            ControlSet(ids)
         for check in (is_controllable, pbh_check):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="1-based ids"):
                 check(t, ids)
     assert is_controllable(t, [1]) and pbh_check(t, [1])
+
+
+def test_checks_take_any_iterable_of_ids():
+    for t in cotree_corpus(40, 8, seed=316):
+        for ids in ((), select_min_control_set(t), tuple(range(2, t.n + 1))):
+            for check in (is_controllable, pbh_check):
+                verdict = check(t, ids)
+                assert check(t, list(ids)) is verdict
+                assert check(t, (v for v in ids)) is verdict
+
+
+def test_package_built_sets_are_tuples_of_ints():
+    for t in cotree_corpus(40, 8, seed=317):
+        sets = [select_min_control_set(t), select_min_control_set(t, "highest-ids")]
+        sets += enumerate_min_control_sets(t)
+        for cset in sets:
+            assert type(cset) is tuple
+            assert all(type(v) is int for v in cset)
 
 
 def test_disconnected_rejected_by_all_ops():
@@ -316,13 +336,13 @@ def test_enumeration_order_matches_sorted_product():
             tuple(sorted(v for cell, drop in zip(cells, drops) for v in cell if v != drop))
             for drops in product(*cells)
         )
-        assert [s.vertices for s in enumerate_min_control_sets(t)] == expected
+        assert list(enumerate_min_control_sets(t)) == expected
 
 
 def test_enumeration_is_lazy_on_long_pair_chains():
     k = 400  # cells {1,2},{3,4},...: 2**400 minimum sets
     t = parse_expr("*".join(["(.+.)"] * k))
-    first = [s.vertices for s in islice(enumerate_min_control_sets(t), 3)]
+    first = list(islice(enumerate_min_control_sets(t), 3))
     odd = tuple(range(1, 2 * k, 2))
     assert first == [
         odd,

@@ -18,6 +18,7 @@ from cographctl import (
     parse_expr,
     parse_threshold,
     pbh_check,
+    random_cotree,
     recognize,
     serialize_cotree,
     sibling_partition,
@@ -358,6 +359,25 @@ def test_from_nested_validates_leaf_ids():
         CoTree.from_nested((1, []))  # childless internal node
     with pytest.raises(ValueError):
         CoTree.from_nested((True, [1, 2]))  # a bool label
+
+
+@pytest.mark.parametrize("nested", [
+    (1, [1.0, 2]),  # a float leaf
+    (1, [None, 2]),  # neither a leaf nor a pair
+    (1, 5),  # children that are not a list or tuple
+    (1, [1, 2], 3),  # three entries, not a pair
+])
+def test_from_nested_rejects_malformed_nodes(nested):
+    with pytest.raises(ValueError, match=r"an int leaf or a \(label, children\) pair"):
+        CoTree.from_nested(nested)
+
+
+def test_random_cotree_root_label_is_an_exact_0_or_1():
+    for label in (2, -1, None, True, 1.0):
+        with pytest.raises(ValueError, match="root label must be 0 or 1"):
+            random_cotree(5, random.Random(1), root_label=label)
+    for label in (0, 1):
+        assert random_cotree(5, random.Random(1), root_label=label).label(0) == label
 
 
 @pytest.mark.parametrize("parents, labels, leaves", [

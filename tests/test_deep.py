@@ -187,7 +187,7 @@ def test_pbh_check_on_large_trees(n, seed):
     t = random_cotree(n, random.Random(seed))
     if n == 500:
         assert len(t.children(t.root)) == 491
-    chosen = select_min_control_set(t).vertices
+    chosen = select_min_control_set(t)
     assert pbh_check(t, chosen) is is_controllable(t, chosen) is True
     short = chosen[1:]
     assert pbh_check(t, short) is is_controllable(t, short) is False

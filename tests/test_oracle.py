@@ -66,7 +66,7 @@ def test_kalman_rank_full_actuation():
 
 
 def test_kalman_rank_rejects_bool_ids():
-    # the oracle checks its input itself, without ControlSet
+    # the oracle checks its input itself, apart from the control module
     g = join_of([K1, K1])
     for ids in ((True,), (False,), (2, True)):
         with pytest.raises(ValueError, match="is not an int id"):
