@@ -33,21 +33,14 @@ from .parsing import (
     threshold_to_cotree,
     write_edge_list,
 )
-from .spectral import (
-    EigenBlock,
-    Spectrum,
-    eigen_blocks,
-    modal_matrix,
-    spectrum,
-)
-from .threshold import DegreePartition, degree_partition, threshold_min_control
+from .spectral import Spectrum, modal_columns, modal_matrix, spectrum
+from .threshold import DegreePartition, degree_partition
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoTree",
     "DegreePartition",
-    "EigenBlock",
     "Graph",
     "IntMatrix",
     "NonIntegerRootError",
@@ -62,7 +55,6 @@ __all__ = [
     "cotree_to_graph",
     "count_min_control_sets",
     "degree_partition",
-    "eigen_blocks",
     "enumerate_min_control_sets",
     "exhaustive_min_sets",
     "find_p4",
@@ -72,6 +64,7 @@ __all__ = [
     "kalman_rank",
     "laplacian",
     "min_control_size",
+    "modal_columns",
     "modal_matrix",
     "parse_cotree",
     "parse_expr",
@@ -85,7 +78,6 @@ __all__ = [
     "serialize_cotree",
     "sibling_partition",
     "spectrum",
-    "threshold_min_control",
     "threshold_to_cotree",
     "write_edge_list",
 ]

@@ -149,9 +149,14 @@ def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
 
 def _parse_set(text: str) -> tuple[int, ...]:
     """The --set ids, checked here so that a bad id is reported before a
-    disconnected input; ``is_controllable`` checks their range 1..n."""
+    disconnected input; ``is_controllable`` checks their range 1..n. An id is
+    an ASCII digit run, as in the other grammars: ``int`` would also take
+    ``1_2``, signs and non-ASCII digits."""
+    parts = [part for part in map(str.strip, text.split(",")) if part]
     try:
-        ids = tuple(int(part) for part in text.split(",") if part.strip() != "")
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(text)
+        ids = tuple(map(int, parts))  # raises past int()'s digit limit
     except ValueError as exc:
         raise ParseError(f"--set expects comma-separated integers, got {text!r}") from exc
     if not ids:

@@ -54,16 +54,6 @@ def _control_vertices(control: Iterable[int], n: int | None = None) -> tuple[int
     return vertices
 
 
-def _all_but_one_per_cell(cells: Iterable[tuple[int, ...]], tie_rule: str) -> tuple[int, ...]:
-    """Every vertex but one from each cell; ``tie_rule`` picks which one
-    stays out (lowest-ids keeps the smallest ids in the set)."""
-    if tie_rule not in ("lowest-ids", "highest-ids"):
-        raise ValueError(f"tie_rule must be 'lowest-ids' or 'highest-ids', got {tie_rule!r}")
-    chosen = [v for cell in cells
-              for v in (cell[:-1] if tie_rule == "lowest-ids" else cell[1:])]
-    return tuple(sorted(chosen))
-
-
 def _require_controllable_setting(t: CoTree, op: str) -> None:
     if t.n == 1:
         raise ValueError(f"{op} requires more than one vertex")
@@ -91,7 +81,11 @@ def select_min_control_set(t: CoTree, tie_rule: str = "lowest-ids") -> tuple[int
     """One minimum control set: all but one vertex from every sibling cell.
     ``tie_rule`` picks which vertices stay (lowest-ids keeps the smallest)."""
     _require_controllable_setting(t, "select_min_control_set")
-    return _all_but_one_per_cell(sibling_partition(t).cells, tie_rule)
+    if tie_rule not in ("lowest-ids", "highest-ids"):
+        raise ValueError(f"tie_rule must be 'lowest-ids' or 'highest-ids', got {tie_rule!r}")
+    chosen = [v for cell in sibling_partition(t).cells
+              for v in (cell[:-1] if tie_rule == "lowest-ids" else cell[1:])]
+    return tuple(sorted(chosen))
 
 
 def count_min_control_sets(t: CoTree) -> int:

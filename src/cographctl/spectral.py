@@ -18,9 +18,13 @@ outside the child on the path down, each union ancestor adds none. The pass
 keeps it, and the degree partition reads it from there.
 
 The matching eigenvectors are supported only on the node's descendant leaves
-and are constant on each child's leaf block, which gives an integer matrix of
-a fixed staircase pattern per node. Stacking the per-node blocks yields the
-full n x (n-1) nontrivial modal matrix; the all-ones vector covers the
+and are constant on each child's leaf block. In the canonical leaf order
+those blocks are contiguous, so each of node v's k - 1 eigenvectors is two
+adjacent intervals of the tree's leaf sequence carrying two integers: column
+j (0-based) gives the leaf count of child j + 1 to the leaves of children
+0..j and minus their leaf count to the leaves of child j + 1, which makes it
+sum to zero. The n - 1 columns of all nodes, in canonical node order, are
+the nontrivial modal matrix in O(n) words; the all-ones vector covers the
 remaining trivial eigenvalue 0.
 
 Everything is exact: eigenvalues are nonnegative integers and eigenvectors
@@ -37,7 +41,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import groupby
+from operator import itemgetter
 
 from .cotree import CoTree
 from .errors import SizeCapError
@@ -71,26 +76,6 @@ class Spectrum:
         return cls(n, tuple(sorted(counts.items())))
 
 
-@dataclass(frozen=True)
-class EigenBlock:
-    """One internal node's contribution to the eigenstructure.
-
-    ``block`` is the leaf_count x (children - 1) integer eigenvector pattern
-    over the node's descendant leaves; row r of the block belongs to graph
-    vertex ``row_vertices[r]``. All other rows of the full modal matrix are
-    zero for these columns.
-    """
-
-    node: int
-    eigenvalue: int
-    block: IntMatrix
-    row_vertices: tuple[int, ...]
-
-    @property
-    def multiplicity(self) -> int:
-        return self.block.ncols
-
-
 def _node_eigenvalues(t: CoTree) -> list[int]:
     """Eigenvalue of every internal node and degree of every leaf, in one
     preorder pass that hands each child its parent's accumulated ancestor
@@ -104,42 +89,6 @@ def _node_eigenvalues(t: CoTree) -> list[int]:
     return values
 
 
-def _block(t: CoTree, v: int, eigenvalue: int) -> EigenBlock:
-    """Integer eigenvector block of internal node v. With child leaf counts
-    (n_1, ..., n_k), the leaves of child i > 0 (0-based) get the row of i - 1
-    zeros, -(n_1 + ... + n_i), then n_{i+2}, ..., n_k; child 0 gets n_2, ...,
-    n_k. So each column sums to zero and is constant on each child."""
-    kids = t.children(v)
-    sizes = [t.leaf_count(c) for c in kids]
-    rows = []
-    row_vertices: list[int] = []
-    for i, (child, before) in enumerate(zip(kids, accumulate(sizes, initial=0))):
-        row = [0] * i + sizes[i + 1:]
-        if i:
-            row[i - 1] = -before
-        leaves = sorted(t.leaf_sequence(child))
-        row_vertices += leaves
-        rows += [tuple(row)] * len(leaves)
-    return EigenBlock(v, eigenvalue, IntMatrix(tuple(rows), len(kids) - 1),
-                      tuple(row_vertices))
-
-
-def eigen_blocks(t: CoTree) -> list[EigenBlock]:
-    """Blocks of all internal nodes in canonical (preorder) order.
-
-    Raises SizeCapError, before any block is built, when the blocks hold more
-    than ``MODAL_CAP * (MODAL_CAP - 1)`` entries (leaf_count x (children - 1)
-    per node). Every tree ``modal_matrix`` accepts is within that, because
-    the children - 1 sum to n - 1 and no node has more than n leaves."""
-    ids = t.internal_ids()
-    entries = sum(t.leaf_count(v) * (len(t.children(v)) - 1) for v in ids)
-    if entries > MODAL_CAP * (MODAL_CAP - 1):
-        raise SizeCapError(f"eigenvector blocks capped at {MODAL_CAP * (MODAL_CAP - 1)} "
-                           f"entries, got {entries}")
-    values = _node_eigenvalues(t)
-    return [_block(t, v, values[v]) for v in ids]
-
-
 def spectrum(t: CoTree) -> Spectrum:
     """Full Laplacian spectrum of the represented graph."""
     values = _node_eigenvalues(t)
@@ -150,17 +99,47 @@ def spectrum(t: CoTree) -> Spectrum:
     return Spectrum.from_counts(t.n, counts)
 
 
+def modal_columns(t: CoTree) -> list[tuple[int, int, int, int, int, int, int]]:
+    """The n - 1 nontrivial eigenvectors, in canonical node order and then
+    child order. Column ``(node, eigenvalue, a, i0, i1, b, i2)`` is the vector
+    equal to a on ``seq[i0:i1]``, to -b on ``seq[i1:i2]`` and to 0 elsewhere,
+    where ``seq = t.leaf_sequence(t.root)``; a = i2 - i1 and b = i1 - i0."""
+    values = _node_eigenvalues(t)
+    start = [0] * t.node_count()  # offset of each node's leaves in seq
+    columns = []
+    for v in t.internal_ids():
+        value = values[v]
+        i0 = i1 = start[v]
+        for j, c in enumerate(t.children(v)):
+            size = t.leaf_count(c)
+            start[c] = i1
+            if j:
+                columns.append((v, value, size, i0, i1, i1 - i0, i1 + size))
+            i1 += size
+    return columns
+
+
 def modal_matrix(t: CoTree) -> IntMatrix:
-    """The n x (n-1) nontrivial modal matrix: every node's block, in
-    canonical node order, written into its own columns at the rows of its
-    vertices; all other entries are zero. Raises SizeCapError above
-    ``MODAL_CAP`` vertices, before anything is allocated."""
+    """The n x (n-1) nontrivial modal matrix: row u - 1 holds vertex u's
+    entries of the ``modal_columns``. Raises SizeCapError above ``MODAL_CAP``
+    vertices, before anything is allocated."""
     if t.n > MODAL_CAP:
         raise SizeCapError(f"modal matrix capped at n <= {MODAL_CAP}, got {t.n}")
+    seq = t.leaf_sequence(t.root)
     rows = [[0] * (t.n - 1) for _ in range(t.n)]
     col = 0
-    for b in eigen_blocks(t):
-        for v, entries in zip(b.row_vertices, b.block.entries):
-            rows[v - 1][col:col + b.multiplicity] = entries
-        col += b.multiplicity
+    for _, group in groupby(modal_columns(t), itemgetter(0)):
+        group = list(group)
+        a = [column[2] for column in group]
+        end = col + len(group)
+        # child 0 sees a in every column of its node; child j + 1 sees -b in
+        # column j, a in the later ones, and 0 in the earlier ones
+        _, _, _, i0, i1, _, _ = group[0]
+        for u in seq[i0:i1]:
+            rows[u - 1][col:end] = a
+        for j, (_, _, _, _, i1, b, i2) in enumerate(group):
+            tail = [-b] + a[j + 1:]
+            for u in seq[i1:i2]:
+                rows[u - 1][col + j:end] = tail
+        col = end
     return IntMatrix(tuple(map(tuple, rows)), t.n - 1)

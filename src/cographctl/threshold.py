@@ -1,20 +1,17 @@
-"""Threshold-graph shortcuts.
+"""Degree partitions, the threshold-graph view of the sibling cells.
 
 In a threshold graph two vertices are siblings exactly when they have equal
-degree, so the degree partition coincides with the sibling partition and
-leader selection reduces to counting degree classes. The equivalence is
-specific to threshold graphs; for general cographs equal degree does not
-imply siblinghood.
+degree, so the degree partition coincides with the sibling partition and a
+minimum leader set takes all but one vertex of each degree class. The
+equivalence is specific to threshold graphs; for general cographs equal
+degree does not imply siblinghood.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .control import _all_but_one_per_cell
 from .cotree import CoTree
-from .errors import NotConnectedError
-from .parsing import ThresholdSequence, threshold_to_cotree
 from .spectral import _node_eigenvalues
 
 
@@ -46,20 +43,3 @@ def degree_partition(t: CoTree) -> DegreePartition:
         cells=tuple(tuple(by_degree[d]) for d in ordered),
         degrees=tuple(ordered),
     )
-
-
-def threshold_min_control(
-    seq: ThresholdSequence, tie_rule: str = "lowest-ids"
-) -> tuple[int, tuple[int, ...]]:
-    """Minimum control-set size and one such set for a connected threshold
-    graph, read directly off the degree partition.
-
-    A threshold graph is connected exactly when its last bit is 1 (the final
-    vertex joins everything); anything else is rejected.
-    """
-    if seq.n < 2 or seq.bits[-1] != 1:
-        raise NotConnectedError(
-            "threshold graph is connected only when the final bit is 1"
-        )
-    partition = degree_partition(threshold_to_cotree(seq))
-    return seq.n - partition.p, _all_but_one_per_cell(partition.cells, tie_rule)

@@ -17,7 +17,6 @@ from cographctl import (
     P4Witness,
     Spectrum,
     ThresholdSequence,
-    eigen_blocks,
     laplacian,
     parse_cotree,
     random_cotree,
@@ -361,25 +360,27 @@ def p4_reference(g: Graph, mask: int) -> P4Witness | None:
 
 def pbh_reference(t: CoTree, control) -> bool:
     """PBH test by elimination: for every distinct eigenvalue, stack the
-    eigenvector blocks that carry it, zero-padded to the union of their
-    columns, and ask for full column rank of the rows at the control
-    vertices. The empty set sees no eigenvector, not even the all-ones one."""
+    ``block_reference`` blocks of the nodes that carry it, zero-padded to the
+    union of their columns, and ask for full column rank of the rows at the
+    control vertices. The empty set sees no eigenvector, not even the
+    all-ones one."""
     vertices = sorted(control)
     if not vertices:
         return False
     groups: dict[int, list] = {}
-    for block in eigen_blocks(t):
-        row_of = {v: r for r, v in enumerate(block.row_vertices)}
-        groups.setdefault(block.eigenvalue, []).append((block, row_of))
+    for v in t.internal_ids():
+        block, row_vertices = block_reference(t, v)
+        row_of = {u: r for r, u in enumerate(row_vertices)}
+        groups.setdefault(eigenvalue_reference(t, v), []).append((block, row_of))
     for blocks in groups.values():
         rows = []
         for v in vertices:
             row: list[int] = []
             for block, row_of in blocks:
                 r = row_of.get(v)
-                row.extend(block.block.entries[r] if r is not None else [0] * block.multiplicity)
+                row.extend(block.entries[r] if r is not None else [0] * block.ncols)
             rows.append(row)
-        ncols = sum(b.multiplicity for b, _ in blocks)
+        ncols = sum(b.ncols for b, _ in blocks)
         if _rank_fraction_free(rows) < ncols:
             return False
     return True
@@ -483,9 +484,21 @@ def kalman_rank_closed_form(t: CoTree, control: Iterable[int]) -> int:
     return t.n - deficit
 
 
+def eigenvalue_reference(t: CoTree, v: int) -> int:
+    """Eigenvalue of internal node v by the walk to the root: label(v) times
+    its leaf count, plus label(u) * (leaf_count(u) - leaf_count(w)) for each
+    ancestor u entered from its child w."""
+    path = path_to_root(t, v)
+    value = t.label(v) * t.leaf_count(v)
+    for w, u in zip(path, path[1:]):
+        value += t.label(u) * (t.leaf_count(u) - t.leaf_count(w))
+    return value
+
+
 def column_eigenvalues(t: CoTree) -> tuple[int, ...]:
     """Eigenvalue of each modal-matrix column, in column order."""
-    return tuple(b.eigenvalue for b in eigen_blocks(t) for _ in range(b.multiplicity))
+    return tuple(eigenvalue_reference(t, v) for v in t.internal_ids()
+                 for _ in range(len(t.children(v)) - 1))
 
 
 def nontrivial(spec: Spectrum) -> Counter:
@@ -639,3 +652,40 @@ def modal_reference(t: CoTree) -> IntMatrix:
             rows[vertex - 1][col:col + block.ncols] = entries
         col += block.ncols
     return IntMatrix.from_rows(rows, t.n - 1)
+
+
+def column_vector(t: CoTree, column) -> list[int]:
+    """A ``modal_columns`` entry as a dense vector, entry u - 1 for vertex u."""
+    _, _, a, i0, i1, b, i2 = column
+    seq = t.leaf_sequence(t.root)
+    w = [0] * t.n
+    for u in seq[i0:i1]:
+        w[u - 1] = a
+    for u in seq[i1:i2]:
+        w[u - 1] = -b
+    return w
+
+
+def columns_to_matrix(t: CoTree, columns) -> IntMatrix:
+    """The n x len(columns) matrix whose column j is ``columns[j]``."""
+    vectors = [column_vector(t, c) for c in columns]
+    return IntMatrix.from_rows(zip(*vectors) if vectors else [()] * t.n, len(vectors))
+
+
+def is_eigenpair_on_adjacency(g: Graph, t: CoTree, column) -> bool:
+    """L w = lambda w, w != 0 and sum(w) = 0 for one ``modal_columns`` entry,
+    checked on the bitset adjacency of ``g``: w is a on the vertex mask A and
+    -b on the mask B, so (L w)_x = deg(x) w_x - a |N(x) & A| + b |N(x) & B|
+    costs two popcounts per vertex."""
+    _, value, a, i0, i1, b, i2 = column
+    seq = t.leaf_sequence(t.root)
+    on_a = sum(1 << (u - 1) for u in seq[i0:i1])
+    on_b = sum(1 << (u - 1) for u in seq[i1:i2])
+    if a == 0 or on_a == 0 or a * on_a.bit_count() != b * on_b.bit_count():
+        return False
+    for x, row in enumerate(g.rows):
+        w = a if on_a >> x & 1 else -b if on_b >> x & 1 else 0
+        lw = row.bit_count() * w - a * (row & on_a).bit_count() + b * (row & on_b).bit_count()
+        if lw != value * w:
+            return False
+    return True

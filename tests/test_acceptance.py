@@ -14,7 +14,6 @@ from itertools import combinations
 from cographctl import (
     char_poly,
     cotree_to_graph,
-    eigen_blocks,
     enumerate_min_control_sets,
     integer_roots,
     is_controllable,
@@ -22,6 +21,7 @@ from cographctl import (
     kalman_rank,
     laplacian,
     min_control_size,
+    modal_columns,
     modal_matrix,
     parse_expr,
     parse_threshold,
@@ -213,7 +213,7 @@ def test_criterion_7_structural_identities(capsys):
         if t.n > 1:
             assert any(len(c) >= 2 for c in sibling_partition(t).cells)
         # ancestor pairs carry distinct updated eigenvalues
-        values = {b.node: b.eigenvalue for b in eigen_blocks(t)}
+        values = {node: value for node, value, *_ in modal_columns(t)}
         for w in internals:
             for v in path_to_root(t, w)[1:]:
                 assert values[v] != values[w]

@@ -167,6 +167,14 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "spectrum", "--expr", "(.+.")[0] == 2  # parse error
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "verify", "--expr", ".*.", "--set", "1,,x")[0] == 2
+    # --set ids are ASCII digit runs: int() alone reads 1_2 as vertex 12 and
+    # takes signs; a 0 is well-formed and fails the 1-based check (exit 1)
+    for ids in ("1_2", "+1", "-1", "\u00b2"):
+        assert run(capsys, "verify", "--expr", ".*.", "--set", ids) == (
+            2, "", f"error: --set expects comma-separated integers, got {ids!r}\n")
+    # parts are stripped and empty parts skipped
+    assert run(capsys, "verify", "--expr", ".*.", "--set", " 1 ,, 2 ,") == (
+        0, "controllable: true\n", "")
     assert run(capsys, "spectrum", "--edges", "/nonexistent/file")[0] == 2
     # str.isdigit() accepts superscripts that int() rejects
     for flag, text in (("--expr", "\u00b2"), ("--cotree", "1(1,\u00b2)")):

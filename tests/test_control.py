@@ -10,7 +10,6 @@ from cographctl import (
     ThresholdSequence,
     cotree_to_graph,
     count_min_control_sets,
-    eigen_blocks,
     enumerate_min_control_sets,
     is_controllable,
     kalman_rank,
@@ -29,6 +28,7 @@ from cographctl import (
 from helpers import (
     THRESHOLD_EXAMPLE,
     _rank_fraction_free,
+    block_reference,
     choose_block_rows,
     cotree_corpus,
     eight_node_tree,
@@ -207,16 +207,17 @@ def test_enumeration_is_complete():
 def test_choose_block_rows_and_block_invertibility():
     # valid choices make the block rows invertible, any repeat child does not
     for t in cotree_corpus(25, 7, seed=304, mixed_roots=True):
-        for block in eigen_blocks(t):
-            kids = t.children(block.node)
-            index_of = {u: r for r, u in enumerate(block.row_vertices)}
+        for v in t.internal_ids():
+            block, row_vertices = block_reference(t, v)
+            kids = t.children(v)
+            index_of = {u: r for r, u in enumerate(row_vertices)}
             child_of = {
                 u: c for c in kids for u in leaves_below(t, c)
             }
             size = len(kids) - 1
-            for rows in combinations(block.row_vertices, size):
+            for rows in combinations(row_vertices, size):
                 fine = len({child_of[u] for u in rows}) == size
-                sub = [block.block.entries[index_of[u]] for u in rows]
+                sub = [block.entries[index_of[u]] for u in rows]
                 assert (rank_rational(sub) == size) == fine
 
 
@@ -244,17 +245,17 @@ def test_choose_block_rows_validation():
 
 def test_all_procedure_row_choices_are_invertible():
     for t in cotree_corpus(20, 7, seed=305, mixed_roots=True):
-        for block in eigen_blocks(t):
-            v = block.node
+        for v in t.internal_ids():
+            block, row_vertices = block_reference(t, v)
             kids = t.children(v)
-            index_of = {u: r for r, u in enumerate(block.row_vertices)}
+            index_of = {u: r for r, u in enumerate(row_vertices)}
             for skipped in range(len(kids)):
                 chosen_kids = [c for i, c in enumerate(kids) if i != skipped]
                 pools = [sorted(leaves_below(t, c)) for c in chosen_kids]
                 for leaves in product(*pools):
                     choice = dict(zip(chosen_kids, leaves))
                     rows = choose_block_rows(t, v, choice)
-                    sub = [block.block.entries[index_of[u]] for u in sorted(rows)]
+                    sub = [block.entries[index_of[u]] for u in sorted(rows)]
                     assert rank_rational(sub) == len(kids) - 1
 
 

@@ -10,13 +10,14 @@ from cographctl import (
     Spectrum,
     char_poly,
     cotree_to_graph,
-    eigen_blocks,
     integer_roots,
     laplacian,
+    modal_columns,
     modal_matrix,
     parse_cotree,
     parse_expr,
     parse_threshold,
+    random_cotree,
     spectrum,
     threshold_to_cotree,
 )
@@ -27,10 +28,13 @@ from helpers import (
     block_reference,
     column,
     column_eigenvalues,
+    column_vector,
+    columns_to_matrix,
     compose_spectrum,
     cotree_corpus,
     degree_sequence,
     diagonal,
+    is_eigenpair_on_adjacency,
     matmul,
     modal_reference,
     nontrivial,
@@ -44,7 +48,7 @@ def example_threshold_tree():
 
 
 def node_eigenvalues(t):
-    return {b.node: b.eigenvalue for b in eigen_blocks(t)}
+    return {node: value for node, value, *_ in modal_columns(t)}
 
 
 def test_local_eigenvalue():
@@ -56,9 +60,9 @@ def test_local_eigenvalue():
 
 def test_updated_eigenvalue_at_root_is_local_for_root():
     for t in cotree_corpus(20, 8, seed=50):
-        root = eigen_blocks(t)[0]
-        assert root.node == t.root
-        assert root.eigenvalue == t.label(t.root) * t.leaf_count(t.root)
+        node, value, *_ = modal_columns(t)[0]
+        assert node == t.root
+        assert value == t.label(t.root) * t.leaf_count(t.root)
 
 
 def test_example_threshold_spectrum_frozen_and_oracle_checked():
@@ -90,20 +94,26 @@ def test_ancestor_pairs_have_distinct_eigenvalues():
                 assert values[v] != values[w]
 
 
+def root_block(t):
+    """The root's columns as a block over its leaves, rows in vertex order."""
+    return columns_to_matrix(t, [c for c in modal_columns(t) if c[0] == t.root]).entries
+
+
 def test_modal_block_two_children():
     t = parse_cotree("1(0(1,2),3)")
-    block = eigen_blocks(t)[0]  # the root's; child sizes (2, 1)
-    assert block.node == t.root
-    assert block.block.entries == ((1,), (1,), (-2,))
-    assert block.row_vertices == (1, 2, 3)
+    # the root's one column: child sizes (2, 1), 1 on the first child's two
+    # leaves and -2 on the second's one
+    assert modal_columns(t)[0] == (t.root, 3, 1, 0, 2, 2, 3)
+    assert root_block(t) == ((1,), (1,), (-2,))
+    block, row_vertices = block_reference(t, t.root)
+    assert (block.entries, row_vertices) == (root_block(t), (1, 2, 3))
 
 
 def test_modal_block_k3_root():
     t = parse_expr(".*.*.")
-    block = eigen_blocks(t)[0]
-    assert block.node == t.root
-    assert block.block.entries == ((1, 1), (-1, 1), (0, -2))
-    assert block.eigenvalue == 3
+    assert [c[0] for c in modal_columns(t)] == [t.root, t.root]
+    assert root_block(t) == ((1, 1), (-1, 1), (0, -2))
+    assert [c[1] for c in modal_columns(t)] == [3, 3]
 
 
 def test_blocks_and_modal_matrix_match_entrywise_reference():
@@ -116,16 +126,23 @@ def test_blocks_and_modal_matrix_match_entrywise_reference():
              for _ in range(10)]
     trees += [threshold_to_cotree(parse_threshold(b)) for b in bits]
     for t in trees:
-        expected = [(v, *block_reference(t, v)) for v in t.internal_ids()]
-        assert [(b.node, b.block, b.row_vertices) for b in eigen_blocks(t)] == expected, t
+        columns = modal_columns(t)
+        assert [c[0] for c in columns] == [v for v in t.internal_ids()
+                                           for _ in range(len(t.children(v)) - 1)]
+        for v in t.internal_ids():
+            block, row_vertices = block_reference(t, v)
+            vectors = [column_vector(t, c) for c in columns if c[0] == v]
+            assert [[w[u - 1] for u in row_vertices] for w in vectors] == [
+                list(column(block, j)) for j in range(block.ncols)], t
+            outside = set(range(1, t.n + 1)) - set(row_vertices)
+            assert all(w[u - 1] == 0 for w in vectors for u in outside), t
         assert modal_matrix(t) == modal_reference(t), t
 
 
 def test_block_columns_sum_to_zero():
     for t in cotree_corpus(40, 9, seed=62, mixed_roots=True):
-        for b in eigen_blocks(t):
-            for j in range(b.block.ncols):
-                assert sum(column(b.block, j)) == 0
+        for c in modal_columns(t):
+            assert sum(column_vector(t, c)) == 0
 
 
 def test_spectrum_complete_and_bipartite():
@@ -148,11 +165,14 @@ def test_modal_matrix_is_exact_eigenbasis():
 
 def test_blocks_with_equal_eigenvalue_have_disjoint_support():
     for t in cotree_corpus(60, 9, seed=64, mixed_roots=True):
-        by_value = {}
-        for b in eigen_blocks(t):
-            for other in by_value.get(b.eigenvalue, []):
-                assert not set(b.row_vertices) & set(other.row_vertices)
-            by_value.setdefault(b.eigenvalue, []).append(b)
+        support: dict = {}
+        for node, value, _, i0, _, _, i2 in modal_columns(t):
+            support.setdefault((value, node), set()).update(t.leaf_sequence(t.root)[i0:i2])
+        for (value, node), vertices in support.items():
+            assert vertices == set(t.leaf_sequence(node))
+            for (other_value, other), others in support.items():
+                if other != node and other_value == value:
+                    assert not vertices & others
 
 
 def test_spectrum_counts_and_trace():
@@ -217,21 +237,68 @@ def test_spectrum_single_vertex():
     t = parse_cotree("1")
     assert spectrum(t).pairs == ((0, 1),)
     assert modal_matrix(t).shape == (1, 0)
-    assert eigen_blocks(t) == []
+    assert modal_columns(t) == []
 
 
-def test_eigen_blocks_size_cap():
-    """A node with k children over L leaves has an L x (k - 1) block; the
-    total is capped before any block is built, at a bound that the largest
-    tree ``modal_matrix`` accepts reaches exactly (an edgeless graph on
-    MODAL_CAP vertices)."""
-    with pytest.raises(SizeCapError, match="eigenvector blocks capped"):
-        eigen_blocks(parse_expr("100000"))
-    with pytest.raises(SizeCapError, match="eigenvector blocks capped"):
-        eigen_blocks(parse_expr(str(MODAL_CAP + 1)))
-    blocks = eigen_blocks(parse_expr(str(MODAL_CAP)))
-    assert [b.block.shape for b in blocks] == [(MODAL_CAP, MODAL_CAP - 1)]
-    # a deep caterpillar: one column per node, but a row for every leaf
-    # below it, about n^2 / 2 entries in all (n = 4400)
-    with pytest.raises(SizeCapError, match="got 9682199"):
-        eigen_blocks(threshold_to_cotree(parse_threshold("01" * 2200)))
+def test_modal_columns_have_no_size_cap():
+    """The columns take O(n) words, so the inputs whose dense blocks held
+    about 10^10 (the edgeless graph on 10^5 vertices) and 9.7 * 10^6 entries
+    (a 4400-vertex caterpillar) get all their n - 1 columns; only the dense
+    ``modal_matrix`` stays capped."""
+    columns = modal_columns(parse_expr("100000"))
+    assert len(columns) == 99_999
+    assert columns[0] == (0, 0, 1, 0, 1, 1, 2)
+    assert columns[-1] == (0, 0, 1, 0, 99_999, 99_999, 100_000)
+    t = threshold_to_cotree(parse_threshold("01" * 2200))
+    columns = modal_columns(t)
+    assert len(columns) == t.n - 1 == 4399
+    assert sorted(c[0] for c in columns) == list(t.internal_ids())
+    with pytest.raises(SizeCapError, match="modal matrix capped"):
+        modal_matrix(parse_expr(str(MODAL_CAP + 1)))
+    assert modal_matrix(parse_expr(str(MODAL_CAP))).shape == (MODAL_CAP, MODAL_CAP - 1)
+
+
+def seeded_families(seed):
+    """Mixed-root random cotrees, stars, paths of unions and joins, and
+    threshold caterpillars (random bits and alternating ones)."""
+    rng = random.Random(seed)
+    trees = cotree_corpus(1400, 24, seed=seed, mixed_roots=True)
+    trees += [random_cotree(rng.randint(25, 60), rng) for _ in range(200)]
+    for k in range(1, 41):
+        trees.append(parse_expr(f".*{k}"))
+        trees.append(parse_expr(f".+{k}"))
+        trees.append(parse_expr("+".join(["."] * (k + 1))))
+        trees.append(parse_expr("*".join(["."] * (k + 1))))
+    for _ in range(300):
+        n = rng.randint(1, 50)
+        trees.append(threshold_to_cotree(parse_threshold(
+            "0" + "".join(rng.choice("01") for _ in range(n - 1)))))
+    trees += [threshold_to_cotree(parse_threshold(("01" * 30)[:n])) for n in range(1, 61)]
+    return trees
+
+
+def test_modal_columns_match_dense_reference_on_seeded_families():
+    trees = seeded_families(70)
+    assert len(trees) >= 2000
+    for t in trees:
+        columns = modal_columns(t)
+        assert columns_to_matrix(t, columns) == modal_reference(t), t
+        assert [c[1] for c in columns] == list(column_eigenvalues(t)), t
+        assert all(c[2] == c[6] - c[4] and c[5] == c[4] - c[3] for c in columns), t
+
+
+def test_modal_columns_are_eigenpairs_of_the_adjacency():
+    """Each column checked on the bitset adjacency of the graph the cotree
+    represents: L w = lambda w and sum(w) = 0, up to n = 300."""
+    rng = random.Random(71)
+    trees = cotree_corpus(150, 20, seed=71, mixed_roots=True)
+    trees += [random_cotree(n, rng) for n in (100, 200, 300)]
+    trees += [parse_expr(".*299"), parse_expr("(.+.)*" * 99 + ".")]
+    trees += [threshold_to_cotree(parse_threshold("01" * 150)),
+              threshold_to_cotree(parse_threshold(
+                  "0" + "".join(rng.choice("01") for _ in range(299))))]
+    for t in trees:
+        g = cotree_to_graph(t)
+        columns = modal_columns(t)
+        assert len(columns) == t.n - 1
+        assert all(is_eigenpair_on_adjacency(g, t, c) for c in columns), t

@@ -1,4 +1,6 @@
-"""Degree partitions and the threshold-graph leader shortcut."""
+"""Degree partitions, and the paper's threshold result: on threshold input
+the degree cells are the sibling cells, so minimum leader sets can be read
+off the degrees."""
 
 import random
 
@@ -17,7 +19,6 @@ from cographctl import (
     select_min_control_set,
     sibling_partition,
     ThresholdSequence,
-    threshold_min_control,
     threshold_to_cotree,
 )
 from cographctl.generate import random_threshold_sequence
@@ -62,9 +63,20 @@ def test_degree_partition_star():
     assert part.degrees == (1, 3)
 
 
+def degree_shortcut(t, tie_rule="lowest-ids"):
+    """Minimum size and set read off the degree cells alone: n minus the
+    cell count, and all but one vertex of each cell."""
+    cells = degree_partition(t).cells
+    keep = slice(None, -1) if tie_rule == "lowest-ids" else slice(1, None)
+    return t.n - len(cells), tuple(sorted(v for cell in cells for v in cell[keep]))
+
+
 def test_threshold_min_control_example():
-    size, cset = threshold_min_control(parse_threshold(THRESHOLD_EXAMPLE))
-    assert size == 2 and type(cset) is tuple and cset == (1, 5)
+    t = threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
+    assert tuple(sorted(degree_partition(t).cells)) == sibling_partition(t).cells
+    cset = select_min_control_set(t)
+    assert min_control_size(t) == 2 and type(cset) is tuple and cset == (1, 5)
+    assert degree_shortcut(t) == (2, cset)
     # oracle: exhaustive Kalman search finds the same minimum
     g = threshold_to_graph(parse_threshold(THRESHOLD_EXAMPLE))
     best, sets = exhaustive_min_sets(g)
@@ -72,12 +84,14 @@ def test_threshold_min_control_example():
 
 
 def test_threshold_min_control_k2_and_tie_rule():
-    size, cset = threshold_min_control(parse_threshold("01"))
-    assert size == 1 and cset == (1,)
-    _, highest = threshold_min_control(parse_threshold(THRESHOLD_EXAMPLE), "highest-ids")
-    assert highest == (2, 6)
+    t = threshold_to_cotree(parse_threshold("01"))
+    assert min_control_size(t) == 1 and select_min_control_set(t) == (1,)
+    assert degree_shortcut(t) == (1, (1,))
+    example = threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
+    highest = select_min_control_set(example, "highest-ids")
+    assert highest == (2, 6) == degree_shortcut(example, "highest-ids")[1]
     with pytest.raises(ValueError):
-        threshold_min_control(parse_threshold("01"), "middle")
+        select_min_control_set(t, "middle")
 
 
 def test_anti_regular_single_control_node():
@@ -85,15 +99,18 @@ def test_anti_regular_single_control_node():
     seq = parse_threshold("0101")
     degs = sorted(threshold_to_graph(seq).degree(i) for i in range(4))
     assert degs == [1, 2, 2, 3]
-    size, cset = threshold_min_control(seq)
-    assert size == 1 and len(cset) == 1
+    t = threshold_to_cotree(seq)
+    cset = select_min_control_set(t)
+    assert min_control_size(t) == 1 and len(cset) == 1
+    assert degree_shortcut(t) == (1, cset)
 
 
 def test_threshold_min_control_rejects_disconnected():
     with pytest.raises(NotConnectedError):
-        threshold_min_control(parse_threshold("010"))
-    with pytest.raises(NotConnectedError):
-        threshold_min_control(parse_threshold("0"))
+        select_min_control_set(threshold_to_cotree(parse_threshold("010")))
+    # one vertex is connected, but has no control problem
+    with pytest.raises(ValueError, match="requires more than one vertex"):
+        select_min_control_set(threshold_to_cotree(parse_threshold("0")))
 
 
 def test_threshold_connectivity_rule_matches_search():
@@ -148,10 +165,11 @@ def test_threshold_shortcut_matches_cotree_route():
         seq = random_threshold_sequence(rng.randint(2, 12), rng)
         if seq.bits[-1] != 1:
             continue
-        size, cset = threshold_min_control(seq)
         t = threshold_to_cotree(seq)
-        assert size == min_control_size(t)
-        assert cset == select_min_control_set(t)
+        assert tuple(sorted(degree_partition(t).cells)) == sibling_partition(t).cells
+        for tie in ("lowest-ids", "highest-ids"):
+            assert degree_shortcut(t, tie) == (min_control_size(t),
+                                               select_min_control_set(t, tie))
 
 
 def test_threshold_shortcut_at_three_thousand_vertices():
@@ -162,7 +180,8 @@ def test_threshold_shortcut_at_three_thousand_vertices():
     for seq in (parse_threshold("0" + "01" * 1500), parse_threshold("0" + bits + "1")):
         assert seq.n == 3001
         t = threshold_to_cotree(seq)
+        assert tuple(sorted(degree_partition(t).cells)) == sibling_partition(t).cells
         for tie in ("lowest-ids", "highest-ids"):
-            size, cset = threshold_min_control(seq, tie)
+            size, cset = degree_shortcut(t, tie)
             assert cset == select_min_control_set(t, tie)
             assert size == min_control_size(t) == len(cset)
