@@ -390,7 +390,10 @@ def recognize(g: Graph) -> CoTree | P4Witness:
     operations reject them downstream.
 
     The split runs as a preorder walk over an explicit stack of vertex
-    masks and emits the arena directly.
+    masks and emits the arena directly. Only the root tries both splits: a
+    component is connected and a co-component co-connected, so below a
+    union node only the co-component split can succeed, and below a join
+    node only the component split.
     """
     full = (1 << g.n) - 1
     parents: list[int | None] = []
@@ -405,13 +408,13 @@ def recognize(g: Graph) -> CoTree | P4Witness:
             labels.append(None)
             leaves.append(mask.bit_length())  # single vertex: leaf id = index + 1
             continue
-        comps = _components(g.rows, mask)
-        if len(comps) > 1:
-            labels.append(0)
-        else:
+        label = 0 if parent is None else 1 - labels[parent]
+        comps = _components(g.rows, mask, flip=mask if label else 0)
+        if len(comps) == 1 and parent is None:
+            label = 1
             comps = _components(g.rows, mask, flip=mask)
-            if len(comps) == 1:
-                return _p4_in_subgraph(g, mask)
-            labels.append(1)
+        if len(comps) == 1:
+            return _p4_in_subgraph(g, mask)
+        labels.append(label)
         stack.extend((sub, idx) for sub in reversed(comps))
     return CoTree(parents, labels, leaves)

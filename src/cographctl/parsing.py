@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 from .cotree import CoTree
 from .errors import ParseError, SizeCapError
@@ -161,14 +162,20 @@ def parse_threshold(text: str) -> ThresholdSequence:
 
 
 def threshold_to_cotree(seq: ThresholdSequence) -> CoTree:
-    """Cotree of the threshold graph, in O(n): the fold in which step j hangs
-    the tree so far and vertex j under a node labeled by bit j. In preorder
-    the step nodes come first, newest on top, so step j is node n - j; the
-    leaves 1..n follow, vertex 1 beside vertex 2 under step 2."""
-    n = seq.n
-    parents = [None, *range(n - 2), n - 2, *range(n - 2, -1, -1)] if n > 1 else [None]
-    labels = [*reversed(seq.bits[1:]), *[None] * n]
-    return CoTree(parents, labels, range(1, n + 1))
+    """Cotree of the threshold graph, in O(n), as canonical columns: one
+    node per run of equal bits among bits 2..n, the last run at the root and
+    each run's node the first child of the next run's. The bottom node holds
+    vertex 1 and the first run's vertices. In preorder the run nodes come
+    first, top to bottom, and the leaves 1..n follow, so the constructor
+    stores the columns as they are."""
+    runs = [len(tuple(run)) for _, run in groupby(seq.bits[1:])]
+    depth = len(runs)
+    # the run nodes, top to bottom, and vertex 1 below them form one chain
+    parents: list[int | None] = [None, *range(depth)]
+    for node, size in zip(range(depth - 1, -1, -1), runs):
+        parents += [node] * size
+    labels = [seq.bits[-1] ^ (k & 1) for k in range(depth)] + [None] * seq.n
+    return CoTree(parents, labels, range(1, seq.n + 1))
 
 
 # -- cotree serialization ------------------------------------------------------
@@ -245,9 +252,9 @@ def parse_cotree(text: str) -> CoTree:
 #
 # Two routes read it. ``_read_lines`` is the grammar: it reads any edge list
 # line by line and raises every positioned ``ParseError``. ``_read_plain``
-# reads only the plain form that writers produce, in one tokenize pass, and
-# declines (returns None) on anything else, so each error, and each text it
-# is unsure of, goes to the line loop.
+# reads only the plain form that writers produce, one chunk of lines at a
+# time, and declines (returns None) on anything else, so each error, and
+# each text it is unsure of, goes to the line loop.
 
 # Every line break that ``str.splitlines`` knows.
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -258,6 +265,12 @@ _COMMENT_LINE = re.compile(f"\n#[^{_BREAKS}]*")
 # One line with its break, cut where ``str.splitlines`` cuts.
 _LINE = re.compile(f"[^{_BREAKS}]*(?:\r\n|[{_BREAKS}])|[^{_BREAKS}]+")
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
+# Characters ``_read_plain`` tokenizes at a time (about 0.5 MB of tokens and
+# ids). A chunk ends after a '\n' that no '#' follows, so no comment match
+# reaches back into the chunk before it.
+_CHUNK = 1 << 14
+_CHUNK_END = re.compile("\n(?!#)")
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class _VertexIds(dict):
@@ -268,15 +281,15 @@ class _VertexIds(dict):
         self.n = n
 
     def __missing__(self, token: str) -> int:
-        v = int(token)
-        if not 1 <= v <= self.n:
+        v = int(token) - 1
+        if not 0 <= v < self.n:
             raise KeyError(token)
-        self[token] = v - 1
-        return v - 1
+        self[token] = v
+        return v
 
 
 def read_edge_list(text: str) -> Graph:
-    """The graph of an edge list. Plain text takes the one-pass route; any
+    """The graph of an edge list. Plain text takes the chunked route; any
     other text, and every malformed one, is read by the line loop."""
     g = _read_plain(text)
     return g if g is not None else _read_lines(text)
@@ -290,28 +303,63 @@ def _read_plain(text: str) -> Graph | None:
     one space inside a line and '\\n' after it (the last may be missing),
     with n <= ``VERTEX_CAP`` and no self-loop or duplicate edge. On such a
     text the line loop sees the same tokens and raises nothing, so both
-    routes return the same graph."""
-    body = _COMMENT_LINE.sub("", "\n" + text)[1:]
-    if not body.endswith("\n"):
-        body += "\n"
-    tokens = body.split()
-    edge_count = len(tokens) // 2 - 1
-    # ASCII digit runs alternately ended by ' ' and '\n', none of them empty
-    if edge_count < 0 or body.translate(_DROP_DIGITS) != " \n" * (edge_count + 1):
-        return None
-    try:
-        n, m = int(tokens[0]), int(tokens[1])
-        if m != edge_count or not 1 <= n <= VERTEX_CAP:
+    routes return the same graph.
+
+    The text is tokenized in chunks of about ``_CHUNK`` characters, and a
+    chunk's tokens become vertex ids and are scattered before the next chunk
+    is read, so no token list of the whole text is ever held. When
+    n * n <= 8 * len(text), a rule that reads only the header and the text's
+    length, the edges go into one n x n byte matrix, at most 8 bytes per
+    character of text, and each row becomes an int once at the end;
+    otherwise each edge sets its two bits in the rows directly, which needs
+    no n * n allocation on a sparse file."""
+    ids = None
+    lines = n = m = 0
+    start = 0
+    while start < len(text):
+        cut = _CHUNK_END.search(text, start + _CHUNK)
+        end = cut.end() if cut else len(text)
+        body = _COMMENT_LINE.sub("", "\n" + text[start:end])[1:]
+        start = end
+        if body and body[-1] != "\n":
+            body += "\n"
+        tokens = body.split()
+        # ASCII digit runs alternately ended by ' ' and '\n', none of them empty
+        if body.translate(_DROP_DIGITS) != " \n" * (len(tokens) // 2):
             return None
-        ends = list(map(_VertexIds(n).__getitem__, tokens[2:]))
-    except (KeyError, ValueError):  # out of range, or too many digits for int()
+        if not tokens:
+            continue
+        lines += len(tokens) // 2
+        try:
+            if ids is None:
+                n, m = int(tokens[0]), int(tokens[1])
+                if not 1 <= n <= VERTEX_CAP:
+                    return None
+                ids = _VertexIds(n)
+                cells = bytearray(n * n) if n * n <= 8 * len(text) else None
+                rows = [0] * n if cells is None else None
+                del tokens[:2]
+            ends = list(map(ids.__getitem__, tokens))
+        except (KeyError, ValueError):  # out of range, or too many digits for int()
+            return None
+        if start == len(text):
+            del ids  # mapped; the scatter below is where a sparse file peaks
+        if cells is not None:
+            for x, y in zip(ends[0::2], ends[1::2]):
+                cells[x * n + y] = 1
+                cells[y * n + x] = 1
+        else:
+            for x, y in zip(ends[0::2], ends[1::2]):
+                rows[x] |= 1 << y
+                rows[y] |= 1 << x
+    if lines != m + 1:
         return None
-    rows = [0] * n
-    for x, y in zip(ends[0::2], ends[1::2]):
-        rows[x] |= 1 << y
-        rows[y] |= 1 << x
-    # each edge line sets two new bits, a self-loop one, a repeated edge none
-    if sum(map(int.bit_count, rows)) != 2 * m:
+    # each edge line sets two new cells, a self-loop one, a repeated edge none
+    if cells is not None:
+        if cells.count(1) != 2 * m:
+            return None
+        rows = [int(cells[i:i + n].translate(_BIT_DIGITS)[::-1], 2) for i in range(0, n * n, n)]
+    elif sum(map(int.bit_count, rows)) != 2 * m:
         return None
     return Graph._trusted(n, tuple(rows))
 

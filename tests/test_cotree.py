@@ -348,6 +348,24 @@ def test_recognize_matches_per_bit_reference(monkeypatch):
     assert trees > 1500 and len(graphs) - trees > 1500
 
 
+def test_one_split_per_node_below_the_root(monkeypatch):
+    """A component is connected and a co-component co-connected, so every
+    internal node costs one split; only a join root pays for the component
+    split that finds it connected first."""
+    calls = []
+    real = cotree._components
+    monkeypatch.setattr(cotree, "_components",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    graphs = [threshold_to_graph(parse_threshold("0" + "01" * k)) for k in (1, 2, 7, 60)]
+    graphs += [cotree_to_graph(random_cotree(n, random.Random(n), root_label=label))
+               for n, label in ((2, 0), (40, 0), (40, 1), (300, 1))]
+    for g in graphs:
+        calls.clear()
+        t = recognize(g)
+        assert isinstance(t, CoTree)
+        assert len(calls) == len(t.internal_ids()) + t.label(t.root)
+
+
 def test_from_nested_validates_leaf_ids():
     with pytest.raises(ValueError):
         CoTree.from_nested((1, [1, 1]))  # duplicate

@@ -3,13 +3,16 @@ returns the graph the line loop returns or declines, and it serves the
 files that writers produce."""
 
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, strategies as st
 
 from cographctl import (
     ParseError,
     SizeCapError,
     cotree_to_graph,
+    parse_expr,
     random_cotree,
     read_edge_list,
     write_edge_list,
@@ -153,3 +156,77 @@ def test_real_traffic_never_enters_the_line_loop(monkeypatch, capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["recognize", "--edges", str(path)]) == 0
+
+
+def test_chunked_plain_route_reads_as_one_pass(monkeypatch):
+    """Chunks of any size give the plain route's answer on the whole text:
+    comment lines at chunk starts, blank lines before comments and errors in
+    a later chunk included."""
+    rng = random.Random(20261019)
+    texts = [mutated(P4_TEXT, rng) for _ in range(1000)]
+    texts += [commented_edge_list(rng) for _ in range(4000)]
+    whole = [parsing._read_plain(text) for text in texts]
+    assert sum(g is not None for g in whole) > 800
+    for chunk in (1, 2, 5, 13):
+        monkeypatch.setattr(parsing, "_CHUNK", chunk)
+        assert [parsing._read_plain(text) for text in texts] == whole, chunk
+
+
+def rule_cases(rng: random.Random):
+    """Edge lists on both sides of the byte-matrix rule n * n <= 8 * len:
+    each graph's list as written, and padded with a comment line that makes
+    the matrix fit, then each with a self-loop, a repeated edge or an
+    endpoint out of range spliced in at a random edge line."""
+    for _ in range(240):
+        n = rng.randint(2, 120)
+        g = random_graph(n, rng, rng.choice([0.003, 0.01, 0.3]))
+        edges = [f"{i + 1} {j + 1}" if rng.random() < 0.5 else f"{j + 1} {i + 1}" for i, j in g.edges()]
+        rng.shuffle(edges)
+        v = rng.randint(1, n)
+        bad = [f"{v} {v}", edges[0] if edges else "1 1", f"{v} {n + 1}", f"0 {v}"]
+        for lines in (edges, *(edges[:k] + [b] + edges[k:] for b in bad
+                               for k in [rng.randint(0, len(edges))])):
+            text = "\n".join([f"{n} {len(lines)}", *lines]) + "\n"
+            yield n, text
+            yield n, "#" + "." * (n * n // 8) + "\n" + text
+
+
+def test_both_sides_of_the_matrix_rule_agree_with_the_line_loop():
+    """The byte matrix and the bit rows give the same graph, and a text
+    either declines goes to the line loop, whose error names the same line
+    and column as when the line loop reads it alone."""
+    rng = random.Random(8808)
+    sides = {False: 0, True: 0}
+    errors = 0
+    for n, text in rule_cases(rng):
+        sides[n * n <= 8 * len(text)] += 1
+        try:
+            expected = parsing._read_lines(text)
+        except ParseError as exc:
+            errors += 1
+            with pytest.raises(ParseError) as info:
+                read_edge_list(text)
+            assert (str(info.value), info.value.line, info.value.col) == (str(exc), exc.line, exc.col)
+        else:
+            assert read_edge_list(text) == parsing._read_plain(text) == expected
+    assert min(sides.values()) > 500 and errors > 1000, (sides, errors)
+
+
+def test_plain_route_peak_is_a_small_multiple_of_the_text():
+    """On a dense file the reader holds one chunk's tokens and the n * n
+    byte matrix, never a token list of the whole text."""
+    # four disjoint 250-cliques: 124,500 edges, 1 MB of text
+    g = cotree_to_graph(parse_expr("+".join(["(" + "*".join("." * 250) + ")"] * 4)))
+    rng = random.Random(32)
+    edges = [(i + 1, j + 1) if rng.random() < 0.5 else (j + 1, i + 1) for i, j in g.edges()]
+    rng.shuffle(edges)
+    text = "\n".join(["# dense", f"{g.n} {len(edges)}", *(f"{a} {b}" for a, b in edges)]) + "\n"
+    assert g.n * g.n <= 8 * len(text)
+    tracemalloc.start()
+    try:
+        read = read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == g
+    assert peak < 4 * len(text), (peak, len(text))

@@ -7,6 +7,7 @@ import pytest
 from cographctl import (
     ParseError,
     SizeCapError,
+    ThresholdSequence,
     cotree_to_graph,
     parse_cotree,
     parse_expr,
@@ -14,8 +15,10 @@ from cographctl import (
     read_edge_list,
     recognize,
     serialize_cotree,
+    threshold_to_cotree,
     write_edge_list,
 )
+from cographctl import parsing
 from cographctl.generate import random_cotree, random_threshold_sequence
 
 from helpers import (
@@ -164,6 +167,33 @@ def test_threshold_neighborhood_rule_matches_composition_fold():
         for bit in seq.bits[1:]:
             folded = (join_of if bit else union_of)([folded, K1])
         assert direct == folded
+
+
+def test_threshold_to_cotree_emits_canonical_columns(monkeypatch):
+    """The columns handed to the constructor are canonical, so it stores
+    them as they are, and they give the tree of the fold in which vertex j
+    joins or unites with the tree of vertices 1..j-1 by bit j."""
+    built = []
+    real = parsing.CoTree
+    monkeypatch.setattr(parsing, "CoTree", lambda *columns: built.append(columns) or real(*columns))
+    rng = random.Random(1710)
+    seqs = [random_threshold_sequence(rng.randint(1, 40), rng) for _ in range(2000)]
+    for _ in range(1000):  # long runs
+        p = rng.random()
+        seqs.append(ThresholdSequence((0, *(int(rng.random() < p) for _ in range(rng.randint(0, 60))))))
+    seqs += [parse_threshold(bits) for bits in ("0", "00", "01", "0000", "0111", "0" + "01" * 30,
+                                                THRESHOLD_EXAMPLE)]
+    for seq in seqs:
+        built.clear()
+        t = threshold_to_cotree(seq)
+        (parents, labels, leaves), = built
+        assert [t.parent(i) for i in range(t.node_count())] == parents
+        assert [None if t.is_leaf(i) else t.label(i) for i in range(t.node_count())] == labels
+        assert t.leaf_sequence(t.root) == tuple(leaves)
+        nested = 1
+        for v in range(2, seq.n + 1):
+            nested = (seq.bits[v - 1], [nested, v])
+        assert t == real.from_nested(nested)
 
 
 def test_example_threshold_graph():
