@@ -54,15 +54,22 @@ def mutated(text: str, rng: random.Random) -> str:
     return text
 
 
+def edge_lines(g, rng: random.Random) -> list[str]:
+    """The graph's edges as "a b" lines in random order, either endpoint
+    first, as the benchmark writes its files."""
+    edges = [(i + 1, j + 1) if rng.random() < 0.5 else (j + 1, i + 1) for i, j in g.edges()]
+    rng.shuffle(edges)
+    return [f"{a} {b}" for a, b in edges]
+
+
 def commented_edge_list(rng: random.Random) -> str:
     """A small graph's edge list in random order and orientation, with
     comment lines spliced in, sometimes other line breaks or padding than
     plain '\\n', and sometimes no final break."""
     n = rng.randint(1, 6)
     g = random_graph(n, rng, rng.random())
-    edges = [(i + 1, j + 1) if rng.random() < 0.5 else (j + 1, i + 1) for i, j in g.edges()]
-    rng.shuffle(edges)
-    lines = [f"{n} {len(edges)}", *(f"{a} {b}" for a, b in edges)]
+    edges = edge_lines(g, rng)
+    lines = [f"{n} {len(edges)}", *edges]
     for _ in range(rng.randint(0, 3)):
         comment = "#" + "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 3)))
         lines.insert(rng.randint(0, len(lines)), comment)
@@ -147,11 +154,8 @@ def test_real_traffic_never_enters_the_line_loop(monkeypatch, capsys, tmp_path):
     assert read_edge_list(written) == g
     # the shape of the benchmark's files: a comment line, then the edges
     # in shuffled order with either endpoint first
-    rng = random.Random(8)
-    edges = [(i + 1, j + 1) if rng.random() < 0.5 else (j + 1, i + 1) for i, j in g.edges()]
-    rng.shuffle(edges)
-    text = "\n".join(["# generated by a benchmark", f"{g.n} {len(edges)}",
-                      *(f"{a} {b}" for a, b in edges)]) + "\n"
+    edges = edge_lines(g, random.Random(8))
+    text = "\n".join(["# generated by a benchmark", f"{g.n} {len(edges)}", *edges]) + "\n"
     assert read_edge_list(text) == g
     path = tmp_path / "g.txt"
     path.write_text(text, encoding="utf-8")
@@ -180,8 +184,7 @@ def rule_cases(rng: random.Random):
     for _ in range(240):
         n = rng.randint(2, 120)
         g = random_graph(n, rng, rng.choice([0.003, 0.01, 0.3]))
-        edges = [f"{i + 1} {j + 1}" if rng.random() < 0.5 else f"{j + 1} {i + 1}" for i, j in g.edges()]
-        rng.shuffle(edges)
+        edges = edge_lines(g, rng)
         v = rng.randint(1, n)
         bad = [f"{v} {v}", edges[0] if edges else "1 1", f"{v} {n + 1}", f"0 {v}"]
         for lines in (edges, *(edges[:k] + [b] + edges[k:] for b in bad
@@ -217,10 +220,8 @@ def test_plain_route_peak_is_a_small_multiple_of_the_text():
     byte matrix, never a token list of the whole text."""
     # four disjoint 250-cliques: 124,500 edges, 1 MB of text
     g = cotree_to_graph(parse_expr("+".join(["(" + "*".join("." * 250) + ")"] * 4)))
-    rng = random.Random(32)
-    edges = [(i + 1, j + 1) if rng.random() < 0.5 else (j + 1, i + 1) for i, j in g.edges()]
-    rng.shuffle(edges)
-    text = "\n".join(["# dense", f"{g.n} {len(edges)}", *(f"{a} {b}" for a, b in edges)]) + "\n"
+    edges = edge_lines(g, random.Random(32))
+    text = "\n".join(["# dense", f"{g.n} {len(edges)}", *edges]) + "\n"
     assert g.n * g.n <= 8 * len(text)
     tracemalloc.start()
     try:
