@@ -308,11 +308,10 @@ def _read_plain(text: str) -> Graph | None:
     The text is tokenized in chunks of about ``_CHUNK`` characters, and a
     chunk's tokens become vertex ids and are scattered before the next chunk
     is read, so no token list of the whole text is ever held. When
-    n * n <= 8 * len(text), a rule that reads only the header and the text's
-    length, the edges go into one n x n byte matrix, at most 8 bytes per
-    character of text, and each row becomes an int once at the end;
-    otherwise each edge sets its two bits in the rows directly, which needs
-    no n * n allocation on a sparse file."""
+    n * n <= 8 * m <= 2 * len(text), a rule that reads only the header and
+    the text's length, the edges go into one n x n byte matrix, and each row
+    becomes an int once at the end; otherwise each edge sets its two bits in
+    the rows directly, which needs no n * n allocation on a sparse file."""
     ids = None
     lines = n = m = 0
     start = 0
@@ -336,9 +335,15 @@ def _read_plain(text: str) -> Graph | None:
                 if not 1 <= n <= VERTEX_CAP:
                     return None
                 ids = _VertexIds(n)
-                cells = bytearray(n * n) if n * n <= 8 * len(text) else None
+                # at least a quarter of all pairs are edges, and the text can
+                # hold the m lines (the header and m edge lines take 4m + 3
+                # characters or more), so the matrix is at most 2 bytes per
+                # character of text and comments never make it larger
+                cells = bytearray(n * n) if n * n <= 8 * m <= 2 * len(text) else None
                 rows = [0] * n if cells is None else None
                 del tokens[:2]
+            if lines > m + 1:  # more edge lines than the header says
+                return None
             ends = list(map(ids.__getitem__, tokens))
         except (KeyError, ValueError):  # out of range, or too many digits for int()
             return None

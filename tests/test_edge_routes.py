@@ -177,21 +177,23 @@ def test_chunked_plain_route_reads_as_one_pass(monkeypatch):
 
 
 def rule_cases(rng: random.Random):
-    """Edge lists on both sides of the byte-matrix rule n * n <= 8 * len:
-    each graph's list as written, and padded with a comment line that makes
-    the matrix fit, then each with a self-loop, a repeated edge or an
-    endpoint out of range spliced in at a random edge line."""
+    """Edge lists on both sides of the byte-matrix rule
+    n * n <= 8 * m <= 2 * len(text): each graph's list as written, and
+    with a header that claims n * n / 8 edges, each bare and after a
+    comment line of n * n characters; then each with a self-loop, a
+    repeated edge or an endpoint out of range spliced in at a random edge
+    line."""
     for _ in range(240):
         n = rng.randint(2, 120)
-        g = random_graph(n, rng, rng.choice([0.003, 0.01, 0.3]))
+        g = random_graph(n, rng, rng.choice([0.01, 0.1, 0.3, 0.5, 0.8]))
         edges = edge_lines(g, rng)
         v = rng.randint(1, n)
         bad = [f"{v} {v}", edges[0] if edges else "1 1", f"{v} {n + 1}", f"0 {v}"]
         for lines in (edges, *(edges[:k] + [b] + edges[k:] for b in bad
                                for k in [rng.randint(0, len(edges))])):
-            text = "\n".join([f"{n} {len(lines)}", *lines]) + "\n"
-            yield n, text
-            yield n, "#" + "." * (n * n // 8) + "\n" + text
+            for m in (len(lines), -(-n * n // 8)):
+                for comment in ("", "#" + "." * (n * n) + "\n"):
+                    yield n, m, comment + "\n".join([f"{n} {m}", *lines]) + "\n"
 
 
 def test_both_sides_of_the_matrix_rule_agree_with_the_line_loop():
@@ -201,8 +203,8 @@ def test_both_sides_of_the_matrix_rule_agree_with_the_line_loop():
     rng = random.Random(8808)
     sides = {False: 0, True: 0}
     errors = 0
-    for n, text in rule_cases(rng):
-        sides[n * n <= 8 * len(text)] += 1
+    for n, m, text in rule_cases(rng):
+        sides[n * n <= 8 * m <= 2 * len(text)] += 1
         try:
             expected = parsing._read_lines(text)
         except ParseError as exc:
@@ -212,22 +214,61 @@ def test_both_sides_of_the_matrix_rule_agree_with_the_line_loop():
             assert (str(info.value), info.value.line, info.value.col) == (str(exc), exc.line, exc.col)
         else:
             assert read_edge_list(text) == parsing._read_plain(text) == expected
-    assert min(sides.values()) > 500 and errors > 1000, (sides, errors)
+    assert min(sides.values()) > 1000 and errors > 2000, (sides, errors)
 
 
 def test_plain_route_peak_is_a_small_multiple_of_the_text():
     """On a dense file the reader holds one chunk's tokens and the n * n
-    byte matrix, never a token list of the whole text."""
-    # four disjoint 250-cliques: 124,500 edges, 1 MB of text
-    g = cotree_to_graph(parse_expr("+".join(["(" + "*".join("." * 250) + ")"] * 4)))
-    edges = edge_lines(g, random.Random(32))
-    text = "\n".join(["# dense", f"{g.n} {len(edges)}", *edges]) + "\n"
-    assert g.n * g.n <= 8 * len(text)
+    byte matrix, never a token list of the whole text; a long comment does
+    not make a sparse file's reader build the matrix."""
+    # three disjoint cliques on 1000 vertices: 166,167 edges, 1.3 MB of text
+    dense = cotree_to_graph(parse_expr("+".join("(" + "*".join("." * k) + ")" for k in (334, 333, 333))))
+    # a perfect matching on 2000 vertices after a comment of 2000 * 2000 / 8
+    # characters, with which the text would hold the n x n matrix 8 times
+    sparse = cotree_to_graph(parse_expr("+".join(["(.*.)"] * 1000)))
+    for g, comment, matrix in ((dense, "# dense", True), (sparse, "#" + "." * 500_000, False)):
+        edges = edge_lines(g, random.Random(32))
+        text = "\n".join([comment, f"{g.n} {len(edges)}", *edges]) + "\n"
+        assert (g.n * g.n <= 8 * len(edges)) == matrix
+        tracemalloc.start()
+        try:
+            read = read_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == g
+        assert peak < 4 * len(text), (g.n, peak, len(text))
+
+
+def test_more_lines_than_the_header_says_declines_before_mapping(monkeypatch):
+    """The plain route declines in the chunk where the edge lines pass the
+    header's m, before it maps that chunk's endpoints; the line loop then
+    raises the count error."""
+    mapped = []
+
+    class Ids(parsing._VertexIds):
+        def __getitem__(self, token):
+            mapped.append(token)
+            return super().__getitem__(token)
+
+    monkeypatch.setattr(parsing, "_VertexIds", Ids)
+    monkeypatch.setattr(parsing, "_CHUNK", 8)
+    # chunks: "4 3\n1 2\n2 3\n", then "3 4\n1 3\n1 3\n", the fourth edge line
+    text = "4 3\n1 2\n2 3\n3 4\n" + "1 3\n" * 1000
+    assert parsing._read_plain(text) is None
+    assert mapped == ["1", "2", "2", "3"]
+    with pytest.raises(ParseError, match="expected 3 edge lines, found 1003"):
+        read_edge_list(text)
+
+
+def test_a_header_the_text_cannot_hold_gets_no_matrix():
+    """A 16-character text whose header claims n * n / 8 edges on 3000
+    vertices declines without allocating the 9 MB matrix."""
+    text = "3000 1125000\n1 2"
     tracemalloc.start()
     try:
-        read = read_edge_list(text)
+        assert parsing._read_plain(text) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert read == g
-    assert peak < 4 * len(text), (peak, len(text))
+    assert peak < 100_000, peak
