@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exactly one input flag (--expr, --cotree, --threshold, --edges) feeds each
-analysis command. Results go to stdout as text, or with --json in a stable
+analysis command; the three text flags also take @PATH (a file's text) or @-
+(stdin). Results go to stdout as text, or with --json in a stable
 JSON schema; each command builds only the form it prints. Diagnostics go to
 stderr. Exit codes: 0 success, 1 domain errors (not a cograph, disconnected
 input, size cap), 2 usage errors (bad flags or unparseable input).
@@ -51,9 +52,10 @@ class _NotCograph(_DomainError):
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expr", help="cograph expression, e.g. '(.+.)*(.+.+.)'")
-    p.add_argument("--cotree", help="cotree text, e.g. '1(0(1,2),3)'")
-    p.add_argument("--threshold", help="threshold construction bits, e.g. 0101001")
+    # @PATH reads the text flags from a file, @- from stdin
+    p.add_argument("--expr", help="cograph expression, e.g. '(.+.)*(.+.+.)', or @PATH")
+    p.add_argument("--cotree", help="cotree text, e.g. '1(0(1,2),3)', or @PATH")
+    p.add_argument("--threshold", help="threshold construction bits, e.g. 0101001, or @PATH")
     p.add_argument("--edges", help="path to an edge-list file ('n m' header)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -119,23 +121,34 @@ def _load_input(
         parser.error("exactly one of --expr/--cotree/--threshold/--edges is required")
     kind = flags[0]
     if kind == "edges":
-        with open(args.edges, encoding="utf-8-sig") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ParseError("edge list is not UTF-8 text") from exc
-        edges = read_edge_list(text)
+        edges = read_edge_list(_read_text(args.edges, "edge list"))
         result = recognize(edges)
         if isinstance(result, P4Witness):
             raise _NotCograph(edges.n, result)
         return result, edges
+    text = getattr(args, kind)
+    if text.startswith("@"):  # '@' is in none of the three grammars
+        text = _read_text(text[1:] if text != "@-" else None, f"--{kind} input")
     if kind == "expr":
-        tree = parse_expr(args.expr)
+        tree = parse_expr(text)
     elif kind == "cotree":
-        tree = parse_cotree(args.cotree)
+        tree = parse_cotree(text)
     else:
-        tree = threshold_to_cotree(parse_threshold(args.threshold))
+        tree = threshold_to_cotree(parse_threshold(text))
     return tree, None
+
+
+def _read_text(path: str | None, label: str) -> str:
+    """The text of the file at ``path``, or of stdin when it is None, read as
+    UTF-8 with an optional BOM. Undecodable bytes are malformed input; a
+    path that cannot be read raises ``OSError``."""
+    try:
+        if path is None:
+            return sys.stdin.buffer.read().decode("utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{label} is not UTF-8 text") from exc
 
 
 def _json(payload: dict) -> str:

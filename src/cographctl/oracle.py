@@ -27,19 +27,20 @@ def kalman_rank(g: Graph, control: Iterable[int]) -> int:
     ``control`` holds 1-based vertex ids; B stacks the matching unit columns.
     Rank n certifies controllability.
 
-    That column space is the smallest L-invariant subspace holding B's
+    That column space K(S) is the smallest L-invariant subspace holding B's
     columns: it holds them, L maps each A^k B into the next block and A^n B
     back into the span (Cayley-Hamilton), and an L-invariant space holding B
-    holds every A^k B. The loop grows exactly that span from e_v for each
-    control: a vector off the work list that is not in the span joins the
-    basis and queues L.w. So every basis vector lies in the subspace, and
-    once the list is empty L maps the span into itself.
+    holds every A^k B.
 
-    The basis holds primitive integer vectors in echelon form, each with a
-    pivot where every later one is 0. Reduction is fraction-free,
-    w <- b[p].w - w[p].b and then w / gcd(w); L.w is deg(i).w_i minus the sum
-    of w_j over the neighbours j of i, read off the raw adjacency. That is at
-    most |S| + n reductions of O(n.rank) integer operations each.
+    Let Q zero the control coordinates. Then K(S) = span(e_S) + W, with W the
+    smallest QL-invariant subspace holding each Q.L.e_v, v in S; the sum is
+    direct, as W is 0 on S, so the rank is |S| + dim W. W lies in K(S), as
+    Q.L.x differs from L.x by control unit vectors; and span(e_S) + W is
+    L-invariant, as L.x = Q.L.x + (I - Q).L.x for x = e_v or x in W. On the
+    free coordinates F, Q.L is L's principal submatrix L_FF and Q.L.e_v is
+    minus v's adjacency column, so ``_close`` grows W from those 0/1
+    vectors in n - |S| coordinates: at most n reductions (|S| generators, one
+    L_FF.w per basis vector), each against at most dim W vectors.
     """
     vertices = list(control)
     n = g.n
@@ -50,10 +51,36 @@ def kalman_rank(g: Graph, control: Iterable[int]) -> int:
             raise ValueError(f"control vertex {v} out of range 1..{n}")
     if len(set(vertices)) != len(vertices):
         raise ValueError("control vertices must be distinct")
-    neighbours = [[j for j in range(n) if g.has_edge(i, j)] for i in range(n)]
-    work = deque([1 if i == v - 1 else 0 for i in range(n)] for v in vertices)
-    basis: list[tuple[int, list[int]]] = []
-    while work and len(basis) < n:
+    fixed = {v - 1 for v in vertices}
+    free = [i for i in range(n) if i not in fixed]
+    work = deque([g.rows[v - 1] >> i & 1 for i in free] for v in vertices)
+    return len(vertices) + len(_close([], work, _laplacian_rows(g, free)))
+
+
+def _laplacian_rows(g: Graph, keep: list[int]) -> list[tuple[int, list[int]]]:
+    """L's principal submatrix on the vertices ``keep``, row by row: each
+    vertex's degree in g and the positions in ``keep`` of its neighbours."""
+    at = {v: k for k, v in enumerate(keep)}
+    rows = []
+    for i in keep:
+        row = g.rows[i]
+        rows.append((row.bit_count(), [k for j, k in at.items() if row >> j & 1]))
+    return rows
+
+
+def _close(basis: list[tuple[int, list[int]]], work: deque,
+           rows: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
+    """Grow a closed (M-invariant) ``basis`` in place to the smallest
+    M-invariant span that also holds ``work``, and return it; M is the
+    matrix ``rows`` from ``_laplacian_rows``.
+
+    The basis holds primitive integer vectors in echelon form, each with a
+    pivot where every later one is 0. Reduction is fraction-free,
+    w <- b[p].w - w[p].b and then w / gcd(w). A vector off the work list that
+    is not in the span joins the basis and queues M.w, whose entry i is
+    deg(i).w_i minus the sum of w over i's neighbours.
+    """
+    while work and len(basis) < len(rows):
         w = work.popleft()
         for p, b in basis:
             c, d = w[p], b[p]
@@ -63,9 +90,9 @@ def kalman_rank(g: Graph, control: Iterable[int]) -> int:
             # the smallest entry as pivot keeps the multipliers b[p] small
             pivot = min((i for i, x in enumerate(w) if x), key=lambda i: abs(w[i]))
             basis.append((pivot, w))
-            work.append(_primitive([len(near) * w[i] - sum(w[j] for j in near)
-                                    for i, near in enumerate(neighbours)]))
-    return len(basis)
+            work.append(_primitive([deg * x - sum(map(w.__getitem__, near))
+                                    for x, (deg, near) in zip(w, rows)]))
+    return basis
 
 
 def _primitive(w: list[int]) -> list[int]:
@@ -165,12 +192,27 @@ def _path_order(g: Graph, quad: tuple[int, ...]) -> P4Witness | None:
 
 def exhaustive_min_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     """Smallest controllable-set size and every set of that size, by
-    Kalman-rank search over all vertex subsets. Capped at n <= 10."""
+    Kalman-rank search over all vertex subsets. Capped at n <= 10.
+
+    The k-subsets come in ``combinations`` order, and each one's Krylov space
+    is its prefix's closed basis, kept from size k - 1, extended by e_v for
+    its last vertex v: K(S + v) = K(S) + K(e_v). So each subset costs one
+    extension, not a rank from scratch."""
     if g.n > EXHAUSTIVE_CAP:
         raise SizeCapError(f"exhaustive search capped at n <= {EXHAUSTIVE_CAP}, got {g.n}")
-    vertices = range(1, g.n + 1)
-    for k in range(g.n + 1):
-        hits = [c for c in combinations(vertices, k) if kalman_rank(g, c) == g.n]
+    n = g.n
+    rows = _laplacian_rows(g, list(range(n)))
+    spans: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {(): []}
+    for k in range(1, n + 1):
+        hits, grown = [], {}
+        for c in combinations(range(1, n + 1), k):
+            unit = [int(i == c[-1] - 1) for i in range(n)]
+            basis = _close(spans[c[:-1]].copy(), deque([unit]), rows)
+            if len(basis) == n:
+                hits.append(c)
+            else:
+                grown[c] = basis
         if hits:
             return k, hits
+        spans = grown
     raise AssertionError("full actuation is always controllable")

@@ -437,6 +437,17 @@ def kalman_reference(g: Graph, control: Iterable[int]) -> int:
     return rank_rational(kalman)
 
 
+def exhaustive_reference(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """Smallest controllable-set size and every set of that size, in
+    ``combinations`` order: one ``kalman_reference`` per vertex subset."""
+    vertices = range(1, g.n + 1)
+    for k in range(g.n + 1):
+        hits = [c for c in combinations(vertices, k) if kalman_reference(g, c) == g.n]
+        if hits:
+            return k, hits
+    raise AssertionError("full actuation is always controllable")
+
+
 def rank_rational(rows: Sequence[Sequence[int]]) -> int:
     """Rank via plain Gaussian elimination over exact rationals."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -1,9 +1,11 @@
 """Command surface, JSON schema, and exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -402,3 +404,58 @@ def test_json_output_builds_no_text_lines(monkeypatch, capsys):
     for argv in commands:
         assert run(capsys, *argv, "--threshold", THRESHOLD_EXAMPLE)[0] == 0
     assert len(formatted) > 7 and len(selected) == 1
+
+
+TEXT_FLAGS = ("--expr", "--cotree", "--threshold")
+
+
+def test_at_path_gives_the_inline_output_on_golden_cases(capsys, tmp_path):
+    """Every 5th golden case with a text flag, its text moved to a file:
+    exit code, stdout and stderr are byte-identical to the inline run."""
+    golden = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+    cases = [c for c in golden["cases"] if any(f in c["argv"] for f in TEXT_FLAGS)][::5]
+    path = tmp_path / "input.txt"
+    for case in cases:
+        argv = list(case["argv"])
+        at = next(i for i, arg in enumerate(argv) if arg in TEXT_FLAGS) + 1
+        path.write_bytes(argv[at].encode("utf-8"))
+        argv[at] = f"@{path}"
+        assert run(capsys, *argv) == (case["code"], case["stdout"], case["stderr"]), argv
+    assert len(cases) > 140
+
+
+def test_at_path_decoding_and_errors(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    for flag in TEXT_FLAGS:
+        code, out, err = run(capsys, "spectrum", flag, f"@{missing}")
+        assert (code, out) == (2, "") and "No such file or directory" in err
+        code, out, err = run(capsys, "spectrum", flag, f"@{tmp_path}")
+        assert (code, out) == (2, "") and "Is a directory" in err
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff0101")
+        assert run(capsys, "spectrum", flag, f"@{bad}") == (
+            2, "", f"error: {flag} input is not UTF-8 text\n")
+    # a byte-order mark is dropped, as in edge lists; errors point into the file
+    good = tmp_path / "good.txt"
+    good.write_bytes("\ufeff(.+.)*(.+.+.)\n".encode("utf-8"))
+    assert run(capsys, "recognize", "--expr", f"@{good}") == (0, "1(0(1,2),0(3,4,5))\n", "")
+    good.write_text("(.+.)\n*x")
+    assert run(capsys, "spectrum", "--expr", f"@{good}")[::2] == (
+        2, "error: unexpected character 'x' (line 2, column 2)\n")
+
+
+def test_at_dash_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1(0(1,2),3)\n")))
+    assert run(capsys, "recognize", "--cotree", "@-") == (0, "1(0(1,2),3)\n", "")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"01\xff")))
+    assert run(capsys, "spectrum", "--threshold", "@-") == (
+        2, "", "error: --threshold input is not UTF-8 text\n")
+
+
+def test_at_dash_reads_stdin_in_a_process(capsys):
+    src = os.path.dirname(os.path.dirname(cographctl.__file__))
+    proc = subprocess.run([sys.executable, "-m", "cographctl.cli", "spectrum", "--threshold", "@-",
+                           "--json"], input=THRESHOLD_EXAMPLE + "\n", env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(
+        capsys, "spectrum", "--threshold", THRESHOLD_EXAMPLE, "--json")

@@ -2,8 +2,8 @@
 
 ``cli.main`` runs in-process on seeded random inputs in all four formats:
 well-formed ones, non-canonical cotree text, copies with characters deleted
-or duplicated, and deeply nested ones. Every call must return 0, 1 or 2 and
-raise nothing.
+or duplicated, and deeply nested ones; the text formats also come through
+``@PATH``. Every call must return 0, 1 or 2 and raise nothing.
 """
 
 import random
@@ -115,3 +115,22 @@ def test_no_input_gives_a_traceback(capsys, tmp_path):
         for text in (value, mutated(value, rng)):
             for command in COMMANDS:
                 run(capsys, [*with_set(command, 3, rng), flag, text])
+
+
+def test_at_values_give_no_traceback(capsys, tmp_path):
+    """The text flags read from files with @PATH: the inputs above, each
+    also as a file, and values naming a missing file, a directory, bytes
+    that are not UTF-8, no path at all, or stdin (@-), which tests cannot
+    read."""
+    rng = random.Random(4096)
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"\xff(.+.)")
+    odd = ["@", "@@", "@-", f"@{tmp_path}", f"@{tmp_path / 'missing.txt'}", f"@{latin1}"]
+    for i, (flag, value, n) in enumerate(inputs(rng, tmp_path)):
+        if flag == "--edges":
+            continue
+        path = tmp_path / f"text{i}.txt"
+        path.write_text(value)
+        for text in (f"@{path}", rng.choice(odd)):
+            for command in rng.sample(COMMANDS, 2):
+                run(capsys, [*with_set(command, n, rng), flag, text, "--json"])

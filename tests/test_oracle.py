@@ -32,6 +32,7 @@ from helpers import (
     EIGHT_NODE_TEXT,
     char_poly_reference,
     cotree_corpus,
+    exhaustive_reference,
     from_edges,
     integer_roots_reference,
     is_connected,
@@ -101,6 +102,21 @@ def test_kalman_rank_matches_reference():
         else:
             g = cotree_to_graph(random_cotree(n, rng, root_label=rng.randint(0, 1)))
         for size in (0, n, rng.randint(1, n)):
+            control = rng.sample(range(1, n + 1), size)
+            assert kalman_rank(g, control) == kalman_reference(g, control), (g, control)
+
+
+def test_kalman_rank_matches_reference_with_few_free_vertices():
+    # the cross-check's shapes: all vertices but two, all but one, all of
+    # them; 200 graphs with n <= 12, cographs of both root labels and not
+    rng = random.Random(45)
+    for i in range(200):
+        n = rng.randint(1, 12)
+        if i % 2 or n == 1:
+            g = random_graph(n, rng, p=rng.uniform(0.1, 0.9))
+        else:
+            g = cotree_to_graph(random_cotree(n, rng, root_label=rng.randint(0, 1)))
+        for size in sorted({max(n - 2, 0), n - 1, n}):
             control = rng.sample(range(1, n + 1), size)
             assert kalman_rank(g, control) == kalman_reference(g, control), (g, control)
 
@@ -245,6 +261,26 @@ def test_exhaustive_min_sets_eight_node():
 def test_exhaustive_min_sets_disconnected():
     size, sets = exhaustive_min_sets(union_of([K1, K1]))
     assert size == 2 and sets == [(1, 2)]
+
+
+def test_exhaustive_min_sets_matches_per_subset_reference():
+    # 1,019 graphs with n <= 8: the edgeless and the complete graph of each
+    # size, random densities, every fifth a union of two random graphs;
+    # most are small, as the reference's cost triples with each vertex
+    rng = random.Random(47)
+    graphs = []
+    for n, count in enumerate((60, 120, 300, 380, 100, 30, 10, 3), start=1):
+        graphs += [union_of([K1] * n), join_of([K1] * n)]
+        for i in range(count):
+            if i % 5 == 0 and n > 1:
+                a = rng.randint(1, n - 1)
+                parts = [random_graph(k, rng, p=rng.uniform(0.1, 0.9)) for k in (a, n - a)]
+                graphs.append(union_of(parts))
+            else:
+                graphs.append(random_graph(n, rng, p=rng.uniform(0.05, 0.95)))
+    assert len(graphs) == 1019
+    for g in graphs:
+        assert exhaustive_min_sets(g) == exhaustive_reference(g), g
 
 
 def test_exhaustive_size_cap():
