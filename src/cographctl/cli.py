@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exactly one input flag (--expr, --cotree, --threshold, --edges) feeds each
-analysis command; the three text flags also take @PATH (a file's text) or @-
-(stdin). Results go to stdout as text, or with --json in a stable
-JSON schema; each command builds only the form it prints. Diagnostics go to
+analysis command; the three text flags also take @PATH (a file's text) or
+@- (stdin). Results go to stdout as text, or with --json in a stable JSON
+schema; each command builds only the form it prints. Diagnostics go to
 stderr. Exit codes: 0 success, 1 domain errors (not a cograph, disconnected
 input, size cap), 2 usage errors (bad flags or unparseable input).
 """
@@ -144,6 +144,8 @@ def _read_text(path: str | None, label: str) -> str:
     path that cannot be read raises ``OSError``."""
     try:
         if path is None:
+            if sys.stdin is None:  # the process was started with fd 0 closed
+                raise OSError("no standard input to read")
             return sys.stdin.buffer.read().decode("utf-8-sig")
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()

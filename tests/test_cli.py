@@ -459,3 +459,8 @@ def test_at_dash_reads_stdin_in_a_process(capsys):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(
         capsys, "spectrum", "--threshold", THRESHOLD_EXAMPLE, "--json")
+    # with file descriptor 0 closed, Python has no sys.stdin at all
+    proc = subprocess.run([sys.executable, "-m", "cographctl.cli", "spectrum", "--expr", "@-"],
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=lambda: os.close(0),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: no standard input to read\n")
