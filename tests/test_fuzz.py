@@ -87,7 +87,7 @@ def inputs(rng: random.Random, tmp_path):
             for j, value in enumerate((text, mutated(text, rng))):
                 if flag == "--edges":
                     path = tmp_path / f"g{i}-{j}.txt"
-                    path.write_text(value)
+                    path.write_text(value, encoding="utf-8")
                     value = str(path)
                 yield flag, value, n
 
@@ -130,7 +130,7 @@ def test_at_values_give_no_traceback(capsys, tmp_path):
         if flag == "--edges":
             continue
         path = tmp_path / f"text{i}.txt"
-        path.write_text(value)
+        path.write_text(value, encoding="utf-8")
         for text in (f"@{path}", rng.choice(odd)):
             for command in rng.sample(COMMANDS, 2):
                 run(capsys, [*with_set(command, n, rng), flag, text, "--json"])
