@@ -2,7 +2,6 @@
 selection for cograph consensus networks."""
 
 from .control import (
-    SiblingPartition,
     count_min_control_sets,
     enumerate_min_control_sets,
     is_controllable,
@@ -14,7 +13,7 @@ from .control import (
 from .cotree import CoTree, P4Witness, cotree_to_graph, recognize
 from .errors import NonIntegerRootError, NotConnectedError, ParseError, SizeCapError
 from .generate import random_cotree, random_threshold_sequence
-from .graphs import Graph, IntMatrix, laplacian
+from .graphs import Graph, laplacian
 from .oracle import (
     char_poly,
     exhaustive_min_sets,
@@ -33,23 +32,18 @@ from .parsing import (
     threshold_to_cotree,
     write_edge_list,
 )
-from .spectral import Spectrum, modal_columns, modal_matrix, spectrum
-from .threshold import DegreePartition, degree_partition
+from .spectral import degree_partition, modal_columns, modal_matrix, spectrum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoTree",
-    "DegreePartition",
     "Graph",
-    "IntMatrix",
     "NonIntegerRootError",
     "NotConnectedError",
     "P4Witness",
     "ParseError",
-    "SiblingPartition",
     "SizeCapError",
-    "Spectrum",
     "ThresholdSequence",
     "char_poly",
     "cotree_to_graph",

@@ -17,7 +17,7 @@ import random
 import sys
 from typing import Sequence
 
-from . import control, generate, oracle, spectral, threshold
+from . import control, generate, oracle, spectral
 from .cotree import CoTree, P4Witness, cotree_to_graph, recognize
 from .errors import ParseError, SizeCapError
 from .graphs import Graph, laplacian
@@ -198,33 +198,34 @@ def _cmd_spectrum(args, parser) -> int:
     spec = spectral.spectrum(tree)
     modal = spectral.modal_matrix(tree) if args.modal else None
     if args.json:
-        payload = {"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec.pairs}
+        payload = {"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec}
         if args.modal:
-            payload["modal"] = modal.entries
+            payload["modal"] = modal
         print(_json(payload))
         return 0
-    print("spectrum: " + " ".join(f"{v}^{m}" for v, m in spec.pairs))
+    print("spectrum: " + " ".join(f"{v}^{m}" for v, m in spec))
     if args.modal:
         print("modal:")
-        for row in modal.entries:
+        for row in modal:
             print(" ".join(map(str, row)))
     return 0
 
 
 def _cmd_partition(args, parser) -> int:
     tree, _ = _load_input(parser, args)
-    cells = control.sibling_partition(tree).cells
-    deg = threshold.degree_partition(tree) if args.degree else None
+    cells = control.sibling_partition(tree)
+    if args.degree:
+        degrees, degree_cells = zip(*spectral.degree_partition(tree))
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells}
         if args.degree:
-            payload.update(degree_cells=deg.cells, degrees=deg.degrees)
+            payload.update(degree_cells=degree_cells, degrees=degrees)
         print(_json(payload))
         return 0
     print("cells: " + _fmt_cells(cells))
     if args.degree:
-        print("degree cells: " + _fmt_cells(deg.cells))
-        print("degrees: " + " ".join(map(str, deg.degrees)))
+        print("degree cells: " + _fmt_cells(degree_cells))
+        print("degrees: " + " ".join(map(str, degrees)))
     return 0
 
 
@@ -240,7 +241,7 @@ def _cmd_leaders(args, parser) -> int:
         sets = control.enumerate_min_control_sets(tree)
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree),
-                   "cells": control.sibling_partition(tree).cells, "min_size": size}
+                   "cells": control.sibling_partition(tree), "min_size": size}
         if args.all:
             payload.update(sets=list(sets), count=count)
         else:
@@ -287,17 +288,19 @@ def _cmd_oracle(args, parser) -> int:
     tree, graph = _load_input(parser, args)
     if tree.n > oracle.EXHAUSTIVE_CAP:
         raise SizeCapError(f"oracle battery capped at n <= {oracle.EXHAUSTIVE_CAP}, got {tree.n}")
+    # the fast path first: it rejects a disconnected or one-vertex input
+    # before the super-polynomial searches start
+    enum = list(control.enumerate_min_control_sets(tree))
     graph = graph or cotree_to_graph(tree)
     p4_free = oracle.is_p4_free(graph)
     spec = spectral.spectrum(tree)
     roots = tuple(sorted(oracle.integer_roots(oracle.char_poly(laplacian(graph))).items()))
-    spectrum_agree = roots == spec.pairs
+    spectrum_agree = roots == spec
     size, sets = oracle.exhaustive_min_sets(graph)
-    enum = list(control.enumerate_min_control_sets(tree))
     control_agree = size == control.min_control_size(tree) and sets == enum
     if args.json:
         print(_json({"n": graph.n, "cotree": serialize_cotree(tree), "p4_free": p4_free,
-                     "spectrum": spec.pairs, "oracle_spectrum": roots,
+                     "spectrum": spec, "oracle_spectrum": roots,
                      "spectrum_agree": spectrum_agree, "min_size": size, "sets": sets,
                      "control_agree": control_agree}))
     else:

@@ -15,28 +15,11 @@ every input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator
 
 from .cotree import CoTree
 from .errors import NotConnectedError
-
-
-@dataclass(frozen=True)
-class SiblingPartition:
-    """Disjoint cells of mutually sibling vertices covering 1..n, ordered by
-    smallest member; singleton cells hold vertices with no sibling."""
-
-    cells: tuple[tuple[int, ...], ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.cells)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
 
 
 def _control_vertices(control: Iterable[int], n: int | None = None) -> tuple[int, ...]:
@@ -61,20 +44,21 @@ def _require_controllable_setting(t: CoTree, op: str) -> None:
         raise NotConnectedError(f"{op} requires a connected graph (root label 1)")
 
 
-def sibling_partition(t: CoTree) -> SiblingPartition:
-    """Group leaves by their cotree parent. Every ``CoTree`` is canonical,
-    so these groups are exactly the twin classes of the graph."""
+def sibling_partition(t: CoTree) -> tuple[tuple[int, ...], ...]:
+    """Group leaves by their cotree parent: disjoint cells covering 1..n,
+    ordered by smallest member, a singleton for a vertex with no sibling.
+    Every ``CoTree`` is canonical, so these are the graph's twin classes."""
     by_parent: dict[int | None, list[int]] = {}
     for v in range(1, t.n + 1):
         by_parent.setdefault(t.parent(t.leaf_id(v)), []).append(v)
-    return SiblingPartition(tuple(sorted(map(tuple, by_parent.values()))))
+    return tuple(sorted(map(tuple, by_parent.values())))
 
 
 def min_control_size(t: CoTree) -> int:
     """Minimum number of control nodes rendering the network controllable:
     n minus the number of sibling cells."""
     _require_controllable_setting(t, "min_control_size")
-    return t.n - sibling_partition(t).p
+    return t.n - len(sibling_partition(t))
 
 
 def select_min_control_set(t: CoTree, tie_rule: str = "lowest-ids") -> tuple[int, ...]:
@@ -83,7 +67,7 @@ def select_min_control_set(t: CoTree, tie_rule: str = "lowest-ids") -> tuple[int
     _require_controllable_setting(t, "select_min_control_set")
     if tie_rule not in ("lowest-ids", "highest-ids"):
         raise ValueError(f"tie_rule must be 'lowest-ids' or 'highest-ids', got {tie_rule!r}")
-    chosen = [v for cell in sibling_partition(t).cells
+    chosen = [v for cell in sibling_partition(t)
               for v in (cell[:-1] if tie_rule == "lowest-ids" else cell[1:])]
     return tuple(sorted(chosen))
 
@@ -91,7 +75,7 @@ def select_min_control_set(t: CoTree, tie_rule: str = "lowest-ids") -> tuple[int
 def count_min_control_sets(t: CoTree) -> int:
     """Number of distinct minimum control sets: the product of cell sizes."""
     _require_controllable_setting(t, "count_min_control_sets")
-    return prod(sibling_partition(t).sizes)
+    return prod(map(len, sibling_partition(t)))
 
 
 def enumerate_min_control_sets(t: CoTree) -> Iterator[tuple[int, ...]]:
@@ -104,7 +88,7 @@ def enumerate_min_control_sets(t: CoTree) -> Iterator[tuple[int, ...]]:
     while its cell has no drop yet, so the walk never dead-ends: the first
     set costs O(n) and nothing is built or sorted ahead of time."""
     _require_controllable_setting(t, "enumerate_min_control_sets")
-    cells = sibling_partition(t).cells
+    cells = sibling_partition(t)
     n = t.n
     cell_of = [0] * (n + 1)
     for idx, cell in enumerate(cells):
@@ -148,7 +132,7 @@ def is_controllable(t: CoTree, control: Iterable[int]) -> bool:
     chosen = set(_control_vertices(control, t.n))
     return all(
         sum(1 for v in cell if v not in chosen) <= 1
-        for cell in sibling_partition(t).cells
+        for cell in sibling_partition(t)
     )
 
 

@@ -9,39 +9,7 @@ the few-thousand-vertex scale this package targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable dense matrix of arbitrary-precision integers."""
-
-    entries: tuple[tuple[int, ...], ...]
-    ncols: int
-
-    def __post_init__(self):
-        for row in self.entries:
-            if len(row) != self.ncols:
-                raise ValueError("row length does not match column count")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "IntMatrix":
-        entries = tuple(map(tuple, rows))
-        if not all(isinstance(x, int) for row in entries for x in row):
-            raise ValueError("matrix entries must be ints")
-        if ncols is None:
-            if not entries:
-                raise ValueError("column count required for a matrix with no rows")
-            ncols = len(entries[0])
-        return cls(entries, ncols)
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -108,8 +76,8 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def laplacian(g: Graph) -> IntMatrix:
-    """Degree matrix minus adjacency; symmetric, zero row sums."""
+def laplacian(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Degree matrix minus adjacency, as int rows; symmetric, zero row sums."""
     rows = []
     for i in range(g.n):
         row = [0] * g.n
@@ -117,4 +85,4 @@ def laplacian(g: Graph) -> IntMatrix:
             row[j] = -1
         row[i] = g.degree(i)
         rows.append(tuple(row))
-    return IntMatrix(tuple(rows), g.n)
+    return tuple(rows)

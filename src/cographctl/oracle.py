@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .cotree import P4Witness
 from .errors import NonIntegerRootError, SizeCapError
-from .graphs import Graph, IntMatrix
+from .graphs import Graph
 
 EXHAUSTIVE_CAP = 10
 
@@ -101,18 +101,19 @@ def _primitive(w: list[int]) -> list[int]:
     return [x // k for x in w] if k > 1 else w
 
 
-def char_poly(m: IntMatrix) -> list[int]:
-    """Coefficients of det(xI - M), highest degree first, by Berkowitz's
-    division-free recurrence from the last row up: head a_kk, row r, column c
-    and block S below give the Toeplitz column [1, -a_kk, -r.c, -r.S.c, ...].
-    Raises ValueError on a non-square matrix or a non-int entry."""
-    if m.nrows != m.ncols:
+def char_poly(m: Iterable[Iterable[int]]) -> list[int]:
+    """Coefficients of det(xI - M) for the int rows ``m``, highest degree
+    first, by Berkowitz's division-free recurrence from the last row up: head
+    a_kk, row r, column c and block S below give the Toeplitz column
+    [1, -a_kk, -r.c, -r.S.c, ...]. Raises ValueError unless each row is as
+    long as the matrix has rows and every entry is an int."""
+    a = tuple(map(tuple, m))
+    if any(len(row) != len(a) for row in a):
         raise ValueError("characteristic polynomial needs a square matrix")
-    if not all(isinstance(x, int) for row in m.entries for x in row):
+    if not all(isinstance(x, int) for row in a for x in row):
         raise ValueError("matrix entries must be ints")
-    a = m.entries
     poly = [1]
-    for k in reversed(range(m.nrows)):
+    for k in reversed(range(len(a))):
         row = a[k][k + 1:]
         rest = [r[k + 1:] for r in a[k + 1:]]
         t = [1, -a[k][k]]

@@ -40,40 +40,14 @@ controllability operations never consume it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
 from .cotree import CoTree
 from .errors import SizeCapError
-from .graphs import IntMatrix
 
 # Most vertices a dense n x (n-1) modal matrix is built for (9 * 10^6 entries).
 MODAL_CAP = 3_000
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Aggregated Laplacian spectrum: ascending (eigenvalue, multiplicity)
-    pairs, trivial 0 included, multiplicities summing to the graph size."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        values = [v for v, _ in self.pairs]
-        if values != sorted(set(values)):
-            raise ValueError("eigenvalues must be strictly ascending")
-        if any(v < 0 for v in values):
-            raise ValueError("Laplacian eigenvalues are nonnegative")
-        if any(m < 1 for _, m in self.pairs):
-            raise ValueError("multiplicities must be positive")
-        if sum(m for _, m in self.pairs) != self.n:
-            raise ValueError("multiplicities must sum to n")
-
-    @classmethod
-    def from_counts(cls, n: int, counts: Counter) -> "Spectrum":
-        return cls(n, tuple(sorted(counts.items())))
 
 
 def _node_eigenvalues(t: CoTree) -> list[int]:
@@ -89,14 +63,32 @@ def _node_eigenvalues(t: CoTree) -> list[int]:
     return values
 
 
-def spectrum(t: CoTree) -> Spectrum:
-    """Full Laplacian spectrum of the represented graph."""
+def degree_partition(t: CoTree) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The vertex ids 1..n grouped by degree, as ascending ``(degree, cell)``
+    pairs, read off the cotree in O(n): a leaf's ancestor correction is its
+    vertex's degree.
+
+    In a threshold graph two vertices are siblings exactly when they have
+    equal degree, so these cells are the sibling partition's and a minimum
+    leader set takes all but one vertex of each degree class. For general
+    cographs equal degree does not imply siblinghood."""
+    values = _node_eigenvalues(t)
+    by_degree: dict[int, list[int]] = {}
+    for v in range(1, t.n + 1):
+        by_degree.setdefault(values[t.leaf_id(v)], []).append(v)
+    return tuple((d, tuple(cell)) for d, cell in sorted(by_degree.items()))
+
+
+def spectrum(t: CoTree) -> tuple[tuple[int, int], ...]:
+    """Full Laplacian spectrum of the represented graph: ascending
+    (eigenvalue, multiplicity) pairs, trivial 0 included, multiplicities
+    summing to n."""
     values = _node_eigenvalues(t)
     counts: Counter = Counter()
     for v in t.internal_ids():
         counts[values[v]] += len(t.children(v)) - 1
     counts[0] += 1
-    return Spectrum.from_counts(t.n, counts)
+    return tuple(sorted(counts.items()))
 
 
 def modal_columns(t: CoTree) -> list[tuple[int, int, int, int, int, int, int]]:
@@ -119,10 +111,10 @@ def modal_columns(t: CoTree) -> list[tuple[int, int, int, int, int, int, int]]:
     return columns
 
 
-def modal_matrix(t: CoTree) -> IntMatrix:
-    """The n x (n-1) nontrivial modal matrix: row u - 1 holds vertex u's
-    entries of the ``modal_columns``. Raises SizeCapError above ``MODAL_CAP``
-    vertices, before anything is allocated."""
+def modal_matrix(t: CoTree) -> tuple[tuple[int, ...], ...]:
+    """The n x (n-1) nontrivial modal matrix as int rows: row u - 1 holds
+    vertex u's entries of the ``modal_columns``. Raises SizeCapError above
+    ``MODAL_CAP`` vertices, before anything is allocated."""
     if t.n > MODAL_CAP:
         raise SizeCapError(f"modal matrix capped at n <= {MODAL_CAP}, got {t.n}")
     seq = t.leaf_sequence(t.root)
@@ -142,4 +134,4 @@ def modal_matrix(t: CoTree) -> IntMatrix:
             for u in seq[i1:i2]:
                 rows[u - 1][col + j:end] = tail
         col = end
-    return IntMatrix(tuple(map(tuple, rows)), t.n - 1)
+    return tuple(map(tuple, rows))

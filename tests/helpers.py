@@ -12,10 +12,8 @@ from typing import Iterable, Mapping, Sequence
 from cographctl import (
     CoTree,
     Graph,
-    IntMatrix,
     NonIntegerRootError,
     P4Witness,
-    Spectrum,
     ThresholdSequence,
     laplacian,
     parse_cotree,
@@ -245,25 +243,31 @@ def degree_sequence(g: Graph) -> list[int]:
     return [g.degree(i) for i in range(g.n)]
 
 
-def diagonal(values: Sequence[int]) -> IntMatrix:
+# Matrices are tuples of int rows, the form ``laplacian`` and
+# ``modal_matrix`` return; a spectrum is ``spectrum``'s ascending
+# (eigenvalue, multiplicity) pairs.
+Matrix = tuple[tuple[int, ...], ...]
+Pairs = tuple[tuple[int, int], ...]
+
+
+def diagonal(values: Sequence[int]) -> Matrix:
     n = len(values)
-    return IntMatrix(tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)), n)
+    return tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.ncols != b.nrows:
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if any(len(row) != len(b) for row in a):
         raise ValueError("inner dimensions differ")
-    cols = list(zip(*b.entries))
-    return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                           for row in a.entries), b.ncols)
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
-def transpose(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(tuple(zip(*m.entries)), m.nrows)
+def transpose(m: Matrix) -> Matrix:
+    return tuple(zip(*m))
 
 
-def column(m: IntMatrix, j: int) -> tuple[int, ...]:
-    return tuple(row[j] for row in m.entries)
+def column(m: Matrix, j: int) -> tuple[int, ...]:
+    return tuple(row[j] for row in m)
 
 
 def to_nested(t: CoTree):
@@ -378,9 +382,9 @@ def pbh_reference(t: CoTree, control) -> bool:
             row: list[int] = []
             for block, row_of in blocks:
                 r = row_of.get(v)
-                row.extend(block.entries[r] if r is not None else [0] * block.ncols)
+                row.extend(block[r] if r is not None else [0] * len(block[0]))
             rows.append(row)
-        ncols = sum(b.ncols for b, _ in blocks)
+        ncols = sum(len(b[0]) for b, _ in blocks)
         if _rank_fraction_free(rows) < ncols:
             return False
     return True
@@ -426,7 +430,7 @@ def kalman_reference(g: Graph, control: Iterable[int]) -> int:
     if not vertices:
         return 0
     n = g.n
-    a = [[-x for x in row] for row in laplacian(g).entries]
+    a = [[-x for x in row] for row in laplacian(g)]
     block = [[1 if i == v - 1 else 0 for v in vertices] for i in range(n)]
     kalman = [list(row) for row in block]
     for _ in range(n - 1):
@@ -512,15 +516,16 @@ def column_eigenvalues(t: CoTree) -> tuple[int, ...]:
                  for _ in range(len(t.children(v)) - 1))
 
 
-def nontrivial(spec: Spectrum) -> Counter:
+def nontrivial(spec: Pairs) -> Counter:
     """Eigenvalue multiset with one copy of the trivial 0 removed."""
-    counts = Counter(dict(spec.pairs))
+    counts = Counter(dict(spec))
     counts[0] -= 1
     return +counts
 
 
-def compose_spectrum(op: str, parts: Sequence[Spectrum]) -> Spectrum:
-    """Spectrum of a union or join of graphs from their spectra.
+def compose_spectrum(op: str, parts: Sequence[Pairs]) -> Pairs:
+    """Spectrum pairs of a union or join of graphs from their spectra; a
+    part's vertex count is the sum of its multiplicities.
 
     Union: keep every part's nontrivial eigenvalues and add p-1 extra zeros.
     Join on n total vertices: shift part i's nontrivial eigenvalues up by
@@ -530,25 +535,26 @@ def compose_spectrum(op: str, parts: Sequence[Spectrum]) -> Spectrum:
         raise ValueError(f"op must be 'union' or 'join', got {op!r}")
     if not parts:
         raise ValueError("compose_spectrum requires at least one part")
-    n = sum(p.n for p in parts)
+    sizes = [sum(m for _, m in part) for part in parts]
+    n = sum(sizes)
     counts: Counter = Counter()
     if op == "union":
         for part in parts:
             counts.update(nontrivial(part))
         counts[0] += len(parts) - 1
     else:
-        for part in parts:
+        for part, size in zip(parts, sizes):
             for value, mult in nontrivial(part).items():
-                counts[value + n - part.n] += mult
+                counts[value + n - size] += mult
         counts[n] += len(parts) - 1
     counts[0] += 1
-    return Spectrum.from_counts(n, counts)
+    return tuple(sorted(counts.items()))
 
 
-def char_poly_reference(m: IntMatrix) -> list[int]:
+def char_poly_reference(m: Matrix) -> list[int]:
     """det(xI - M), highest degree first, by Berkowitz's recurrence written as
     a recursion on the trailing principal submatrix (one frame per row)."""
-    return _berkowitz([list(r) for r in m.entries])
+    return _berkowitz([list(r) for r in m])
 
 
 def _berkowitz(a: list[list[int]]) -> list[int]:
@@ -627,7 +633,7 @@ def _deflate(poly: Sequence[int], root: int) -> list[int]:
     return out
 
 
-def block_reference(t: CoTree, v: int) -> tuple[IntMatrix, tuple[int, ...]]:
+def block_reference(t: CoTree, v: int) -> tuple[Matrix, tuple[int, ...]]:
     """Eigenvector block of internal node v and its row vertices, entry by
     entry: with child leaf counts (n_1, ..., n_k), column j (0-based) holds
     n_{j+2} on the leaves of children 0..j, -(n_1 + ... + n_{j+1}) on the
@@ -649,20 +655,21 @@ def block_reference(t: CoTree, v: int) -> tuple[IntMatrix, tuple[int, ...]]:
                 else:
                     row.append(0)
             rows.append(row)
-    return IntMatrix.from_rows(rows, len(kids) - 1), tuple(row_vertices)
+    return tuple(map(tuple, rows)), tuple(row_vertices)
 
 
-def modal_reference(t: CoTree) -> IntMatrix:
+def modal_reference(t: CoTree) -> Matrix:
     """The n x (n-1) modal matrix assembled from ``block_reference``, node by
     node in preorder, each block in its own columns at its vertices' rows."""
     rows = [[0] * (t.n - 1) for _ in range(t.n)]
     col = 0
     for v in t.internal_ids():
         block, vertices = block_reference(t, v)
-        for vertex, entries in zip(vertices, block.entries):
-            rows[vertex - 1][col:col + block.ncols] = entries
-        col += block.ncols
-    return IntMatrix.from_rows(rows, t.n - 1)
+        width = len(t.children(v)) - 1
+        for vertex, entries in zip(vertices, block):
+            rows[vertex - 1][col:col + width] = entries
+        col += width
+    return tuple(map(tuple, rows))
 
 
 def column_vector(t: CoTree, column) -> list[int]:
@@ -677,10 +684,10 @@ def column_vector(t: CoTree, column) -> list[int]:
     return w
 
 
-def columns_to_matrix(t: CoTree, columns) -> IntMatrix:
+def columns_to_matrix(t: CoTree, columns) -> Matrix:
     """The n x len(columns) matrix whose column j is ``columns[j]``."""
     vectors = [column_vector(t, c) for c in columns]
-    return IntMatrix.from_rows(zip(*vectors) if vectors else [()] * t.n, len(vectors))
+    return tuple(zip(*vectors)) if vectors else ((),) * t.n
 
 
 def is_eigenpair_on_adjacency(g: Graph, t: CoTree, column) -> bool:

@@ -143,6 +143,22 @@ def test_oracle_size_cap(capsys):
     assert "capped" in err
 
 
+def test_oracle_rejects_disconnected_input_before_its_searches(monkeypatch, capsys):
+    """The fast path's connectivity check comes first: the edgeless graph on
+    10 vertices and a single vertex exit 1 with its message, and neither
+    the exhaustive search nor the characteristic polynomial starts."""
+    def refuse(*_):
+        raise AssertionError("an oracle search ran on an input the battery rejects")
+
+    monkeypatch.setattr(cli.oracle, "exhaustive_min_sets", refuse)
+    monkeypatch.setattr(cli.oracle, "char_poly", refuse)
+    for expr, message in (("10", "requires a connected graph (root label 1)"),
+                          (".", "requires more than one vertex")):
+        for json_flag in ((), ("--json",)):
+            assert run(capsys, "oracle", "--expr", expr, *json_flag) == (
+                1, "", f"error: enumerate_min_control_sets {message}\n")
+
+
 def test_random_deterministic(capsys):
     code1, out1, _ = run(capsys, "random", "--nodes", "9", "--seed", "5")
     code2, out2, _ = run(capsys, "random", "--nodes", "9", "--seed", "5")

@@ -173,7 +173,7 @@ def test_layout_writes_what_the_checking_pass_would_index():
 def test_noncanonical_k3_gets_the_k3_answers():
     t = parse_cotree("1(1(1,2),3)")
     assert t == CoTree.from_nested((1, [(1, [1, 2]), 3]))
-    assert sibling_partition(t).cells == ((1, 2, 3),)
+    assert sibling_partition(t) == ((1, 2, 3),)
     assert min_control_size(t) == 2
     assert is_controllable(t, [1]) is False
     assert pbh_check(t, [1]) is False

@@ -6,7 +6,6 @@ import pytest
 
 from cographctl import (
     Graph,
-    IntMatrix,
     char_poly,
     cotree_to_graph,
     integer_roots,
@@ -75,8 +74,8 @@ def test_empty_part_list_rejected():
 
 
 def test_laplacian_k2_k3():
-    assert laplacian(k(2)).entries == ((1, -1), (-1, 1))
-    L3 = laplacian(k(3)).entries
+    assert laplacian(k(2)) == ((1, -1), (-1, 1))
+    L3 = laplacian(k(3))
     assert all(L3[i][i] == 2 for i in range(3))
     assert all(L3[i][j] == -1 for i in range(3) for j in range(3) if i != j)
 
@@ -90,7 +89,7 @@ def test_laplacian_threshold_degree_diagonal():
         folded = (join_of if bit else union_of)([folded, K1])
     assert folded == g
     L = laplacian(g)
-    assert tuple(L.entries[i][i] for i in range(7)) == (3, 3, 2, 4, 1, 1, 6)
+    assert tuple(L[i][i] for i in range(7)) == (3, 3, 2, 4, 1, 1, 6)
 
 
 def test_laplacian_rows_sum_to_zero_and_symmetric():
@@ -98,8 +97,8 @@ def test_laplacian_rows_sum_to_zero_and_symmetric():
     for _ in range(30):
         g = random_graph(rng.randint(1, 9), rng, rng.random())
         L = laplacian(g)
-        assert all(sum(row) == 0 for row in L.entries)
-        assert L.entries == transpose(L).entries
+        assert all(sum(row) == 0 for row in L)
+        assert L == transpose(L)
 
 
 def test_complement_and_connectivity():
@@ -169,14 +168,9 @@ def test_package_built_graphs_pass_the_public_checks():
 
 
 def test_intmatrix_ops():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert matmul(a, diagonal([1, 1])).entries == a.entries
-    assert transpose(a).entries == ((1, 3), (2, 4))
-    assert diagonal([5, 7]).entries == ((5, 0), (0, 7))
+    a = ((1, 2), (3, 4))
+    assert matmul(a, diagonal([1, 1])) == a
+    assert transpose(a) == ((1, 3), (2, 4))
+    assert diagonal([5, 7]) == ((5, 0), (0, 7))
     with pytest.raises(ValueError):
-        matmul(a, IntMatrix.from_rows([[1, 2, 3]]))
-    with pytest.raises(ValueError):
-        IntMatrix(((1, 2), (3,)), 2)
-    for bad in ([[1.7]], [[1, 2.0]], [["1"]]):
-        with pytest.raises(ValueError):
-            IntMatrix.from_rows(bad)
+        matmul(a, ((1, 2, 3),))

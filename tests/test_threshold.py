@@ -47,33 +47,31 @@ def test_threshold_sequence_bits_are_exact_ints():
 
 
 def test_degree_partition_complete():
-    assert degree_partition(recognize(join_of([K1] * 5))).cells == ((1, 2, 3, 4, 5),)
+    assert degree_partition(recognize(join_of([K1] * 5))) == ((4, (1, 2, 3, 4, 5)),)
 
 
 def test_degree_partition_example_threshold():
     part = degree_partition(threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE)))
-    assert part.cells == ((5, 6), (3,), (1, 2), (4,), (7,))
-    assert part.degrees == (1, 2, 3, 4, 6)
+    assert part == ((1, (5, 6)), (2, (3,)), (3, (1, 2)), (4, (4,)), (6, (7,)))
 
 
 def test_degree_partition_star():
     star = join_of([K1, from_edges(3, [])])
     part = degree_partition(recognize(star))
-    assert part.cells == ((2, 3, 4), (1,))
-    assert part.degrees == (1, 3)
+    assert part == ((1, (2, 3, 4)), (3, (1,)))
 
 
 def degree_shortcut(t, tie_rule="lowest-ids"):
     """Minimum size and set read off the degree cells alone: n minus the
     cell count, and all but one vertex of each cell."""
-    cells = degree_partition(t).cells
+    cells = [cell for _, cell in degree_partition(t)]
     keep = slice(None, -1) if tie_rule == "lowest-ids" else slice(1, None)
     return t.n - len(cells), tuple(sorted(v for cell in cells for v in cell[keep]))
 
 
 def test_threshold_min_control_example():
     t = threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
-    assert tuple(sorted(degree_partition(t).cells)) == sibling_partition(t).cells
+    assert tuple(sorted(cell for _, cell in degree_partition(t))) == sibling_partition(t)
     cset = select_min_control_set(t)
     assert min_control_size(t) == 2 and type(cset) is tuple and cset == (1, 5)
     assert degree_shortcut(t) == (2, cset)
@@ -126,8 +124,8 @@ def test_degree_partition_equals_sibling_partition_on_thresholds():
     for _ in range(60):
         seq = random_threshold_sequence(rng.randint(1, 12), rng)
         g = threshold_to_graph(seq)
-        deg_cells = {frozenset(c) for c in degree_partition(recognize(g)).cells}
-        sib_cells = {frozenset(c) for c in sibling_partition(threshold_to_cotree(seq)).cells}
+        deg_cells = {frozenset(c) for _, c in degree_partition(recognize(g))}
+        sib_cells = {frozenset(c) for c in sibling_partition(threshold_to_cotree(seq))}
         assert deg_cells == sib_cells
 
 
@@ -136,16 +134,17 @@ def test_degree_partition_reads_graph_degrees():
     for t in trees:
         g = cotree_to_graph(t)
         part = degree_partition(t)
-        assert sorted(v for c in part.cells for v in c) == list(range(1, t.n + 1))
-        for cell, d in zip(part.cells, part.degrees):
+        assert sorted(v for _, c in part for v in c) == list(range(1, t.n + 1))
+        assert [d for d, _ in part] == sorted({d for d, _ in part})
+        for d, cell in part:
             assert all(g.degree(v - 1) == d for v in cell)
 
 
 def test_degree_partition_differs_from_siblings_off_thresholds():
     # regular cograph that is not complete: equal degrees, not all siblings
     t = parse_expr("(.*.)+(.*.)")  # two disjoint edges, all degrees 1
-    assert degree_partition(t).p == 1
-    assert sibling_partition(t).p == 2
+    assert len(degree_partition(t)) == 1
+    assert len(sibling_partition(t)) == 2
 
 
 def test_threshold_graphs_are_cographs():
@@ -166,7 +165,7 @@ def test_threshold_shortcut_matches_cotree_route():
         if seq.bits[-1] != 1:
             continue
         t = threshold_to_cotree(seq)
-        assert tuple(sorted(degree_partition(t).cells)) == sibling_partition(t).cells
+        assert tuple(sorted(cell for _, cell in degree_partition(t))) == sibling_partition(t)
         for tie in ("lowest-ids", "highest-ids"):
             assert degree_shortcut(t, tie) == (min_control_size(t),
                                                select_min_control_set(t, tie))
@@ -180,7 +179,7 @@ def test_threshold_shortcut_at_three_thousand_vertices():
     for seq in (parse_threshold("0" + "01" * 1500), parse_threshold("0" + bits + "1")):
         assert seq.n == 3001
         t = threshold_to_cotree(seq)
-        assert tuple(sorted(degree_partition(t).cells)) == sibling_partition(t).cells
+        assert tuple(sorted(cell for _, cell in degree_partition(t))) == sibling_partition(t)
         for tie in ("lowest-ids", "highest-ids"):
             size, cset = degree_shortcut(t, tie)
             assert cset == select_min_control_set(t, tie)
