@@ -10,7 +10,7 @@ from .control import (
     select_min_control_set,
     sibling_partition,
 )
-from .cotree import CoTree, P4Witness, cotree_to_graph, recognize
+from .cotree import CoTree, cotree_to_graph, recognize
 from .errors import NonIntegerRootError, NotConnectedError, ParseError, SizeCapError
 from .generate import random_cotree, random_threshold_sequence
 from .graphs import Graph, laplacian
@@ -19,17 +19,14 @@ from .oracle import (
     exhaustive_min_sets,
     find_p4,
     integer_roots,
-    is_p4_free,
     kalman_rank,
 )
 from .parsing import (
-    ThresholdSequence,
     parse_cotree,
     parse_expr,
     parse_threshold,
     read_edge_list,
     serialize_cotree,
-    threshold_to_cotree,
     write_edge_list,
 )
 from .spectral import degree_partition, modal_columns, modal_matrix, spectrum
@@ -41,10 +38,8 @@ __all__ = [
     "Graph",
     "NonIntegerRootError",
     "NotConnectedError",
-    "P4Witness",
     "ParseError",
     "SizeCapError",
-    "ThresholdSequence",
     "char_poly",
     "cotree_to_graph",
     "count_min_control_sets",
@@ -54,7 +49,6 @@ __all__ = [
     "find_p4",
     "integer_roots",
     "is_controllable",
-    "is_p4_free",
     "kalman_rank",
     "laplacian",
     "min_control_size",
@@ -72,6 +66,5 @@ __all__ = [
     "serialize_cotree",
     "sibling_partition",
     "spectrum",
-    "threshold_to_cotree",
     "write_edge_list",
 ]

@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from . import control, generate, oracle, spectral
-from .cotree import CoTree, P4Witness, cotree_to_graph, recognize
+from .cotree import CoTree, cotree_to_graph, recognize
 from .errors import ParseError, SizeCapError
 from .graphs import Graph, laplacian
 from .parsing import (
@@ -28,7 +28,6 @@ from .parsing import (
     parse_threshold,
     read_edge_list,
     serialize_cotree,
-    threshold_to_cotree,
 )
 
 # Caps on the super-polynomial paths, checked before any of their work starts.
@@ -44,9 +43,9 @@ class _NotCograph(_DomainError):
     """An edge-list input with an induced P4; keeps the witness for
     ``recognize``, which reports it as its answer."""
 
-    def __init__(self, n: int, witness: P4Witness):
+    def __init__(self, n: int, witness: tuple[int, int, int, int]):
         super().__init__("input graph is not a cograph: induced P4 on vertices "
-                         + " ".join(str(v) for v in witness.vertices))
+                         + " ".join(map(str, witness)))
         self.n = n
         self.witness = witness
 
@@ -123,7 +122,7 @@ def _load_input(
     if kind == "edges":
         edges = read_edge_list(_read_text(args.edges, "edge list"))
         result = recognize(edges)
-        if isinstance(result, P4Witness):
+        if not isinstance(result, CoTree):
             raise _NotCograph(edges.n, result)
         return result, edges
     text = getattr(args, kind)
@@ -134,7 +133,7 @@ def _load_input(
     elif kind == "cotree":
         tree = parse_cotree(text)
     else:
-        tree = threshold_to_cotree(parse_threshold(text))
+        tree = parse_threshold(text)
     return tree, None
 
 
@@ -184,9 +183,8 @@ def _cmd_recognize(args, parser) -> int:
         tree, _ = _load_input(parser, args)
     except _NotCograph as exc:
         print("not a cograph", file=sys.stderr)
-        witness = exc.witness.vertices
-        print(_json({"n": exc.n, "p4": witness}) if args.json
-              else "P4: " + " ".join(map(str, witness)))
+        print(_json({"n": exc.n, "p4": exc.witness}) if args.json
+              else "P4: " + " ".join(map(str, exc.witness)))
         return 1
     text = serialize_cotree(tree)
     print(_json({"n": tree.n, "cotree": text}) if args.json else text)
@@ -292,7 +290,7 @@ def _cmd_oracle(args, parser) -> int:
     # before the super-polynomial searches start
     enum = list(control.enumerate_min_control_sets(tree))
     graph = graph or cotree_to_graph(tree)
-    p4_free = oracle.is_p4_free(graph)
+    p4_free = oracle.find_p4(graph) is None
     spec = spectral.spectrum(tree)
     roots = tuple(sorted(oracle.integer_roots(oracle.char_poly(laplacian(graph))).items()))
     spectrum_agree = roots == spec
@@ -320,7 +318,7 @@ def _cmd_random(args, parser) -> int:
     check_vertex_count(args.nodes)
     rng = random.Random(args.seed)
     if args.threshold:
-        key, text = "threshold", str(generate.random_threshold_sequence(args.nodes, rng))
+        key, text = "threshold", generate.random_threshold_sequence(args.nodes, rng)
     else:
         key, text = "cotree", serialize_cotree(generate.random_cotree(args.nodes, rng))
     print(_json({"n": args.nodes, key: text}) if args.json else text)

@@ -24,29 +24,16 @@ time are linear in the node count, independent of depth.
 Every traversal in this module is an explicit-stack loop or a single pass
 over the preorder numbering; nothing recurses, so the depth of a tree is
 bounded only by memory.
-
-Nested form: a plain ``int`` is a leaf (its vertex id) and a pair
-``(label, [children...])`` is an internal node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import and_, or_
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .graphs import Graph, _bits
-
-Nested = Union[int, tuple[int, list]]
-
-
-@dataclass(frozen=True)
-class P4Witness:
-    """Four vertex ids (1-based, in path order) inducing a 3-edge path."""
-
-    vertices: tuple[int, int, int, int]
 
 
 class CoTree:
@@ -169,28 +156,6 @@ class CoTree:
         self._start = tuple(start)
         self._end = tuple(end)
         self._leaf_node = leaf_node
-
-    @classmethod
-    def from_nested(cls, nested: Nested) -> "CoTree":
-        parents: list[int | None] = []
-        labels: list[int | None] = []
-        leaves: list[int] = []
-        stack: list[tuple[Nested, int | None]] = [(nested, None)]
-        while stack:
-            node, parent = stack.pop()
-            parents.append(parent)
-            if isinstance(node, int):
-                labels.append(None)
-                leaves.append(node)
-                continue
-            if not (isinstance(node, (tuple, list)) and len(node) == 2
-                    and isinstance(node[1], (tuple, list))):
-                raise ValueError("a nested node must be an int leaf or a "
-                                 "(label, children) pair with a list or tuple of children")
-            label, children = node
-            labels.append(label)
-            stack.extend((c, len(parents) - 1) for c in reversed(children))
-        return cls(parents, labels, leaves)
 
     # -- structural queries -------------------------------------------------
 
@@ -325,7 +290,7 @@ def _components(rows: Sequence[int], mask: int, flip: int = 0) -> list[int]:
     return comps
 
 
-def _p4_in_subgraph(g: Graph, mask: int) -> P4Witness:
+def _p4_in_subgraph(g: Graph, mask: int) -> tuple[int, int, int, int]:
     """The lexicographically first induced P4 {x < y < z < d} on ``mask``.
 
     Runs only where both the component and the co-component split failed,
@@ -366,19 +331,20 @@ def _p4_in_subgraph(g: Graph, mask: int) -> P4Witness:
     raise AssertionError("undecomposable subgraph without an induced P4")
 
 
-def _path_order(rows: Sequence[int], quad: tuple[int, int, int, int]) -> P4Witness:
-    """The induced path on ``quad`` (0-based), walked from its smaller end."""
+def _path_order(rows: Sequence[int], quad: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The induced path on ``quad`` (0-based), walked from its smaller end,
+    as 1-based ids."""
     ends = [v for v in quad if sum(rows[v] >> u & 1 for u in quad) == 1]
     order = [min(ends)]
     while len(order) < 4:
         order.append(next(v for v in quad
                           if v not in order and rows[order[-1]] >> v & 1))
-    return P4Witness(tuple(v + 1 for v in order))
+    return tuple(v + 1 for v in order)
 
 
-def recognize(g: Graph) -> CoTree | P4Witness:
-    """Decompose a graph into its cotree, or produce an induced-P4
-    witness if it is not a cograph.
+def recognize(g: Graph) -> CoTree | tuple[int, int, int, int]:
+    """Decompose a graph into its cotree, or, if it is not a cograph, return
+    an induced P4: four 1-based vertex ids in path order.
 
     Single vertices are leaves; a disconnected (sub)graph splits into a
     0-labeled node over its components; a connected one with disconnected

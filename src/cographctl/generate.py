@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 from .cotree import CoTree
-from .parsing import ThresholdSequence
 
 
 def random_cotree(n: int, rng: random.Random, root_label: int = 1) -> CoTree:
@@ -43,8 +42,9 @@ def random_cotree(n: int, rng: random.Random, root_label: int = 1) -> CoTree:
     return CoTree(parents, labels, range(1, n + 1))
 
 
-def random_threshold_sequence(n: int, rng: random.Random) -> ThresholdSequence:
-    """Random construction sequence: first bit 0, the rest uniform."""
+def random_threshold_sequence(n: int, rng: random.Random) -> str:
+    """Random construction sequence as the bit string that ``parse_threshold``
+    reads: first bit 0, the rest uniform."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    return ThresholdSequence((0,) + tuple(rng.randint(0, 1) for _ in range(n - 1)))
+    return "0" + "".join(str(rng.randint(0, 1)) for _ in range(n - 1))

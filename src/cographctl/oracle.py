@@ -14,7 +14,6 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .cotree import P4Witness
 from .errors import NonIntegerRootError, SizeCapError
 from .graphs import Graph
 
@@ -160,8 +159,9 @@ def integer_roots(coeffs: Sequence[int]) -> Counter:
     return roots
 
 
-def find_p4(g: Graph) -> P4Witness | None:
-    """Search all 4-subsets for an induced path; None when the graph is P4-free."""
+def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
+    """Search all 4-subsets for an induced path, returned as 1-based ids in
+    path order; None when the graph is P4-free."""
     for quad in combinations(range(g.n), 4):
         witness = _path_order(g, quad)
         if witness is not None:
@@ -169,11 +169,7 @@ def find_p4(g: Graph) -> P4Witness | None:
     return None
 
 
-def is_p4_free(g: Graph) -> bool:
-    return find_p4(g) is None
-
-
-def _path_order(g: Graph, quad: tuple[int, ...]) -> P4Witness | None:
+def _path_order(g: Graph, quad: tuple[int, ...]) -> tuple[int, int, int, int] | None:
     pairs = [(i, j) for i, j in combinations(quad, 2) if g.has_edge(i, j)]
     if len(pairs) != 3:
         return None
@@ -188,7 +184,7 @@ def _path_order(g: Graph, quad: tuple[int, ...]) -> P4Witness | None:
     while len(order) < 4:
         order.append(next(v for v in quad
                           if v not in order and g.has_edge(order[-1], v)))
-    return P4Witness(tuple(v + 1 for v in order))
+    return tuple(v + 1 for v in order)
 
 
 def exhaustive_min_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:

@@ -9,8 +9,6 @@ which vertex ids later appear in sibling cells and control sets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import groupby
 
 from .cotree import CoTree
 from .errors import ParseError, SizeCapError
@@ -122,34 +120,21 @@ def parse_expr(text: str) -> CoTree:
 # -- threshold construction sequences -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdSequence:
-    """Bit i (1-based vertex i) records whether that vertex was attached by a
-    join (1) or a union (0). The first bit is always 0."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.bits:
-            raise ValueError("threshold sequence must be nonempty")
-        if self.bits[0] != 0:
-            raise ValueError("threshold sequence must start with 0")
-        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
-            raise ValueError("threshold sequence bits must be 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
 _NOT_THRESHOLD = re.compile(r"[^01 \t\n\r,;()\[\]]")
 _DROP_SEPARATORS = str.maketrans("", "", " \t\n\r,;()[]")
+_RUNS = re.compile("0+|1+")
 
 
-def parse_threshold(text: str) -> ThresholdSequence:
+def parse_threshold(text: str) -> CoTree:
+    """Cotree of the threshold graph whose construction sequence is the 0/1
+    bits of text (separators dropped): bit i says whether vertex i was
+    attached by a join (1) or a union (0), and the first bit must be 0.
+
+    Built in O(n) as canonical columns: one node per run of equal bits among
+    bits 2..n, the last run at the root and each run's node the first child
+    of the next run's. The bottom node holds vertex 1 and the first run's
+    vertices. In preorder the run nodes come first, top to bottom, and the
+    leaves 1..n follow, so the constructor stores the columns as they are."""
     bad = _NOT_THRESHOLD.search(text)
     if bad:
         raise _error(f"threshold sequence may only contain 0/1, got {bad[0]!r}", text, bad.start())
@@ -158,24 +143,15 @@ def parse_threshold(text: str) -> ThresholdSequence:
         raise ParseError("empty threshold sequence", 1, 1)
     if bits[0] != "0":
         raise _error("threshold sequence must start with 0", text, text.index("1"))
-    return ThresholdSequence(tuple(map(int, bits)))
-
-
-def threshold_to_cotree(seq: ThresholdSequence) -> CoTree:
-    """Cotree of the threshold graph, in O(n), as canonical columns: one
-    node per run of equal bits among bits 2..n, the last run at the root and
-    each run's node the first child of the next run's. The bottom node holds
-    vertex 1 and the first run's vertices. In preorder the run nodes come
-    first, top to bottom, and the leaves 1..n follow, so the constructor
-    stores the columns as they are."""
-    runs = [len(tuple(run)) for _, run in groupby(seq.bits[1:])]
+    runs = [m.end() - m.start() for m in _RUNS.finditer(bits, 1)]
     depth = len(runs)
     # the run nodes, top to bottom, and vertex 1 below them form one chain
     parents: list[int | None] = [None, *range(depth)]
     for node, size in zip(range(depth - 1, -1, -1), runs):
         parents += [node] * size
-    labels = [seq.bits[-1] ^ (k & 1) for k in range(depth)] + [None] * seq.n
-    return CoTree(parents, labels, range(1, seq.n + 1))
+    top = int(bits[-1])
+    labels = [top ^ (k & 1) for k in range(depth)] + [None] * len(bits)
+    return CoTree(parents, labels, range(1, len(bits) + 1))
 
 
 # -- cotree serialization ------------------------------------------------------

@@ -13,8 +13,6 @@ from cographctl import (
     CoTree,
     Graph,
     NonIntegerRootError,
-    P4Witness,
-    ThresholdSequence,
     laplacian,
     parse_cotree,
     random_cotree,
@@ -103,14 +101,14 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def threshold_to_graph(seq: ThresholdSequence) -> Graph:
+def threshold_to_graph(bits: str) -> Graph:
     """Adjacency straight from the attachment rule: the vertex added at step j
     by a join is adjacent to every earlier vertex, so {i, j} with i < j is an
-    edge exactly when bit j is 1."""
-    n = seq.n
+    edge exactly when bit j of the 0/1 string is 1."""
+    n = len(bits)
     rows = [0] * n
     for j in range(n):
-        if seq.bits[j] == 1:
+        if bits[j] == "1":
             for i in range(j):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
@@ -337,7 +335,7 @@ def choose_block_rows(t: CoTree, v: int, choice: Mapping[int, int]) -> frozenset
     return frozenset(choice.values())
 
 
-def p4_reference(g: Graph, mask: int) -> P4Witness | None:
+def p4_reference(g: Graph, mask: int) -> tuple[int, int, int, int] | None:
     """The first induced P4 on the vertices of ``mask`` (0-based bits) by a
     search over their 4-subsets in lexicographic order, in path order from
     its smaller end as 1-based ids; None when there is none. Visits up to
@@ -358,7 +356,7 @@ def p4_reference(g: Graph, mask: int) -> P4Witness | None:
         while len(order) < 4:
             order.append(next(v for v in quad
                               if v not in order and g.has_edge(order[-1], v)))
-        return P4Witness(tuple(v + 1 for v in order))
+        return tuple(v + 1 for v in order)
     return None
 
 

@@ -15,9 +15,9 @@ from cographctl import (
     char_poly,
     cotree_to_graph,
     enumerate_min_control_sets,
+    find_p4,
     integer_roots,
     is_controllable,
-    is_p4_free,
     kalman_rank,
     laplacian,
     min_control_size,
@@ -30,7 +30,6 @@ from cographctl import (
     recognize,
     sibling_partition,
     spectrum,
-    threshold_to_cotree,
 )
 from cographctl.cli import main
 from cographctl.cotree import CoTree
@@ -94,10 +93,9 @@ def test_criterion_1_eight_node_leader_enumeration(capsys):
 
 def test_criterion_2_threshold_reproduction(capsys):
     start = time.perf_counter()
-    seq = parse_threshold(THRESHOLD_EXAMPLE)
-    g = threshold_to_graph(seq)
+    g = threshold_to_graph(THRESHOLD_EXAMPLE)
     assert degree_sequence(g) == [3, 3, 2, 4, 1, 1, 6]
-    t = threshold_to_cotree(seq)
+    t = parse_threshold(THRESHOLD_EXAMPLE)
     cells = sibling_partition(t)
     assert cells == ((1, 2), (3,), (4,), (5, 6), (7,))
     assert min_control_size(t) == 2
@@ -252,7 +250,7 @@ def test_criterion_8_recognition_soundness(capsys):
     cograph_count = 0
     for g in graphs:
         result = recognize(g)
-        free = is_p4_free(g)
+        free = find_p4(g) is None
         if isinstance(result, CoTree):
             cograph_count += 1
             assert free

@@ -7,7 +7,6 @@ import pytest
 
 from cographctl import (
     NotConnectedError,
-    ThresholdSequence,
     cotree_to_graph,
     count_min_control_sets,
     enumerate_min_control_sets,
@@ -22,7 +21,6 @@ from cographctl import (
     random_threshold_sequence,
     select_min_control_set,
     sibling_partition,
-    threshold_to_cotree,
 )
 
 from helpers import (
@@ -40,7 +38,7 @@ from helpers import (
 
 
 def threshold_example_tree():
-    return threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
+    return parse_threshold(THRESHOLD_EXAMPLE)
 
 
 def complete(n):
@@ -150,8 +148,7 @@ def mixed_shape_tree(rng):
     if shape == 0:
         return random_cotree(n, rng)
     if shape == 1:
-        bits = random_threshold_sequence(n, rng).bits[:-1] + (1,)
-        return threshold_to_cotree(ThresholdSequence(bits))
+        return parse_threshold(random_threshold_sequence(n, rng)[:-1] + "1")
     sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
     return parse_expr("*".join("(" + "+".join("." * k) + ")" for k in sizes))
 

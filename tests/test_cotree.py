@@ -8,10 +8,9 @@ import cographctl.cotree as cotree
 
 from cographctl import (
     CoTree,
-    P4Witness,
     cotree_to_graph,
+    find_p4,
     is_controllable,
-    is_p4_free,
     kalman_rank,
     min_control_size,
     parse_cotree,
@@ -22,7 +21,6 @@ from cographctl import (
     recognize,
     serialize_cotree,
     sibling_partition,
-    threshold_to_cotree,
 )
 
 from helpers import (
@@ -51,9 +49,7 @@ K1 = single()
 
 def test_recognize_p4_gives_witness():
     g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    result = recognize(g)
-    assert isinstance(result, P4Witness)
-    assert result.vertices == (1, 2, 3, 4)
+    assert recognize(g) == (1, 2, 3, 4)
 
 
 def test_recognize_complete_graph_single_join_node():
@@ -67,13 +63,12 @@ def test_recognize_complete_graph_single_join_node():
 
 
 def test_recognize_threshold_fold_roundtrip():
-    seq = parse_threshold(THRESHOLD_EXAMPLE)
-    g = threshold_to_graph(seq)
+    g = threshold_to_graph(THRESHOLD_EXAMPLE)
     t = recognize(g)
     assert isinstance(t, CoTree)
     assert is_canonical(t)
     assert cotree_to_graph(t) == g
-    assert t == threshold_to_cotree(seq)
+    assert t == parse_threshold(THRESHOLD_EXAMPLE)
     # the unique canonical cotree of this graph has five internal nodes
     assert len(t.internal_ids()) == 5
 
@@ -86,46 +81,44 @@ def test_recognize_single_vertex_and_disconnected():
 
 
 def test_canonicalize_hoists_same_label_children():
-    t = CoTree.from_nested((1, [(1, [1, 2]), 3]))
+    t = parse_cotree(nested_text((1, [(1, [1, 2]), 3])))
     assert serialize_cotree(t) == "1(1,2,3)"
     assert cotree_to_graph(t) == join_of([K1] * 3)
 
 
 def test_canonicalize_splices_unary_nodes():
     # unary node over a leaf disappears
-    t = CoTree.from_nested((1, [(0, [1]), 2]))
+    t = parse_cotree(nested_text((1, [(0, [1]), 2])))
     assert serialize_cotree(t) == "1(1,2)"
     # unary root - the single child takes over
-    t = CoTree.from_nested((1, [(0, [1, 2])]))
+    t = parse_cotree(nested_text((1, [(0, [1, 2])])))
     assert serialize_cotree(t) == "0(1,2)"
     # splice and then hoist when labels collide afterwards
-    t = CoTree.from_nested((1, [(0, [(1, [1, 2])]), 3]))
+    t = parse_cotree(nested_text((1, [(0, [(1, [1, 2])]), 3])))
     assert serialize_cotree(t) == "1(1,2,3)"
     assert cotree_to_graph(t) == join_of([K1] * 3)
 
 
 def test_canonicalize_threshold_fold_and_idempotence():
-    seq = parse_threshold(THRESHOLD_EXAMPLE)
+    bits = THRESHOLD_EXAMPLE
     nested = 1
-    for i in range(2, seq.n + 1):
-        nested = (seq.bits[i - 1], [nested, i])
-    canon = CoTree.from_nested(nested)
-    assert cotree_to_graph(canon) == threshold_to_graph(seq)
+    for i in range(2, len(bits) + 1):
+        nested = (int(bits[i - 1]), [nested, i])
+    canon = parse_cotree(nested_text(nested))
+    assert cotree_to_graph(canon) == threshold_to_graph(bits)
     assert is_canonical(canon)
-    assert CoTree.from_nested(to_nested(canon)) == canon
-    assert canon == threshold_to_cotree(seq)
+    assert parse_cotree(nested_text(to_nested(canon))) == canon
+    assert canon == parse_threshold(bits)
 
 
 def test_every_cotree_is_canonical():
-    # non-canonical text and nested forms of corpus trees come back as the
-    # corpus tree itself
+    # non-canonical text of corpus trees comes back as the corpus tree itself
     rng = random.Random(2718)
     for t in cotree_corpus(80, 12, seed=31, mixed_roots=True):
         for _ in range(4):
-            nested = scrambled(to_nested(t), rng)
-            for again in (CoTree.from_nested(nested), parse_cotree(nested_text(nested))):
-                assert again == t
-                assert is_canonical(again)
+            again = parse_cotree(nested_text(scrambled(to_nested(t), rng)))
+            assert again == t
+            assert is_canonical(again)
 
 
 def _stored(t: CoTree):
@@ -152,14 +145,14 @@ def test_layout_writes_what_the_checking_pass_would_index():
         for _ in range(2):
             nested = scrambled(to_nested(t), rng)
             assert nested != to_nested(t)
-            cases.append((CoTree.from_nested(nested), t))
+            cases.append((parse_cotree(nested_text(nested)), t))
     # wide expressions: unary term and group nodes around unions of thousands
     for text in ("3000", "(.+.)*3000", "2*(3+(4*(1000)))", "((.))*.*(2000)"):
         cases.append((parse_expr(text), None))
     # threshold trees with long runs of equal bits
     for bits in ("0" + "1" * 800, "0" * 500 + "1" * 700 + "0" * 3 + "1",
                  "0" + "01" * 50 + "1" * 900):
-        cases.append((threshold_to_cotree(parse_threshold(bits)), None))
+        cases.append((parse_threshold(bits), None))
     for laid_out, expected in cases:
         assert is_canonical(laid_out)
         again = CoTree(laid_out._parent, laid_out._label, laid_out._leaves)
@@ -172,7 +165,7 @@ def test_layout_writes_what_the_checking_pass_would_index():
 
 def test_noncanonical_k3_gets_the_k3_answers():
     t = parse_cotree("1(1(1,2),3)")
-    assert t == CoTree.from_nested((1, [(1, [1, 2]), 3]))
+    assert t == CoTree([None, 0, 1, 1, 0], [1, 1, None, None, None], [1, 2, 3])
     assert sibling_partition(t) == ((1, 2, 3),)
     assert min_control_size(t) == 2
     assert is_controllable(t, [1]) is False
@@ -202,7 +195,7 @@ def test_structural_queries():
     assert t.label(lca67) == 0
     assert not cotree_to_graph(t).has_edge(5, 6)
     # Fig 2 cotree: 6,7 are non-adjacent siblings, so their lca is a union node
-    t2 = threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
+    t2 = parse_threshold(THRESHOLD_EXAMPLE)
     g2 = cotree_to_graph(t2)
     lca56 = lca(t2, 5, 6)
     assert t2.label(lca56) == 0
@@ -222,7 +215,7 @@ def test_lca_label_matches_adjacency():
 def test_roundtrip_recognize_of_cotree_graph():
     for t in cotree_corpus(60, 8, seed=42, mixed_roots=True):
         again = recognize(cotree_to_graph(t))
-        assert again == CoTree.from_nested(to_nested(t)) == t
+        assert again == parse_cotree(nested_text(to_nested(t))) == t
         assert is_canonical(t)
 
 
@@ -260,11 +253,11 @@ def test_recognize_agrees_with_p4_search():
         result = recognize(g)
         if isinstance(result, CoTree):
             hits += 1
-            assert is_p4_free(g)
+            assert find_p4(g) is None
             assert cotree_to_graph(result) == g
         else:
-            assert not is_p4_free(g)
-            a, b, c, d = (v - 1 for v in result.vertices)
+            assert find_p4(g) is not None
+            a, b, c, d = (v - 1 for v in result)
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
             assert not g.has_edge(a, c) and not g.has_edge(a, d) and not g.has_edge(b, d)
     assert hits > 10  # sanity: the sample includes real cographs
@@ -356,7 +349,7 @@ def test_one_split_per_node_below_the_root(monkeypatch):
     real = cotree._components
     monkeypatch.setattr(cotree, "_components",
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-    graphs = [threshold_to_graph(parse_threshold("0" + "01" * k)) for k in (1, 2, 7, 60)]
+    graphs = [threshold_to_graph("0" + "01" * k) for k in (1, 2, 7, 60)]
     graphs += [cotree_to_graph(random_cotree(n, random.Random(n), root_label=label))
                for n, label in ((2, 0), (40, 0), (40, 1), (300, 1))]
     for g in graphs:
@@ -364,30 +357,6 @@ def test_one_split_per_node_below_the_root(monkeypatch):
         t = recognize(g)
         assert isinstance(t, CoTree)
         assert len(calls) == len(t.internal_ids()) + t.label(t.root)
-
-
-def test_from_nested_validates_leaf_ids():
-    with pytest.raises(ValueError):
-        CoTree.from_nested((1, [1, 1]))  # duplicate
-    with pytest.raises(ValueError):
-        CoTree.from_nested((1, [1, 3]))  # gap
-    with pytest.raises(ValueError):
-        CoTree.from_nested((2, [1, 2]))  # bad label
-    with pytest.raises(ValueError):
-        CoTree.from_nested((1, []))  # childless internal node
-    with pytest.raises(ValueError):
-        CoTree.from_nested((True, [1, 2]))  # a bool label
-
-
-@pytest.mark.parametrize("nested", [
-    (1, [1.0, 2]),  # a float leaf
-    (1, [None, 2]),  # neither a leaf nor a pair
-    (1, 5),  # children that are not a list or tuple
-    (1, [1, 2], 3),  # three entries, not a pair
-])
-def test_from_nested_rejects_malformed_nodes(nested):
-    with pytest.raises(ValueError, match=r"an int leaf or a \(label, children\) pair"):
-        CoTree.from_nested(nested)
 
 
 def test_random_cotree_root_label_is_an_exact_0_or_1():
@@ -413,9 +382,14 @@ def test_random_cotree_root_label_is_an_exact_0_or_1():
     ([None, 0, 0], [1.0, None, None], [1, 2]),  # a float label
     ([None, 0, 0], [1, None, None], [True, 2]),  # a bool leaf id
     ([None, False, 0], [1, None, None], [1, 2]),  # a bool parent
+    ([None, 0, 0], [1, None, None], [1, 1]),  # a duplicate leaf id
+    ([None, 0, 0], [1, None, None], [1, 3]),  # a gap: leaves 1 and 3 with n = 2
+    ([None, 0, 0], [2, None, None], [1, 2]),  # label 2
+    ([None, 0, 0, 0], [1, None, None, 0], [1, 2]),  # an internal node with no children
 ], ids=["late-children", "negative-parent", "later-parent", "none-parent",
         "root-parent", "leaf-parent", "short-parents", "text-leaf", "float-leaf",
-        "bool-label", "float-label", "bool-leaf", "bool-parent"])
+        "bool-label", "float-label", "bool-leaf", "bool-parent", "duplicate-leaf",
+        "leaf-gap", "label-2", "childless-internal"])
 def test_constructor_rejects_columns_that_are_not_a_preorder_tree(parents, labels, leaves):
     with pytest.raises(ValueError):
         CoTree(parents, labels, leaves)

@@ -14,9 +14,7 @@ from itertools import accumulate
 import pytest
 
 from cographctl import (
-    CoTree,
     Graph,
-    P4Witness,
     is_controllable,
     parse_cotree,
     parse_threshold,
@@ -26,11 +24,10 @@ from cographctl import (
     recognize,
     select_min_control_set,
     serialize_cotree,
-    threshold_to_cotree,
 )
 from cographctl.cli import main
 
-from helpers import threshold_to_graph, to_nested
+from helpers import threshold_to_graph
 
 
 def alternating(bits: int) -> str:
@@ -130,7 +127,7 @@ def test_recognize_deep_threshold_edge_list(capsys, tmp_path):
     path = tmp_path / "deep.txt"
     path.write_text(threshold_edge_list(bits))
     payload = run_json(capsys, "recognize", "--edges", str(path))
-    assert payload["cotree"] == serialize_cotree(threshold_to_cotree(parse_threshold(bits)))
+    assert payload["cotree"] == serialize_cotree(parse_threshold(bits))
 
 
 def test_recognize_builds_no_complement():
@@ -167,17 +164,16 @@ def adversarial(n: int) -> Graph:
 def test_recognize_finds_the_last_p4_of_a_large_graph(n):
     """A search over 4-subsets visits about n^4 / 24 of them here (about 20 s
     at n = 120); the triple scan needs no more than n^3 / 6 steps."""
-    assert recognize(adversarial(n)) == P4Witness((n - 3, n - 2, n - 1, n))
+    assert recognize(adversarial(n)) == (n - 3, n - 2, n - 1, n)
 
 
 def test_serialize_parse_roundtrip_deep():
-    tree = threshold_to_cotree(parse_threshold(alternating(2001)))
+    tree = parse_threshold(alternating(2001))
     assert tree.node_count() == 4001
     text = serialize_cotree(tree)
     assert text.count("(") == 2000
     again = parse_cotree(text)
     assert again == tree
-    assert CoTree.from_nested(to_nested(again)) == tree
 
 
 @pytest.mark.parametrize("n, seed", [(500, 2), (10**5, 3)], ids=["wide-root", "hundred-thousand"])
@@ -235,7 +231,7 @@ def test_commands_do_not_recurse(capsys, tmp_path, argv):
 
 def test_edge_list_input_does_not_recurse(capsys, tmp_path):
     text = threshold_edge_list(GUARD_BITS)
-    assert read_edge_list(text) == threshold_to_graph(parse_threshold(GUARD_BITS))
+    assert read_edge_list(text) == threshold_to_graph(GUARD_BITS)
     path = tmp_path / "deep.txt"
     path.write_text(text)
     limit = sys.getrecursionlimit()

@@ -80,7 +80,7 @@ def inputs(rng: random.Random, tmp_path):
         texts = [
             ("--expr", random_expr(n, rng)),
             ("--cotree", nested_text(scrambled(to_nested(tree), rng))),
-            ("--threshold", str(random_threshold_sequence(n, rng))),
+            ("--threshold", random_threshold_sequence(n, rng)),
             ("--edges", write_edge_list(graph)),
         ]
         for flag, text in texts:

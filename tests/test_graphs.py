@@ -12,7 +12,6 @@ from cographctl import (
     laplacian,
     parse_threshold,
     read_edge_list,
-    threshold_to_cotree,
     write_edge_list,
 )
 from cographctl.generate import random_threshold_sequence
@@ -82,11 +81,10 @@ def test_laplacian_k2_k3():
 
 def test_laplacian_threshold_degree_diagonal():
     # oracle: rebuild the same adjacency by folding the construction sequence
-    seq = parse_threshold(THRESHOLD_EXAMPLE)
-    g = threshold_to_graph(seq)
+    g = threshold_to_graph(THRESHOLD_EXAMPLE)
     folded = K1
-    for bit in seq.bits[1:]:
-        folded = (join_of if bit else union_of)([folded, K1])
+    for bit in THRESHOLD_EXAMPLE[1:]:
+        folded = (join_of if bit == "1" else union_of)([folded, K1])
     assert folded == g
     L = laplacian(g)
     assert tuple(L[i][i] for i in range(7)) == (3, 3, 2, 4, 1, 1, 6)
@@ -109,7 +107,7 @@ def test_complement_and_connectivity():
 
 
 def test_degree_sequence_order():
-    g = threshold_to_graph(parse_threshold(THRESHOLD_EXAMPLE))
+    g = threshold_to_graph(THRESHOLD_EXAMPLE)
     assert degree_sequence(g) == [3, 3, 2, 4, 1, 1, 6]
 
 
@@ -158,7 +156,7 @@ def test_package_built_graphs_pass_the_public_checks():
     they return must pass them."""
     rng = random.Random(41)
     trees = cotree_corpus(60, 14, seed=41, mixed_roots=True)
-    trees += [threshold_to_cotree(random_threshold_sequence(rng.randint(1, 14), rng))
+    trees += [parse_threshold(random_threshold_sequence(rng.randint(1, 14), rng))
               for _ in range(20)]
     graphs = [cotree_to_graph(t) for t in trees]
     graphs += [random_graph(rng.randint(1, 14), rng, rng.random()) for _ in range(60)]

@@ -16,7 +16,6 @@ from cographctl import (
     exhaustive_min_sets,
     find_p4,
     integer_roots,
-    is_p4_free,
     kalman_rank,
     laplacian,
     parse_cotree,
@@ -24,7 +23,6 @@ from cographctl import (
     parse_threshold,
     random_cotree,
     spectrum,
-    threshold_to_cotree,
 )
 
 from helpers import (
@@ -126,7 +124,7 @@ def test_kalman_rank_matches_closed_form_up_to_n_100():
     for n in (12, 40, 100):
         trees.append(random_cotree(n, rng))
         trees.append(parse_expr(f".*{n - 1}"))  # the star K_{1,n-1}
-        trees.append(threshold_to_cotree(parse_threshold("01" * (n // 2))))
+        trees.append(parse_threshold("01" * (n // 2)))
     for t in trees:
         g = cotree_to_graph(t)
         for size in (1, 2, t.n // 2):
@@ -242,11 +240,9 @@ def test_integer_roots_matches_divisor_reference():
 
 def test_is_p4_free_examples():
     p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    witness = find_p4(p4)
-    assert witness is not None and witness.vertices == (1, 2, 3, 4)
-    assert not is_p4_free(p4)
+    assert find_p4(p4) == (1, 2, 3, 4)
     for t in cotree_corpus(25, 8, seed=31, mixed_roots=True):
-        assert is_p4_free(cotree_to_graph(t))
+        assert find_p4(cotree_to_graph(t)) is None
 
 
 def test_exhaustive_min_sets_eight_node():

@@ -7,7 +7,6 @@ import pytest
 from cographctl import (
     ParseError,
     SizeCapError,
-    ThresholdSequence,
     cotree_to_graph,
     parse_cotree,
     parse_expr,
@@ -15,7 +14,6 @@ from cographctl import (
     read_edge_list,
     recognize,
     serialize_cotree,
-    threshold_to_cotree,
     write_edge_list,
 )
 from cographctl import parsing
@@ -25,6 +23,7 @@ from helpers import (
     THRESHOLD_EXAMPLE,
     expr_reference,
     join_of,
+    nested_text,
     single,
     threshold_to_graph,
     union_of,
@@ -145,11 +144,11 @@ def test_parse_expr_matches_recursive_descent_reference():
 
 def test_parse_threshold_basics():
     assert parse_threshold("0").n == 1
-    assert threshold_to_graph(parse_threshold("0")).n == 1
-    k2 = threshold_to_graph(parse_threshold("01"))
+    assert cotree_to_graph(parse_threshold("0")) == threshold_to_graph("0")
+    k2 = cotree_to_graph(parse_threshold("01"))
+    assert k2 == threshold_to_graph("01")
     assert k2.edge_count() == 1
-    seq = parse_threshold("0, 1 0 (1) 0;0,1")
-    assert str(seq) == THRESHOLD_EXAMPLE
+    assert parse_threshold("0, 1 0 (1) 0;0,1") == parse_threshold(THRESHOLD_EXAMPLE)
 
 
 def test_parse_threshold_errors():
@@ -161,15 +160,15 @@ def test_parse_threshold_errors():
 def test_threshold_neighborhood_rule_matches_composition_fold():
     rng = random.Random(321)
     for _ in range(40):
-        seq = random_threshold_sequence(rng.randint(1, 12), rng)
-        direct = threshold_to_graph(seq)
+        bits = random_threshold_sequence(rng.randint(1, 12), rng)
+        direct = threshold_to_graph(bits)
         folded = K1
-        for bit in seq.bits[1:]:
-            folded = (join_of if bit else union_of)([folded, K1])
+        for bit in bits[1:]:
+            folded = (join_of if bit == "1" else union_of)([folded, K1])
         assert direct == folded
 
 
-def test_threshold_to_cotree_emits_canonical_columns(monkeypatch):
+def test_parse_threshold_emits_canonical_columns(monkeypatch):
     """The columns handed to the constructor are canonical, so it stores
     them as they are, and they give the tree of the fold in which vertex j
     joins or unites with the tree of vertices 1..j-1 by bit j."""
@@ -180,24 +179,24 @@ def test_threshold_to_cotree_emits_canonical_columns(monkeypatch):
     seqs = [random_threshold_sequence(rng.randint(1, 40), rng) for _ in range(2000)]
     for _ in range(1000):  # long runs
         p = rng.random()
-        seqs.append(ThresholdSequence((0, *(int(rng.random() < p) for _ in range(rng.randint(0, 60))))))
-    seqs += [parse_threshold(bits) for bits in ("0", "00", "01", "0000", "0111", "0" + "01" * 30,
-                                                THRESHOLD_EXAMPLE)]
-    for seq in seqs:
+        seqs.append("0" + "".join("01"[rng.random() < p] for _ in range(rng.randint(0, 60))))
+    seqs += ["0", "00", "01", "0000", "0111", "0" + "01" * 30, THRESHOLD_EXAMPLE]
+    for bits in seqs:
         built.clear()
-        t = threshold_to_cotree(seq)
+        t = parse_threshold(bits)
         (parents, labels, leaves), = built
         assert [t.parent(i) for i in range(t.node_count())] == parents
         assert [None if t.is_leaf(i) else t.label(i) for i in range(t.node_count())] == labels
         assert t.leaf_sequence(t.root) == tuple(leaves)
         nested = 1
-        for v in range(2, seq.n + 1):
-            nested = (seq.bits[v - 1], [nested, v])
-        assert t == real.from_nested(nested)
+        for v in range(2, len(bits) + 1):
+            nested = (int(bits[v - 1]), [nested, v])
+        assert t == parse_cotree(nested_text(nested))
 
 
 def test_example_threshold_graph():
-    g = threshold_to_graph(parse_threshold(THRESHOLD_EXAMPLE))
+    g = cotree_to_graph(parse_threshold(THRESHOLD_EXAMPLE))
+    assert g == threshold_to_graph(THRESHOLD_EXAMPLE)
     assert [g.degree(i) for i in range(7)] == [3, 3, 2, 4, 1, 1, 6]
 
 

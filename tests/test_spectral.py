@@ -18,7 +18,6 @@ from cographctl import (
     parse_threshold,
     random_cotree,
     spectrum,
-    threshold_to_cotree,
 )
 from cographctl.spectral import MODAL_CAP
 
@@ -43,7 +42,7 @@ from helpers import (
 
 
 def example_threshold_tree():
-    return threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
+    return parse_threshold(THRESHOLD_EXAMPLE)
 
 
 def node_eigenvalues(t):
@@ -123,7 +122,7 @@ def test_blocks_and_modal_matrix_match_entrywise_reference():
     bits = ["01" * 60, "0" + "01" * 59 + "1", "0" * 40 + "1" * 40]
     bits += ["0" + "".join(rng.choice("01") for _ in range(rng.randint(1, 120)))
              for _ in range(10)]
-    trees += [threshold_to_cotree(parse_threshold(b)) for b in bits]
+    trees += [parse_threshold(b) for b in bits]
     for t in trees:
         columns = modal_columns(t)
         assert [c[0] for c in columns] == [v for v in t.internal_ids()
@@ -211,9 +210,8 @@ def test_compose_spectrum_threshold_fold_steps():
     ]
     k1 = ((0, 1),)
     acc = k1
-    seq = parse_threshold(THRESHOLD_EXAMPLE)
-    for step, bit in enumerate(seq.bits[1:]):
-        acc = compose_spectrum("join" if bit else "union", [acc, k1])
+    for step, bit in enumerate(THRESHOLD_EXAMPLE[1:]):
+        acc = compose_spectrum("join" if bit == "1" else "union", [acc, k1])
         assert sorted(nontrivial(acc).elements()) == expected[step]
     assert acc == spectrum(example_threshold_tree())
 
@@ -252,7 +250,7 @@ def test_modal_columns_have_no_size_cap():
     assert len(columns) == 99_999
     assert columns[0] == (0, 0, 1, 0, 1, 1, 2)
     assert columns[-1] == (0, 0, 1, 0, 99_999, 99_999, 100_000)
-    t = threshold_to_cotree(parse_threshold("01" * 2200))
+    t = parse_threshold("01" * 2200)
     columns = modal_columns(t)
     assert len(columns) == t.n - 1 == 4399
     assert sorted(c[0] for c in columns) == list(t.internal_ids())
@@ -275,9 +273,8 @@ def seeded_families(seed):
         trees.append(parse_expr("*".join(["."] * (k + 1))))
     for _ in range(300):
         n = rng.randint(1, 50)
-        trees.append(threshold_to_cotree(parse_threshold(
-            "0" + "".join(rng.choice("01") for _ in range(n - 1)))))
-    trees += [threshold_to_cotree(parse_threshold(("01" * 30)[:n])) for n in range(1, 61)]
+        trees.append(parse_threshold("0" + "".join(rng.choice("01") for _ in range(n - 1))))
+    trees += [parse_threshold(("01" * 30)[:n]) for n in range(1, 61)]
     return trees
 
 
@@ -298,9 +295,8 @@ def test_modal_columns_are_eigenpairs_of_the_adjacency():
     trees = cotree_corpus(150, 20, seed=71, mixed_roots=True)
     trees += [random_cotree(n, rng) for n in (100, 200, 300)]
     trees += [parse_expr(".*299"), parse_expr("(.+.)*" * 99 + ".")]
-    trees += [threshold_to_cotree(parse_threshold("01" * 150)),
-              threshold_to_cotree(parse_threshold(
-                  "0" + "".join(rng.choice("01") for _ in range(299))))]
+    trees += [parse_threshold("01" * 150),
+              parse_threshold("0" + "".join(rng.choice("01") for _ in range(299)))]
     for t in trees:
         g = cotree_to_graph(t)
         columns = modal_columns(t)

@@ -18,8 +18,6 @@ from cographctl import (
     recognize,
     select_min_control_set,
     sibling_partition,
-    ThresholdSequence,
-    threshold_to_cotree,
 )
 from cographctl.generate import random_threshold_sequence
 from cographctl.oracle import exhaustive_min_sets, find_p4
@@ -37,21 +35,12 @@ from helpers import (
 K1 = single()
 
 
-def test_threshold_sequence_bits_are_exact_ints():
-    # 1.0 and True equal 1, but would print as "01.0" and "FalseTrue" and
-    # label a cotree node 1.0
-    for bits in ((0, 1.0), (0.0, 1), (False, True), (0, True), (0, "1")):
-        with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            ThresholdSequence(bits)
-    assert str(ThresholdSequence((0, 1, 0))) == "010"
-
-
 def test_degree_partition_complete():
     assert degree_partition(recognize(join_of([K1] * 5))) == ((4, (1, 2, 3, 4, 5)),)
 
 
 def test_degree_partition_example_threshold():
-    part = degree_partition(threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE)))
+    part = degree_partition(parse_threshold(THRESHOLD_EXAMPLE))
     assert part == ((1, (5, 6)), (2, (3,)), (3, (1, 2)), (4, (4,)), (6, (7,)))
 
 
@@ -70,22 +59,22 @@ def degree_shortcut(t, tie_rule="lowest-ids"):
 
 
 def test_threshold_min_control_example():
-    t = threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
+    t = parse_threshold(THRESHOLD_EXAMPLE)
     assert tuple(sorted(cell for _, cell in degree_partition(t))) == sibling_partition(t)
     cset = select_min_control_set(t)
     assert min_control_size(t) == 2 and type(cset) is tuple and cset == (1, 5)
     assert degree_shortcut(t) == (2, cset)
     # oracle: exhaustive Kalman search finds the same minimum
-    g = threshold_to_graph(parse_threshold(THRESHOLD_EXAMPLE))
+    g = threshold_to_graph(THRESHOLD_EXAMPLE)
     best, sets = exhaustive_min_sets(g)
     assert best == 2 and (1, 5) in sets
 
 
 def test_threshold_min_control_k2_and_tie_rule():
-    t = threshold_to_cotree(parse_threshold("01"))
+    t = parse_threshold("01")
     assert min_control_size(t) == 1 and select_min_control_set(t) == (1,)
     assert degree_shortcut(t) == (1, (1,))
-    example = threshold_to_cotree(parse_threshold(THRESHOLD_EXAMPLE))
+    example = parse_threshold(THRESHOLD_EXAMPLE)
     highest = select_min_control_set(example, "highest-ids")
     assert highest == (2, 6) == degree_shortcut(example, "highest-ids")[1]
     with pytest.raises(ValueError):
@@ -94,10 +83,9 @@ def test_threshold_min_control_k2_and_tie_rule():
 
 def test_anti_regular_single_control_node():
     # all degrees distinct except one tie: one control node suffices
-    seq = parse_threshold("0101")
-    degs = sorted(threshold_to_graph(seq).degree(i) for i in range(4))
+    degs = sorted(threshold_to_graph("0101").degree(i) for i in range(4))
     assert degs == [1, 2, 2, 3]
-    t = threshold_to_cotree(seq)
+    t = parse_threshold("0101")
     cset = select_min_control_set(t)
     assert min_control_size(t) == 1 and len(cset) == 1
     assert degree_shortcut(t) == (1, cset)
@@ -105,27 +93,27 @@ def test_anti_regular_single_control_node():
 
 def test_threshold_min_control_rejects_disconnected():
     with pytest.raises(NotConnectedError):
-        select_min_control_set(threshold_to_cotree(parse_threshold("010")))
+        select_min_control_set(parse_threshold("010"))
     # one vertex is connected, but has no control problem
     with pytest.raises(ValueError, match="requires more than one vertex"):
-        select_min_control_set(threshold_to_cotree(parse_threshold("0")))
+        select_min_control_set(parse_threshold("0"))
 
 
 def test_threshold_connectivity_rule_matches_search():
     rng = random.Random(808)
     for _ in range(60):
-        seq = random_threshold_sequence(rng.randint(2, 10), rng)
-        g = threshold_to_graph(seq)
-        assert is_connected(g) == (seq.bits[-1] == 1)
+        bits = random_threshold_sequence(rng.randint(2, 10), rng)
+        g = threshold_to_graph(bits)
+        assert is_connected(g) == (bits[-1] == "1")
 
 
 def test_degree_partition_equals_sibling_partition_on_thresholds():
     rng = random.Random(809)
     for _ in range(60):
-        seq = random_threshold_sequence(rng.randint(1, 12), rng)
-        g = threshold_to_graph(seq)
+        bits = random_threshold_sequence(rng.randint(1, 12), rng)
+        g = threshold_to_graph(bits)
         deg_cells = {frozenset(c) for _, c in degree_partition(recognize(g))}
-        sib_cells = {frozenset(c) for c in sibling_partition(threshold_to_cotree(seq))}
+        sib_cells = {frozenset(c) for c in sibling_partition(parse_threshold(bits))}
         assert deg_cells == sib_cells
 
 
@@ -150,21 +138,21 @@ def test_degree_partition_differs_from_siblings_off_thresholds():
 def test_threshold_graphs_are_cographs():
     rng = random.Random(810)
     for _ in range(60):
-        seq = random_threshold_sequence(rng.randint(1, 12), rng)
-        g = threshold_to_graph(seq)
+        bits = random_threshold_sequence(rng.randint(1, 12), rng)
+        g = threshold_to_graph(bits)
         assert find_p4(g) is None
         t = recognize(g)
         assert isinstance(t, CoTree)
-        assert t == threshold_to_cotree(seq)
+        assert t == parse_threshold(bits)
 
 
 def test_threshold_shortcut_matches_cotree_route():
     rng = random.Random(811)
     for _ in range(40):
-        seq = random_threshold_sequence(rng.randint(2, 12), rng)
-        if seq.bits[-1] != 1:
+        bits = random_threshold_sequence(rng.randint(2, 12), rng)
+        if bits[-1] != "1":
             continue
-        t = threshold_to_cotree(seq)
+        t = parse_threshold(bits)
         assert tuple(sorted(cell for _, cell in degree_partition(t))) == sibling_partition(t)
         for tie in ("lowest-ids", "highest-ids"):
             assert degree_shortcut(t, tie) == (min_control_size(t),
@@ -176,9 +164,8 @@ def test_threshold_shortcut_at_three_thousand_vertices():
     # so the shortcut stays fast at this size
     rng = random.Random(3001)
     bits = "".join(rng.choice("01") for _ in range(2999))
-    for seq in (parse_threshold("0" + "01" * 1500), parse_threshold("0" + bits + "1")):
-        assert seq.n == 3001
-        t = threshold_to_cotree(seq)
+    for t in (parse_threshold("0" + "01" * 1500), parse_threshold("0" + bits + "1")):
+        assert t.n == 3001
         assert tuple(sorted(cell for _, cell in degree_partition(t))) == sibling_partition(t)
         for tie in ("lowest-ids", "highest-ids"):
             size, cset = degree_shortcut(t, tie)
