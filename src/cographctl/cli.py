@@ -15,6 +15,7 @@ import functools
 import json
 import random
 import sys
+from math import prod
 from typing import Sequence
 
 from . import control, generate, oracle, spectral
@@ -229,25 +230,26 @@ def _cmd_partition(args, parser) -> int:
 
 def _cmd_leaders(args, parser) -> int:
     tree, _ = _load_input(parser, args)
-    size = control.min_control_size(tree)  # first, so its name is on any error
+    control._require_controllable_setting(tree, "min_control_size")  # its name on any error
+    cells = control.sibling_partition(tree)
+    size = tree.n - len(cells)
     tie = "lowest-ids" if args.tie == "lowest" else "highest-ids"
     if args.all:
-        count = control.count_min_control_sets(tree)
+        count = prod(map(len, cells))
         if count * tree.n > ALL_SETS_CAP:
             raise SizeCapError(f"leaders --all capped at {ALL_SETS_CAP} for sets x vertices, "
                                f"got {count} x {tree.n}")
-        sets = control.enumerate_min_control_sets(tree)
+        sets = control._min_sets(cells, tree.n)
     if args.json:
-        payload = {"n": tree.n, "cotree": serialize_cotree(tree),
-                   "cells": control.sibling_partition(tree), "min_size": size}
+        payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells, "min_size": size}
         if args.all:
             payload.update(sets=list(sets), count=count)
         else:
-            payload["sets"] = [control.select_min_control_set(tree, tie)]
+            payload["sets"] = [control._min_set(cells, tie)]
         print(_json(payload))
         return 0
     print(f"min_size: {size}")
-    print("set: " + ",".join(map(str, control.select_min_control_set(tree, tie))))
+    print("set: " + ",".join(map(str, control._min_set(cells, tie))))
     if args.all:
         print(f"count: {count}")
         for s in sets:
@@ -295,7 +297,7 @@ def _cmd_oracle(args, parser) -> int:
     roots = tuple(sorted(oracle.integer_roots(oracle.char_poly(laplacian(graph))).items()))
     spectrum_agree = roots == spec
     size, sets = oracle.exhaustive_min_sets(graph)
-    control_agree = size == control.min_control_size(tree) and sets == enum
+    control_agree = size == len(enum[0]) and sets == enum
     if args.json:
         print(_json({"n": graph.n, "cotree": serialize_cotree(tree), "p4_free": p4_free,
                      "spectrum": spec, "oracle_spectrum": roots,

@@ -47,11 +47,14 @@ def _require_controllable_setting(t: CoTree, op: str) -> None:
 def sibling_partition(t: CoTree) -> tuple[tuple[int, ...], ...]:
     """Group leaves by their cotree parent: disjoint cells covering 1..n,
     ordered by smallest member, a singleton for a vertex with no sibling.
-    Every ``CoTree`` is canonical, so these are the graph's twin classes."""
-    by_parent: dict[int | None, list[int]] = {}
-    for v in range(1, t.n + 1):
-        by_parent.setdefault(t.parent(t.leaf_id(v)), []).append(v)
-    return tuple(sorted(map(tuple, by_parent.values())))
+    Every ``CoTree`` is canonical, so these are the graph's twin classes.
+    Vertex v's cell is keyed by its leaf's stored parent; v ascends, so the
+    cells come sorted and in order of their smallest member."""
+    parent = t._parent
+    cells: dict[int | None, list[int]] = {}
+    for v, node in enumerate(t._leaf_node[1:], 1):
+        cells.setdefault(parent[node], []).append(v)
+    return tuple(map(tuple, cells.values()))
 
 
 def min_control_size(t: CoTree) -> int:
@@ -65,10 +68,14 @@ def select_min_control_set(t: CoTree, tie_rule: str = "lowest-ids") -> tuple[int
     """One minimum control set: all but one vertex from every sibling cell.
     ``tie_rule`` picks which vertices stay (lowest-ids keeps the smallest)."""
     _require_controllable_setting(t, "select_min_control_set")
+    return _min_set(sibling_partition(t), tie_rule)
+
+
+def _min_set(cells: tuple[tuple[int, ...], ...], tie_rule: str) -> tuple[int, ...]:
+    """``select_min_control_set`` on the given sibling cells."""
     if tie_rule not in ("lowest-ids", "highest-ids"):
         raise ValueError(f"tie_rule must be 'lowest-ids' or 'highest-ids', got {tie_rule!r}")
-    chosen = [v for cell in sibling_partition(t)
-              for v in (cell[:-1] if tie_rule == "lowest-ids" else cell[1:])]
+    chosen = [v for cell in cells for v in (cell[:-1] if tie_rule == "lowest-ids" else cell[1:])]
     return tuple(sorted(chosen))
 
 
@@ -80,16 +87,19 @@ def count_min_control_sets(t: CoTree) -> int:
 
 def enumerate_min_control_sets(t: CoTree) -> Iterator[tuple[int, ...]]:
     """All minimum control sets, one dropped vertex per cell, emitted in
-    lexicographic order of the sorted vertex tuple.
+    lexicographic order of the sorted vertex tuple."""
+    _require_controllable_setting(t, "enumerate_min_control_sets")
+    yield from _min_sets(sibling_partition(t), t.n)
+
+
+def _min_sets(cells: tuple[tuple[int, ...], ...], n: int) -> Iterator[tuple[int, ...]]:
+    """``enumerate_min_control_sets`` on the given sibling cells of 1..n.
 
     A depth-first walk over the vertex ids in increasing order tries "keep
     v" before "drop v", which is exactly lexicographic order. v may be kept
     only while its cell still has a later vertex to drop, and dropped only
     while its cell has no drop yet, so the walk never dead-ends: the first
     set costs O(n) and nothing is built or sorted ahead of time."""
-    _require_controllable_setting(t, "enumerate_min_control_sets")
-    cells = sibling_partition(t)
-    n = t.n
     cell_of = [0] * (n + 1)
     for idx, cell in enumerate(cells):
         for v in cell:

@@ -9,6 +9,9 @@ which vertex ids later appear in sibling cells and control sets.
 from __future__ import annotations
 
 import re
+from collections import Counter, deque
+from operator import length_hint
+from typing import Iterator
 
 from .cotree import CoTree
 from .errors import ParseError, SizeCapError
@@ -42,11 +45,18 @@ def _error(message: str, text: str, offset: int) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _number(text: str, token: re.Match) -> int:
+def _error_at(message: str, text: str, tokens: Iterator[str], back: int = 0) -> ParseError:
+    """ParseError at the token of ``_TOKEN.findall(text)`` that ``tokens`` gave
+    last, or ``back`` tokens before it; only an error rescans the text."""
+    last = deque(_TOKEN.finditer(text), maxlen=length_hint(tokens) + 1 + back)
+    return _error(message, text, last[0].start())
+
+
+def _number(token: str, text: str, tokens: Iterator[str]) -> int:
     try:
-        return int(token[0])
+        return int(token)
     except ValueError:  # more digits than int() converts
-        raise _error("number too long", text, token.start()) from None
+        raise _error_at("number too long", text, tokens) from None
 
 
 # -- cograph expressions ------------------------------------------------------
@@ -66,8 +76,8 @@ def parse_expr(text: str) -> CoTree:
 
     Nodes are appended to the arena in reading order, which is preorder: the
     text and each '(' open a union node, each term opens a join node below
-    it, and an integer atom k > 1 opens a union node over k leaves. The
-    constructor splices out the unary nodes and merges equal labels."""
+    it, and an integer atom k > 1 opens a union node over k leaves.
+    ``_canonical`` makes the columns canonical, so the constructor keeps them."""
     bad = _NOT_EXPR.search(text)
     if bad:
         raise _error(f"unexpected character {bad[0]!r}", text, bad.start())
@@ -78,9 +88,8 @@ def parse_expr(text: str) -> CoTree:
     union, join = 0, 1  # the innermost open group and its last term
     groups: list[tuple[int, int]] = []  # the enclosing ones, one per open '('
     n = 0
-    tokens = _TOKEN.finditer(text)
-    for token in tokens:  # a factor, then the operator or ')' after it
-        tok = token[0]
+    tokens = iter(_TOKEN.findall(text))
+    for tok in tokens:  # a factor, then the operator or ')' after it
         if tok == "(":
             groups.append((union, join))
             parents += (join, len(parents))
@@ -90,11 +99,11 @@ def parse_expr(text: str) -> CoTree:
         if tok == ".":
             count = 1
         elif tok.isdecimal():
-            count = _number(text, token)
+            count = _number(tok, text, tokens)
             if count == 0:
-                raise _error("atom must be a positive vertex count", text, token.start())
+                raise _error_at("atom must be a positive vertex count", text, tokens)
         else:
-            raise _error(f"unexpected token {_KIND[tok]}", text, token.start())
+            raise _error_at(f"unexpected token {_KIND[tok]}", text, tokens)
         check_vertex_count(n + count)
         n += count
         if count == 1:
@@ -104,17 +113,39 @@ def parse_expr(text: str) -> CoTree:
             parents += [join] + [len(parents)] * count
             labels += [0] + [None] * count
         after = next(tokens)  # the last token is the empty one, never an atom
-        while after[0] == ")" and groups:
+        while after == ")" and groups:
             union, join = groups.pop()
             after = next(tokens)
-        if after[0] == "+":
+        if after == "+":
             join = len(parents)
             parents.append(union)
             labels.append(1)
-        elif after[0] != "*" and (after[0] or groups):
+        elif after != "*" and (after or groups):
             message = "unbalanced parenthesis" if groups else "stray token after expression"
-            raise _error(message, text, after.start())
-    return CoTree(parents, labels, range(1, n + 1))
+            raise _error_at(message, text, tokens)
+    return CoTree(*_canonical(parents, labels), range(1, n + 1))
+
+
+def _canonical(parents: list[int | None], labels: list[int | None]) -> tuple[list, list]:
+    """Canonical columns of an expression's tree in one preorder pass: its
+    labels alternate along every path and its leaves come in vertex order,
+    so once each unary node is spliced out and each node with its new
+    parent's label merged into it, children come in order of smallest leaf."""
+    kids = Counter(parents)
+    into: list[int | None] = [None] * len(parents)  # where each node's children go
+    out_parents: list[int | None] = []
+    out_labels: list[int | None] = []
+    for i, up in enumerate(parents):
+        if up is not None:
+            up = into[up]
+        label = labels[i]
+        if label is not None and (kids[i] == 1 or up is not None and out_labels[up] == label):
+            into[i] = up  # spliced out, or merged into that node
+        else:
+            into[i] = len(out_parents)
+            out_parents.append(up)
+            out_labels.append(label)
+    return out_parents, out_labels
 
 
 # -- threshold construction sequences -----------------------------------------
@@ -163,21 +194,17 @@ def parse_threshold(text: str) -> CoTree:
 
 
 def serialize_cotree(t: CoTree) -> str:
-    """One pass over the preorder numbering: a node opens its group (or
-    writes its id), and a leaf that ends one or more groups closes them."""
-    parts: list[str] = []
-    for i in range(t.node_count()):
-        up = t.parent(i)
-        if up is not None and t.children(up)[0] != i:
-            parts.append(",")
-        if not t.is_leaf(i):
-            parts.append(f"{t.label(i)}(")
-            continue
-        parts.append(str(t.leaf_vertex(i)))
-        node = i
-        while up is not None and t.children(up)[-1] == node:
-            parts.append(")")
-            node, up = up, t.parent(up)
+    """One pass over the stored preorder columns. Node i > 0 is a later
+    sibling, written after a ',', iff its parent is not node i - 1; an
+    internal node opens its group, and a leaf writes its id and closes each
+    group whose leaf interval ends where the leaf's does."""
+    ends = Counter(t._end)  # a leaf's end, and that of every group it closes
+    leaves = iter(t._leaves)
+    parts = [f"{label}(" if label is not None else f"{next(leaves)}{')' * (ends[end] - 1)}"
+             for label, end in zip(t._label, t._end)]
+    for i, up in enumerate(t._parent):
+        if up is not None and up != i - 1:
+            parts[i] = "," + parts[i]
     return "".join(parts)
 
 
@@ -191,30 +218,30 @@ def parse_cotree(text: str) -> CoTree:
     labels: list[int | None] = []
     leaves: list[int] = []
     open_nodes: list[int] = []
-    tokens = _TOKEN.finditer(text)
-    for token in tokens:  # a node's number, then the token that tells its kind
-        if not token[0].isdecimal():
-            raise _error("expected a number", text, token.start())
-        value = _number(text, token)
+    tokens = iter(_TOKEN.findall(text))
+    for tok in tokens:  # a node's number, then the token that tells its kind
+        if not tok.isdecimal():
+            raise _error_at("expected a number", text, tokens)
+        value = _number(tok, text, tokens)
         parents.append(open_nodes[-1] if open_nodes else None)
         after = next(tokens)  # the last token is the empty one, never a number
-        if after[0] == "(":
+        if after == "(":
             if value not in (0, 1):
-                raise _error(f"internal label must be 0 or 1, got {value}", text, token.start())
+                raise _error_at(f"internal label must be 0 or 1, got {value}", text, tokens, 1)
             labels.append(value)
             open_nodes.append(len(parents) - 1)
             continue
         if value == 0:
-            raise _error("leaf ids are 1-based, got 0", text, token.start())
+            raise _error_at("leaf ids are 1-based, got 0", text, tokens, 1)
         labels.append(None)
         leaves.append(value)
         # close every group this leaf ends; then a ',' must follow, or the end
-        while open_nodes and after[0] == ")":
+        while open_nodes and after == ")":
             open_nodes.pop()
             after = next(tokens)
-        if after[0] != ("," if open_nodes else ""):
+        if after != ("," if open_nodes else ""):
             message = "unbalanced parenthesis in cotree" if open_nodes else "stray text after cotree"
-            raise _error(message, text, after.start())
+            raise _error_at(message, text, tokens)
     try:
         return CoTree(parents, labels, leaves)
     except ValueError as exc:
@@ -285,9 +312,13 @@ def _read_plain(text: str) -> Graph | None:
     chunk's tokens become vertex ids and are scattered before the next chunk
     is read, so no token list of the whole text is ever held. When
     n * n <= 8 * m <= 2 * len(text), a rule that reads only the header and
-    the text's length, the edges go into one n x n byte matrix, and each row
-    becomes an int once at the end; otherwise each edge sets its two bits in
-    the rows directly, which needs no n * n allocation on a sparse file."""
+    the text's length, each edge line "x y" sets cell (x, y) of an n x n
+    byte matrix, and row i becomes an int once at the end, as the OR of the
+    matrix's row i and column i; otherwise each edge sets its two bits in
+    the rows directly, which needs no n * n allocation on a sparse file.
+    Either way the rows' popcounts sum to 2P + L for P distinct pairs x != y
+    and L distinct self-loops. The m lines give P + L <= m, so the sum is 2m
+    only when P = m and L = 0: no self-loop and no pair twice, in any order."""
     ids = None
     lines = n = m = 0
     start = 0
@@ -328,19 +359,16 @@ def _read_plain(text: str) -> Graph | None:
         if cells is not None:
             for x, y in zip(ends[0::2], ends[1::2]):
                 cells[x * n + y] = 1
-                cells[y * n + x] = 1
         else:
             for x, y in zip(ends[0::2], ends[1::2]):
                 rows[x] |= 1 << y
                 rows[y] |= 1 << x
     if lines != m + 1:
         return None
-    # each edge line sets two new cells, a self-loop one, a repeated edge none
-    if cells is not None:
-        if cells.count(1) != 2 * m:
-            return None
-        rows = [int(cells[i:i + n].translate(_BIT_DIGITS)[::-1], 2) for i in range(0, n * n, n)]
-    elif sum(map(int.bit_count, rows)) != 2 * m:
+    if cells is not None:  # row i: the cells (i, y) and (x, i) that were set
+        rows = [int(cells[i * n:i * n + n].translate(_BIT_DIGITS)[::-1], 2)
+                | int(cells[i::n].translate(_BIT_DIGITS)[::-1], 2) for i in range(n)]
+    if sum(map(int.bit_count, rows)) != 2 * m:
         return None
     return Graph._trusted(n, tuple(rows))
 

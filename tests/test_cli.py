@@ -407,10 +407,10 @@ def test_json_output_builds_no_text_lines(monkeypatch, capsys):
     import builtins
 
     formatted, selected = [], []
-    real_select = cli.control.select_min_control_set
+    real_select = cli.control._min_set  # the selection on cells computed once
     monkeypatch.setattr(cli, "str", lambda x: formatted.append(x) or builtins.str(x),
                         raising=False)
-    monkeypatch.setattr(cli.control, "select_min_control_set",
+    monkeypatch.setattr(cli.control, "_min_set",
                         lambda *a: selected.append(a) or real_select(*a))
     commands = (["partition", "--degree"], ["leaders", "--all"])
     for argv in commands:
@@ -420,6 +420,29 @@ def test_json_output_builds_no_text_lines(monkeypatch, capsys):
     for argv in commands:
         assert run(capsys, *argv, "--threshold", THRESHOLD_EXAMPLE)[0] == 0
     assert len(formatted) > 7 and len(selected) == 1
+
+
+def test_each_request_computes_the_cells_once(monkeypatch, capsys):
+    """The sibling cells of one immutable tree are computed once per request
+    and serve every answer; the errors still name the operation each
+    command names first."""
+    calls = []
+    real = cli.control.sibling_partition
+    monkeypatch.setattr(cli.control, "sibling_partition", lambda t: calls.append(t) or real(t))
+    for argv in (["partition"], ["partition", "--degree"], ["leaders"], ["leaders", "--all"],
+                 ["leaders", "--tie", "highest"], ["leaders", "--all", "--tie", "highest"],
+                 ["verify", "--set", "1,3,4"], ["oracle"]):
+        for json_flag in ((), ("--json",)):
+            calls.clear()
+            code, out, err = run(capsys, *argv, "--expr", "(.+.)*(.+.+.)", *json_flag)
+            assert (code, err) == (0, "") and out
+            assert len(calls) == 1, (argv, json_flag)
+    for argv, op in ((["leaders"], "min_control_size"), (["leaders", "--all"], "min_control_size"),
+                     (["oracle"], "enumerate_min_control_sets")):
+        for expr, message in ((".+.", "requires a connected graph"),
+                              (".", "requires more than one vertex")):
+            code, _, err = run(capsys, *argv, "--expr", expr, "--json")
+            assert code == 1 and err.startswith(f"error: {op} {message}"), err
 
 
 TEXT_FLAGS = ("--expr", "--cotree", "--threshold")

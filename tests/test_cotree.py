@@ -134,32 +134,53 @@ def _answers(t: CoTree):
             [t.leaf_id(v) for v in range(1, t.n + 1)], hash(t))
 
 
+def _columns(nested):
+    """Preorder columns (parents, labels, leaves) of a nested form, exactly
+    as nested: no node spliced, merged or reordered."""
+    parents, labels, leaves = [], [], []
+    stack = [(nested, None)]
+    while stack:
+        node, up = stack.pop()
+        parents.append(up)
+        if isinstance(node, int):
+            labels.append(None)
+            leaves.append(node)
+        else:
+            labels.append(node[0])
+            stack.extend((c, len(parents) - 1) for c in reversed(node[1]))
+    return parents, labels, leaves
+
+
 def test_layout_writes_what_the_checking_pass_would_index():
     """A tree built from non-canonical columns, whose stored columns the
     top-down layout wrote, equals in every stored column and every accessor
     the same tree built from its canonical columns, which only the checking
     pass indexes."""
     rng = random.Random(4242)
-    cases = []  # (tree from non-canonical columns, the tree it must equal or None)
+    cases = []  # (tree from non-canonical columns, the tree it must equal)
     for t in cotree_corpus(60, 300, seed=4243, mixed_roots=True):
         for _ in range(2):
             nested = scrambled(to_nested(t), rng)
             assert nested != to_nested(t)
             cases.append((parse_cotree(nested_text(nested)), t))
-    # wide expressions: unary term and group nodes around unions of thousands
-    for text in ("3000", "(.+.)*3000", "2*(3+(4*(1000)))", "((.))*.*(2000)"):
-        cases.append((parse_expr(text), None))
-    # threshold trees with long runs of equal bits
-    for bits in ("0" + "1" * 800, "0" * 500 + "1" * 700 + "0" * 3 + "1",
-                 "0" + "01" * 50 + "1" * 900):
-        cases.append((parse_threshold(bits), None))
+    # wide expressions and threshold trees with long runs of equal bits, whose
+    # parsers emit canonical columns: their trees shuffled, under a unary
+    # node of the root's label and a unary root of the other label
+    wide = [parse_expr(text) for text in ("3000", "(.+.)*3000", "2*(3+(4*(1000)))", "((.))*.*(2000)")]
+    wide += [parse_threshold(bits) for bits in ("0" + "1" * 800, "0" * 500 + "1" * 700 + "0" * 3 + "1",
+                                                "0" + "01" * 50 + "1" * 900)]
+    for t in wide:
+        label = t.label(t.root)
+        columns = _columns((1 - label, [(label, [scrambled(to_nested(t), rng)])]))
+        laid_out = CoTree(*columns)
+        assert (list(laid_out._parent), list(laid_out._label)) != columns[:2]
+        cases.append((laid_out, t))
     for laid_out, expected in cases:
         assert is_canonical(laid_out)
         again = CoTree(laid_out._parent, laid_out._label, laid_out._leaves)
         assert _stored(again) == _stored(laid_out)
         assert _answers(again) == _answers(laid_out)
-        if expected is not None:
-            assert _stored(laid_out) == _stored(expected)
+        assert _stored(laid_out) == _stored(expected)
     assert _answers(parse_expr("3000"))[:4] == (3000, 3001, 0, (0,))
 
 

@@ -272,3 +272,29 @@ def test_a_header_the_text_cannot_hold_gets_no_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
+
+
+def test_matrix_route_declines_loops_and_duplicates_in_either_order():
+    """On the byte matrix each edge line sets one cell; a repeated pair,
+    reversed or not, and a self-loop leave the rows' popcount sum below 2m,
+    so the line loop reads the text and raises its error."""
+    k4 = ["1 2", "1 3", "1 4", "2 3", "2 4", "3 4"]
+    cases = [  # (edge lines, the line loop's error)
+        (k4 + ["2 1"], "duplicate edge 1 2 (line 8, column 1)"),
+        (["2 1"] + k4, "duplicate edge 1 2 (line 3, column 1)"),
+        (k4[:3] + ["4 3"] + k4[3:], "duplicate edge 3 4 (line 8, column 1)"),
+        (k4[:3] + ["1 2"] + k4[3:], "duplicate edge 1 2 (line 5, column 1)"),
+        (k4 + ["3 4"], "duplicate edge 3 4 (line 8, column 1)"),
+        (k4[:3] + ["3 3"] + k4[3:], "self-loop at vertex 3 (line 5, column 1)"),
+        (["1 1"] + k4, "self-loop at vertex 1 (line 2, column 1)"),
+    ]
+    for lines, message in cases:
+        text = "\n".join(["4 7", *lines]) + "\n"
+        assert 4 * 4 <= 8 * 7 <= 2 * len(text)  # the matrix route
+        assert parsing._read_plain(text) is None
+        with pytest.raises(ParseError) as info:
+            read_edge_list(text)
+        assert str(info.value) == message
+    text = "\n".join(["4 6", *k4[::-1]]) + "\n"
+    assert 4 * 4 <= 8 * 6 <= 2 * len(text)
+    assert parsing._read_plain(text) == from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])

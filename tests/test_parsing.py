@@ -19,9 +19,11 @@ from cographctl import (
 from cographctl import parsing
 from cographctl.generate import random_cotree, random_threshold_sequence
 
+from test_fuzz import DEEP, random_expr as parenthesized_expr
 from helpers import (
     THRESHOLD_EXAMPLE,
     expr_reference,
+    is_canonical,
     join_of,
     nested_text,
     single,
@@ -192,6 +194,31 @@ def test_parse_threshold_emits_canonical_columns(monkeypatch):
         for v in range(2, len(bits) + 1):
             nested = (int(bits[v - 1]), [nested, v])
         assert t == parse_cotree(nested_text(nested))
+
+
+def test_parse_expr_emits_canonical_columns(monkeypatch):
+    """The columns handed to the constructor are canonical, so it stores
+    them as they are and never lays the tree out again; they give the
+    expression's graph."""
+    built = []
+    real = parsing.CoTree
+    monkeypatch.setattr(parsing, "CoTree", lambda *columns: built.append(columns) or real(*columns))
+    rng = random.Random(1711)
+    texts = [random_expr(rng) for _ in range(1500)]
+    texts += [parenthesized_expr(rng.randint(1, 30), rng) for _ in range(500)]
+    texts += [text for flag, text in DEEP if flag == "--expr"]
+    texts += [".", "1", "7", "((.))", "(.+.)*(.+.+.)", "((.))*.*(2000)", "2*(3+(4*(1000)))", "100000"]
+    for text in texts:
+        built.clear()
+        t = parse_expr(text)
+        (parents, labels, leaves), = built
+        assert list(t._parent) == parents
+        assert list(t._label) == labels
+        assert t._leaves == tuple(leaves) == tuple(range(1, t.n + 1))
+        assert is_canonical(t)
+        if len(text) < 200 and t.n < 5000:
+            assert cotree_to_graph(t) == expr_reference(text)
+    assert (t.n, t.node_count()) == (100000, 100001)
 
 
 def test_example_threshold_graph():
