@@ -33,7 +33,7 @@ from .parsing import (
 
 # Caps on the super-polynomial paths, checked before any of their work starts.
 CROSS_CHECK_CAP = 100  # vertices; the Kalman oracle takes under 0.5 s at n = 100
-ALL_SETS_CAP = 1_000_000  # leaders --all: sets x vertices bounds its O(n)-per-set walk
+ALL_SETS_CAP = 1_000_000  # leaders --all: sets x vertices bounds its output, up to n ids a set
 
 
 class _DomainError(Exception):
@@ -153,9 +153,13 @@ def _read_text(path: str | None, label: str) -> str:
         raise ParseError(f"{label} is not UTF-8 text") from exc
 
 
+# Payloads are the package's acyclic tuples, so the encoder skips its cycle check.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
+
+
 def _json(payload: dict) -> str:
     """One JSON line; the package's tuples are written as arrays unchanged."""
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return _ENCODER.encode(payload)
 
 
 def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
@@ -239,7 +243,7 @@ def _cmd_leaders(args, parser) -> int:
         if count * tree.n > ALL_SETS_CAP:
             raise SizeCapError(f"leaders --all capped at {ALL_SETS_CAP} for sets x vertices, "
                                f"got {count} x {tree.n}")
-        sets = control._min_sets(cells, tree.n)
+        sets = control._min_sets(cells)
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells, "min_size": size}
         if args.all:

@@ -86,53 +86,85 @@ def count_min_control_sets(t: CoTree) -> int:
 
 
 def enumerate_min_control_sets(t: CoTree) -> Iterator[tuple[int, ...]]:
-    """All minimum control sets, one dropped vertex per cell, emitted in
-    lexicographic order of the sorted vertex tuple."""
+    """All minimum control sets, one dropped vertex per cell, emitted lazily
+    in lexicographic order of the sorted vertex tuple. After a setup linear
+    in n, each set costs one tuple concatenation of its length."""
     _require_controllable_setting(t, "enumerate_min_control_sets")
-    yield from _min_sets(sibling_partition(t), t.n)
+    yield from _min_sets(sibling_partition(t))
 
 
-def _min_sets(cells: tuple[tuple[int, ...], ...], n: int) -> Iterator[tuple[int, ...]]:
-    """``enumerate_min_control_sets`` on the given sibling cells of 1..n.
+# Most vertex slots (sets times set length) the table of tail sets may hold:
+# about the square root of 2**400 sets would not fit in any memory.
+_TAIL_CAP = 1 << 14
 
-    A depth-first walk over the vertex ids in increasing order tries "keep
+
+def _min_sets(cells: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
+    """``enumerate_min_control_sets`` on the given sibling cells.
+
+    A singleton cell drops its vertex in every set, so only the cells with
+    two or more members matter. Where every such cell before a cut ends
+    below every one after it, each set is a head part (the same length in
+    every set, all below the tail) followed by a tail part, so
+    lexicographic order is head order, then tail order. The tail sets are
+    built once, as a table of at most ``_TAIL_CAP`` slots holding about the
+    square root of the set count, and each head set is joined to each of
+    them with one concatenation. With no such cut the table is ``[()]``."""
+    cells = [cell for cell in cells if len(cell) > 1]
+    count = prod(map(len, cells))
+    cut, cost = len(cells), count  # no cut: head sets times one empty tail
+    tail_count, tail_size = count, sum(map(len, cells)) - len(cells)
+    top = 0  # the largest vertex before the cut
+    for k, cell in enumerate(cells):
+        balance = max(tail_count, count // tail_count)  # table size or head sets
+        if top < cell[0] and tail_count * tail_size <= _TAIL_CAP and balance < cost:
+            cut, cost = k, balance
+        top = max(top, cell[-1])
+        tail_count //= len(cell)
+        tail_size -= len(cell) - 1
+    tails = list(_walk(cells[cut:]))
+    for head in _walk(cells[:cut]):
+        yield from map(head.__add__, tails)
+
+
+def _walk(cells: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """The minimum sets of ``cells``, none a singleton, in lexicographic order.
+
+    A depth-first walk over their vertices in increasing order tries "keep
     v" before "drop v", which is exactly lexicographic order. v may be kept
     only while its cell still has a later vertex to drop, and dropped only
-    while its cell has no drop yet, so the walk never dead-ends: the first
-    set costs O(n) and nothing is built or sorted ahead of time."""
-    cell_of = [0] * (n + 1)
-    for idx, cell in enumerate(cells):
-        for v in cell:
-            cell_of[v] = idx
+    while its cell has no drop yet, so the walk never dead-ends. After one
+    sort of the vertices, each set costs the vertices walked since the
+    branch it came back to."""
+    order = sorted((v, c) for c, cell in enumerate(cells) for v in cell)
     last = {cell[-1] for cell in cells}
     dropped = [False] * len(cells)
-    drops: list[int] = []  # dropped vertices, in walk order
+    drops: list[int] = []  # positions in order of the dropped vertices
     kept: list[int] = []
-    # vertices kept while their cell could still drop them, with len(kept) before each
+    # positions kept while their cell could still drop them, with len(kept) before each
     branches: list[tuple[int, int]] = []
-    v = 1
+    i, end = 0, len(order)
     while True:
-        while v <= n:
-            c = cell_of[v]
+        while i < end:
+            v, c = order[i]
             if dropped[c]:
                 kept.append(v)
             elif v in last:
                 dropped[c] = True
-                drops.append(v)
+                drops.append(i)
             else:
-                branches.append((v, len(kept)))
+                branches.append((i, len(kept)))
                 kept.append(v)
-            v += 1
+            i += 1
         yield tuple(kept)
         if not branches:
             return
-        v, size = branches.pop()
-        while drops and drops[-1] > v:
-            dropped[cell_of[drops.pop()]] = False
+        i, size = branches.pop()
+        while drops and drops[-1] > i:
+            dropped[order[drops.pop()][1]] = False
         del kept[size:]
-        dropped[cell_of[v]] = True
-        drops.append(v)
-        v += 1
+        dropped[order[i][1]] = True
+        drops.append(i)
+        i += 1
 
 
 def is_controllable(t: CoTree, control: Iterable[int]) -> bool:

@@ -9,7 +9,8 @@ which vertex ids later appear in sibling cells and control sets.
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import Counter
+from itertools import islice
 from operator import length_hint
 from typing import Iterator
 
@@ -45,18 +46,21 @@ def _error(message: str, text: str, offset: int) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _error_at(message: str, text: str, tokens: Iterator[str], back: int = 0) -> ParseError:
-    """ParseError at the token of ``_TOKEN.findall(text)`` that ``tokens`` gave
-    last, or ``back`` tokens before it; only an error rescans the text."""
-    last = deque(_TOKEN.finditer(text), maxlen=length_hint(tokens) + 1 + back)
-    return _error(message, text, last[0].start())
+def _error_at(message: str, text: str, total: int, tokens: Iterator[str],
+              back: int = 0) -> ParseError:
+    """ParseError at the token that ``tokens``, an iterator over the ``total``
+    strings of ``_TOKEN.findall(text)``, gave last, or ``back`` tokens before
+    it. Only an error rescans the text, and only up to that token."""
+    index = total - length_hint(tokens) - 1 - back
+    match = next(islice(_TOKEN.finditer(text), index, None))
+    return _error(message, text, match.start())
 
 
-def _number(token: str, text: str, tokens: Iterator[str]) -> int:
+def _number(token: str, text: str, total: int, tokens: Iterator[str]) -> int:
     try:
         return int(token)
     except ValueError:  # more digits than int() converts
-        raise _error_at("number too long", text, tokens) from None
+        raise _error_at("number too long", text, total, tokens) from None
 
 
 # -- cograph expressions ------------------------------------------------------
@@ -88,7 +92,8 @@ def parse_expr(text: str) -> CoTree:
     union, join = 0, 1  # the innermost open group and its last term
     groups: list[tuple[int, int]] = []  # the enclosing ones, one per open '('
     n = 0
-    tokens = iter(_TOKEN.findall(text))
+    tokens = iter(_TOKEN.findall(text))  # its only reference: freed when it ends
+    total = length_hint(tokens)
     for tok in tokens:  # a factor, then the operator or ')' after it
         if tok == "(":
             groups.append((union, join))
@@ -99,11 +104,11 @@ def parse_expr(text: str) -> CoTree:
         if tok == ".":
             count = 1
         elif tok.isdecimal():
-            count = _number(tok, text, tokens)
+            count = _number(tok, text, total, tokens)
             if count == 0:
-                raise _error_at("atom must be a positive vertex count", text, tokens)
+                raise _error_at("atom must be a positive vertex count", text, total, tokens)
         else:
-            raise _error_at(f"unexpected token {_KIND[tok]}", text, tokens)
+            raise _error_at(f"unexpected token {_KIND[tok]}", text, total, tokens)
         check_vertex_count(n + count)
         n += count
         if count == 1:
@@ -122,7 +127,7 @@ def parse_expr(text: str) -> CoTree:
             labels.append(1)
         elif after != "*" and (after or groups):
             message = "unbalanced parenthesis" if groups else "stray token after expression"
-            raise _error_at(message, text, tokens)
+            raise _error_at(message, text, total, tokens)
     return CoTree(*_canonical(parents, labels), range(1, n + 1))
 
 
@@ -218,21 +223,23 @@ def parse_cotree(text: str) -> CoTree:
     labels: list[int | None] = []
     leaves: list[int] = []
     open_nodes: list[int] = []
-    tokens = iter(_TOKEN.findall(text))
+    tokens = iter(_TOKEN.findall(text))  # its only reference: freed when it ends
+    total = length_hint(tokens)
     for tok in tokens:  # a node's number, then the token that tells its kind
         if not tok.isdecimal():
-            raise _error_at("expected a number", text, tokens)
-        value = _number(tok, text, tokens)
+            raise _error_at("expected a number", text, total, tokens)
+        value = _number(tok, text, total, tokens)
         parents.append(open_nodes[-1] if open_nodes else None)
         after = next(tokens)  # the last token is the empty one, never a number
         if after == "(":
             if value not in (0, 1):
-                raise _error_at(f"internal label must be 0 or 1, got {value}", text, tokens, 1)
+                message = f"internal label must be 0 or 1, got {value}"
+                raise _error_at(message, text, total, tokens, 1)
             labels.append(value)
             open_nodes.append(len(parents) - 1)
             continue
         if value == 0:
-            raise _error_at("leaf ids are 1-based, got 0", text, tokens, 1)
+            raise _error_at("leaf ids are 1-based, got 0", text, total, tokens, 1)
         labels.append(None)
         leaves.append(value)
         # close every group this leaf ends; then a ',' must follow, or the end
@@ -241,7 +248,7 @@ def parse_cotree(text: str) -> CoTree:
             after = next(tokens)
         if after != ("," if open_nodes else ""):
             message = "unbalanced parenthesis in cotree" if open_nodes else "stray text after cotree"
-            raise _error_at(message, text, tokens)
+            raise _error_at(message, text, total, tokens)
     try:
         return CoTree(parents, labels, leaves)
     except ValueError as exc:

@@ -1,6 +1,8 @@
 """Sibling partitions, minimum control sets, and the controllability checks."""
 
 import random
+import re
+import tracemalloc
 from itertools import combinations, islice, product
 
 import pytest
@@ -20,8 +22,10 @@ from cographctl import (
     random_cotree,
     random_threshold_sequence,
     select_min_control_set,
+    serialize_cotree,
     sibling_partition,
 )
+from cographctl import control
 
 from helpers import (
     THRESHOLD_EXAMPLE,
@@ -32,8 +36,10 @@ from helpers import (
     eight_node_tree,
     lca,
     leaves_below,
+    nested_text,
     pbh_reference,
     rank_rational,
+    to_nested,
 )
 
 
@@ -327,14 +333,56 @@ def test_disconnected_rejected_by_all_ops():
 
 
 
+def relabelled(t, rng):
+    """The same graph shape with its vertex ids shuffled, so that sibling
+    cells interleave."""
+    ids = list(range(1, t.n + 1))
+    rng.shuffle(ids)
+    text = nested_text(to_nested(t))
+    return parse_cotree(re.sub(r"\d+(?!\()", lambda m: str(ids[int(m[0]) - 1]), text))
+
+
+def caterpillar_bits(runs):
+    """Threshold bits: vertex 1, then alternating runs of the given lengths,
+    the last of 1s so that the graph is connected. The cells are the runs
+    (vertex 1 joins the first), so runs of one bit are singleton cells."""
+    return "0" + "".join("01"[(len(runs) - i) % 2] * length for i, length in enumerate(runs))
+
+
+def has_cut(cells):
+    """Whether the cells of two or more members split into a nonempty head
+    and tail with every head vertex below every tail vertex."""
+    cells = [cell for cell in cells if len(cell) > 1]
+    return any(max(map(max, cells[:k])) < cells[k][0] for k in range(1, len(cells)))
+
+
 def test_enumeration_order_matches_sorted_product():
-    for t in cotree_corpus(80, 9, seed=515):
+    rng = random.Random(515)
+    trees = cotree_corpus(80, 9, seed=515)
+    trees += [relabelled(random_cotree(rng.randint(2, 14), rng), rng) for _ in range(150)]
+    trees += [relabelled(parse_expr("*".join("(" + "+".join("." * rng.randint(1, 4)) + ")"
+                                             for _ in range(rng.randint(2, 6)))), rng)
+              for _ in range(100)]
+    for _ in range(60):  # long singleton runs with a few doubled or tripled ones
+        runs = [1] * rng.randint(2, 120)
+        for i in rng.sample(range(len(runs)), min(len(runs), rng.randint(1, 9))):
+            runs[i] = rng.randint(2, 3)
+        trees.append(parse_threshold(caterpillar_bits(runs)))
+    trees += [parse_expr("*".join(["(.+.)"] * k)) for k in range(2, 13)]
+    # more sets than the tail table holds slots
+    trees += [parse_expr("(.+.+.)*" * 8 + "(.+.+.+.)"), parse_expr("(.+.)*" * 7 + "(.+.)*.")]
+    cut = uncut = over_cap = 0
+    for t in trees:
         cells = sibling_partition(t)
         expected = sorted(
             tuple(sorted(v for cell, drop in zip(cells, drops) for v in cell if v != drop))
             for drops in product(*cells)
         )
-        assert list(enumerate_min_control_sets(t)) == expected
+        assert list(enumerate_min_control_sets(t)) == expected, serialize_cotree(t)
+        cut += has_cut(cells)
+        uncut += not has_cut(cells) and len([c for c in cells if len(c) > 1]) > 1
+        over_cap += len(expected) * len(expected[0]) > control._TAIL_CAP
+    assert cut >= 100 and uncut >= 100 and over_cap >= 10, (cut, uncut, over_cap)
 
 
 def test_enumeration_is_lazy_on_long_pair_chains():
@@ -347,3 +395,28 @@ def test_enumeration_is_lazy_on_long_pair_chains():
         odd[:-1] + (2 * k,),
         odd[:-2] + (2 * k - 2, 2 * k - 1),
     ]
+
+
+def test_first_sets_take_memory_independent_of_n_and_count():
+    """Neither the 10^5 vertices of a caterpillar, almost all in singleton
+    cells, nor the 2^400 sets of a pair chain may size what is built before
+    the first sets: the walk skips singletons and the tail table is capped."""
+    rng = random.Random(7)
+    runs = [1] * 99_980
+    for i in rng.sample(range(len(runs)), 8):
+        runs[i] = 2
+    chain = parse_expr("*".join(["(.+.)"] * 400))
+    caterpillar = parse_threshold(caterpillar_bits(runs))
+    for t in (chain, caterpillar):
+        cells = sibling_partition(t)
+        tracemalloc.start()
+        try:
+            first = list(islice(control._min_sets(cells), 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (t.n, peak)
+    doubled = [cell for cell in cells if len(cell) > 1]
+    assert len(doubled) >= 8 and first[0] == tuple(cell[0] for cell in doubled)
+    assert first[1:] == [first[0][:-1] + (doubled[-1][1],),
+                         first[0][:-2] + (doubled[-2][1], doubled[-1][0])]
