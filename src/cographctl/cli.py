@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from math import prod
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import control, generate, oracle, spectral
 from .cotree import CoTree, cotree_to_graph, recognize
@@ -157,9 +157,28 @@ def _read_text(path: str | None, label: str) -> str:
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
 
 
-def _json(payload: dict) -> str:
-    """One JSON line; the package's tuples are written as arrays unchanged."""
-    return _ENCODER.encode(payload)
+def _json(payload: dict, **raw: str) -> str:
+    """One JSON line; the package's tuples are written as arrays unchanged,
+    and each ``raw`` value, JSON text already, goes under its key in key order."""
+    if not raw:
+        return _ENCODER.encode(payload)
+    fields = {key: _ENCODER.encode(value) for key, value in payload.items()} | raw
+    return "{" + ",".join(_ENCODER.encode(key) + ":" + fields[key] for key in sorted(fields)) + "}"
+
+
+def _render(sep: str) -> Callable[[Sequence[int]], str]:
+    """Ints as text, each followed by ``sep``: parts join by concatenation."""
+    return lambda ids: ("%d" + sep) * len(ids) % tuple(ids)
+
+
+def _json_rows(rows: Iterable[str]) -> str:
+    """JSON array text of int rows rendered with separator ","."""
+    return ("[[" + "],[".join(rows) + "]]").replace(",]", "]")
+
+
+def _text_rows(rows: Iterable[str], sep: str = " ", lead: str = "") -> str:
+    """Lines of int rows rendered with separator ``sep``, each after ``lead``."""
+    return (lead + ("\n" + lead).join(rows) + "\n").replace(sep + "\n", "\n")
 
 
 def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
@@ -198,19 +217,18 @@ def _cmd_recognize(args, parser) -> int:
 
 def _cmd_spectrum(args, parser) -> int:
     tree, _ = _load_input(parser, args)
+    if args.modal:  # MODAL_CAP is checked before any other work
+        part, join = (_render(","), _json_rows) if args.json else (_render(" "), _text_rows)
+        modal = join(spectral._modal_rows(tree, part))
     spec = spectral.spectrum(tree)
-    modal = spectral.modal_matrix(tree) if args.modal else None
     if args.json:
-        payload = {"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec}
-        if args.modal:
-            payload["modal"] = modal
-        print(_json(payload))
+        raw = {"modal": modal} if args.modal else {}
+        print(_json({"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec}, **raw))
         return 0
     print("spectrum: " + " ".join(f"{v}^{m}" for v, m in spec))
     if args.modal:
         print("modal:")
-        for row in modal:
-            print(" ".join(map(str, row)))
+        sys.stdout.write(modal)
     return 0
 
 
@@ -243,21 +261,19 @@ def _cmd_leaders(args, parser) -> int:
         if count * tree.n > ALL_SETS_CAP:
             raise SizeCapError(f"leaders --all capped at {ALL_SETS_CAP} for sets x vertices, "
                                f"got {count} x {tree.n}")
-        sets = control._min_sets(cells)
+        sets = control._min_sets(cells, _render(","))
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells, "min_size": size}
         if args.all:
-            payload.update(sets=list(sets), count=count)
+            print(_json(payload | {"count": count}, sets=_json_rows(sets)))
         else:
-            payload["sets"] = [control._min_set(cells, tie)]
-        print(_json(payload))
+            print(_json(payload | {"sets": [control._min_set(cells, tie)]}))
         return 0
     print(f"min_size: {size}")
     print("set: " + ",".join(map(str, control._min_set(cells, tie))))
     if args.all:
         print(f"count: {count}")
-        for s in sets:
-            print("set: " + ",".join(map(str, s)))
+        sys.stdout.write(_text_rows(sets, ",", "set: "))
     return 0
 
 

@@ -16,7 +16,7 @@ every input.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cotree import CoTree
 from .errors import NotConnectedError
@@ -98,17 +98,17 @@ def enumerate_min_control_sets(t: CoTree) -> Iterator[tuple[int, ...]]:
 _TAIL_CAP = 1 << 14
 
 
-def _min_sets(cells: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
-    """``enumerate_min_control_sets`` on the given sibling cells.
+def _min_sets(cells: tuple[tuple[int, ...], ...], part: Callable = tuple) -> Iterator:
+    """``enumerate_min_control_sets`` on the given cells, each set rendered by ``part``.
 
     A singleton cell drops its vertex in every set, so only the cells with
     two or more members matter. Where every such cell before a cut ends
     below every one after it, each set is a head part (the same length in
     every set, all below the tail) followed by a tail part, so
     lexicographic order is head order, then tail order. The tail sets are
-    built once, as a table of at most ``_TAIL_CAP`` slots holding about the
-    square root of the set count, and each head set is joined to each of
-    them with one concatenation. With no such cut the table is ``[()]``."""
+    rendered once, as a table of at most ``_TAIL_CAP`` slots holding about
+    the square root of the set count, and each head set is joined to each of
+    them with one concatenation. With no such cut the table is ``[part(())]``."""
     cells = [cell for cell in cells if len(cell) > 1]
     count = prod(map(len, cells))
     cut, cost = len(cells), count  # no cut: head sets times one empty tail
@@ -121,12 +121,12 @@ def _min_sets(cells: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
         top = max(top, cell[-1])
         tail_count //= len(cell)
         tail_size -= len(cell) - 1
-    tails = list(_walk(cells[cut:]))
-    for head in _walk(cells[:cut]):
+    tails = list(_walk(cells[cut:], part))
+    for head in _walk(cells[:cut], part):
         yield from map(head.__add__, tails)
 
 
-def _walk(cells: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+def _walk(cells: list[tuple[int, ...]], part: Callable) -> Iterator:
     """The minimum sets of ``cells``, none a singleton, in lexicographic order.
 
     A depth-first walk over their vertices in increasing order tries "keep
@@ -155,7 +155,7 @@ def _walk(cells: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
                 branches.append((i, len(kept)))
                 kept.append(v)
             i += 1
-        yield tuple(kept)
+        yield part(kept)
         if not branches:
             return
         i, size = branches.pop()

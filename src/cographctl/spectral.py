@@ -40,8 +40,7 @@ controllability operations never consume it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import groupby
-from operator import itemgetter
+from typing import Callable
 
 from .cotree import CoTree
 from .errors import SizeCapError
@@ -115,23 +114,31 @@ def modal_matrix(t: CoTree) -> tuple[tuple[int, ...], ...]:
     """The n x (n-1) nontrivial modal matrix as int rows: row u - 1 holds
     vertex u's entries of the ``modal_columns``. Raises SizeCapError above
     ``MODAL_CAP`` vertices, before anything is allocated."""
+    return tuple(_modal_rows(t, tuple))
+
+
+def _modal_rows(t: CoTree, part: Callable) -> list:
+    """``modal_matrix``'s rows, each rendered by ``part``, which must turn
+    ``a + b`` into ``part(a) + part(b)``. The leaves below child j of node v
+    share their rows up to that child's columns: v's prefix, v's block row
+    for child j (a, the sizes of children 1..k-1, for child 0; j - 1 zeros,
+    -b for the leaves of children 0..j-1, and a[j:] for the others), and
+    zeros over the L - 1 columns of each earlier child with L leaves."""
     if t.n > MODAL_CAP:
         raise SizeCapError(f"modal matrix capped at n <= {MODAL_CAP}, got {t.n}")
-    seq = t.leaf_sequence(t.root)
-    rows = [[0] * (t.n - 1) for _ in range(t.n)]
-    col = 0
-    for _, group in groupby(modal_columns(t), itemgetter(0)):
-        group = list(group)
-        a = [column[2] for column in group]
-        end = col + len(group)
-        # child 0 sees a in every column of its node; child j + 1 sees -b in
-        # column j, a in the later ones, and 0 in the earlier ones
-        _, _, _, i0, i1, _, _ = group[0]
-        for u in seq[i0:i1]:
-            rows[u - 1][col:end] = a
-        for j, (_, _, _, _, i1, b, i2) in enumerate(group):
-            tail = [-b] + a[j + 1:]
-            for u in seq[i1:i2]:
-                rows[u - 1][col + j:end] = tail
-        col = end
-    return tuple(map(tuple, rows))
+    zero, empty = part((0,)), part(())
+    rows = [empty] * t.n  # kept only when n = 1: the root is the leaf
+    prefixes = {t.root: empty}  # each popped, so freed, when its node's children get theirs
+    end = 0  # one past v's last column
+    for v in t.internal_ids():
+        prefix, children, b, suffix = prefixes.pop(v), t.children(v), t.leaf_count(v), empty
+        end += len(children) - 1
+        for j, c in reversed(tuple(enumerate(children))):  # suffix is a[j:]
+            b -= t.leaf_count(c)
+            block = zero * (j - 1) + part((-b,)) + suffix if j else suffix
+            suffix = part((t.leaf_count(c),)) + suffix
+            if t.is_leaf(c):
+                rows[t.leaf_vertex(c) - 1] = prefix + block + zero * (t.n - 1 - end)
+            else:
+                prefixes[c] = prefix + block + zero * (b - j)
+    return rows

@@ -3,24 +3,31 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from cographctl import (
     SizeCapError,
+    modal_matrix,
     parse_cotree,
     parse_expr,
+    parse_threshold,
+    random_cotree,
     read_edge_list,
     serialize_cotree,
+    sibling_partition,
 )
 import cographctl
 import cographctl.cli as cli
+from cographctl import control, spectral
 from cographctl.cli import main
 
-from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE, is_canonical
+from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE, cotree_corpus, is_canonical
 
 
 def run(capsys, *argv):
@@ -315,10 +322,12 @@ def test_super_polynomial_paths_are_capped_before_their_work(monkeypatch, capsys
     built = []
     real = cli.cotree_to_graph
     monkeypatch.setattr(cli, "cotree_to_graph", lambda t: built.append(t) or real(t))
+    monkeypatch.setattr(cli.spectral, "spectrum", built.append)  # no spectrum either
     cases = [
         # spectrum --modal: dense n x (n-1) matrix, capped at n <= 3000
         (["spectrum", "--expr", "100000", "--modal"], "modal matrix capped at n <= 3000"),
         (["spectrum", "--expr", "3001", "--modal"], "modal matrix capped at n <= 3000"),
+        (["spectrum", "--expr", "3001", "--modal", "--json"], "capped at n <= 3000, got 3001"),
         # leaders --all: sets x vertices capped at 10^6; the star K_{1,1000} has
         # only 1000 sets, but each holds 999 vertices
         (["leaders", "--expr", ".*1000", "--all"], "got 1000 x 1001"),
@@ -401,8 +410,9 @@ def test_text_output_builds_no_payload_and_no_cotree_text(monkeypatch, capsys):
 
 
 def test_json_output_builds_no_text_lines(monkeypatch, capsys):
-    """With --json, ``partition --degree`` and ``leaders --all`` turn no
-    number into text and pick no single set for a text line; the same
+    """With --json, ``partition --degree`` and ``leaders --all`` call no
+    ``str`` for a text line (``leaders --all`` renders its sets straight
+    into JSON array text) and pick no single set for a text line; the same
     commands in text mode do both."""
     import builtins
 
@@ -503,3 +513,90 @@ def test_at_dash_reads_stdin_in_a_process(capsys):
                           env=dict(os.environ, PYTHONPATH=src), preexec_fn=lambda: os.close(0),
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: no standard input to read\n")
+
+
+def rendering_corpus():
+    """Random cotrees, nodes with 100 or more leaf children, stars, threshold
+    caterpillars, pair chains of 2-12 cells with a cut (cells in id order)
+    and without one (cell i is {i, k + i}), and joins with more minimum sets
+    than the tail table holds slots."""
+    rng = random.Random(29)
+    trees = cotree_corpus(120, 30, seed=29, mixed_roots=True)
+    trees += [random_cotree(n, rng) for n in (1, 2, 3, 200, 500)]
+    trees += [parse_expr(e) for e in ("(120)*(.+.)*(101)", "((100)*.+.)*(3)", "(.+.)*(150)")]
+    trees += [parse_expr(f".*{k}") for k in (1, 2, 7, 300)]
+    trees += [parse_threshold(bits) for bits in ("01" * 150, "0" + "1" * 40, "0011" * 30 + "1")]
+    trees += [parse_threshold("0" + "".join(rng.choice("01") for _ in range(rng.randint(1, 150))))
+              for _ in range(20)]
+    for k in range(2, 13):
+        trees.append(parse_expr("*".join(["(.+.)"] * k)))
+        trees.append(parse_cotree("1(" + ",".join(f"0({i},{k + i})" for i in range(1, k + 1)) + ")"))
+    trees += [parse_expr("(.+.+.)*" * 8 + "(.+.+.+.)"), parse_expr("(.+.)*" * 7 + "(.+.)*.")]
+    return trees
+
+
+def test_rendered_rows_equal_the_encoded_tuples():
+    """Modal rows and minimum sets rendered from shared parts give the text
+    that the JSON encoder and a per-line join give on the tuple forms."""
+    over_tail_cap = 0
+    for t in rendering_corpus():
+        matrix = modal_matrix(t)
+        assert cli._json_rows(spectral._modal_rows(t, cli._render(","))) == cli._ENCODER.encode(
+            matrix), serialize_cotree(t)
+        assert cli._text_rows(spectral._modal_rows(t, cli._render(" "))) == "".join(
+            " ".join(map(str, row)) + "\n" for row in matrix), serialize_cotree(t)
+        if t.n == 1 or t.label(t.root) != 1:
+            continue
+        cells = sibling_partition(t)
+        if prod(map(len, cells)) * t.n > cli.ALL_SETS_CAP:
+            continue
+        sets = list(control._min_sets(cells))
+        assert cli._json_rows(control._min_sets(cells, cli._render(","))) == cli._ENCODER.encode(
+            sets), serialize_cotree(t)
+        assert cli._text_rows(control._min_sets(cells, cli._render(",")), ",", "set: ") == "".join(
+            "set: " + ",".join(map(str, s)) + "\n" for s in sets), serialize_cotree(t)
+        over_tail_cap += len(sets) * len(sets[0]) > control._TAIL_CAP
+    assert over_tail_cap >= 2
+
+
+def test_one_and_two_vertex_modal_output(capsys):
+    assert run(capsys, "spectrum", "--expr", ".", "--modal", "--json") == (
+        0, '{"cotree":"1","modal":[[]],"n":1,"spectrum":[[0,1]]}\n', "")
+    assert run(capsys, "spectrum", "--expr", ".", "--modal") == (
+        0, "spectrum: 0^1\nmodal:\n\n", "")
+    assert run(capsys, "spectrum", "--expr", ".*.", "--modal", "--json") == (
+        0, '{"cotree":"1(1,2)","modal":[[1],[-1]],"n":2,"spectrum":[[0,1],[2,1]]}\n', "")
+    assert run(capsys, "spectrum", "--expr", ".*.", "--modal") == (
+        0, "spectrum: 0^1 2^1\nmodal:\n1\n-1\n", "")
+    assert run(capsys, "leaders", "--expr", ".*.", "--all") == (
+        0, "min_size: 1\nset: 1\ncount: 2\nset: 1\nset: 2\n", "")
+
+
+def test_json_with_raw_fragments_equals_the_encoder_on_golden_payloads(monkeypatch, capsys,
+                                                                        tmp_path):
+    """Every payload the golden cases print, with any raw fragment decoded
+    back in, encodes to what ``_json`` printed; and moving any one of its
+    values out as a raw fragment leaves the line unchanged."""
+    golden = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+    seen = []
+    real = cli._json
+    monkeypatch.setattr(cli, "_json", lambda payload, **raw: seen.append((payload, raw))
+                        or real(payload, **raw))
+    edge_file = tmp_path / "graph.txt"
+    for case in golden["cases"]:
+        argv = list(case["argv"])
+        if "--edges" in argv:  # the case stores the file's text in place of its path
+            at = argv.index("--edges") + 1
+            edge_file.write_text(argv[at])
+            argv[at] = str(edge_file)
+        main(argv)
+    capsys.readouterr()
+    assert len(seen) > 300 and sum(bool(raw) for _, raw in seen) > 30
+    for payload, raw in seen:
+        whole = payload | {key: json.loads(text) for key, text in raw.items()}
+        line = cli._ENCODER.encode(whole)
+        assert real(payload, **raw) == line
+        assert real(whole) == line
+        for key in whole:
+            rest = {k: v for k, v in whole.items() if k != key}
+            assert real(rest, **{key: cli._ENCODER.encode(whole[key])}) == line

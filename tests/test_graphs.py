@@ -1,6 +1,9 @@
 """Core graph composition, Laplacians, and the integer matrix type."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,7 @@ from cographctl import (
     read_edge_list,
     write_edge_list,
 )
+import cographctl
 from cographctl.generate import random_threshold_sequence
 
 from helpers import (
@@ -149,6 +153,32 @@ def test_graph_validation():
         with pytest.raises(ValueError) as info:
             Graph(*args)
         assert str(info.value) == message, args
+
+
+def test_graph_is_an_immutable_value():
+    g = Graph(3, (0b110, 0b001, 0b001))
+    for name in ("n", "rows", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+    for name in ("n", "rows"):
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert (g.n, g.rows) == (3, (0b110, 0b001, 0b001))
+    same = Graph._trusted(3, (0b110, 0b001, 0b001))
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != Graph(3, (0b010, 0b001, 0))
+    assert g != Graph(2, (0b10, 0b01)) and g != (3, g.rows) and (3, g.rows) != g
+    assert repr(g) == "Graph(n=3, rows=(6, 1, 1))"
+
+
+def test_package_imports_no_dataclasses():
+    """``dataclasses`` would pull ``inspect`` and more into every CLI start."""
+    src = os.path.dirname(os.path.dirname(cographctl.__file__))
+    proc = subprocess.run([sys.executable, "-c", "import sys, cographctl.cli; "
+                           "print('dataclasses' in sys.modules)"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_package_built_graphs_pass_the_public_checks():
