@@ -157,13 +157,15 @@ def _read_text(path: str | None, label: str) -> str:
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
 
 
-def _json(payload: dict, **raw: str) -> str:
-    """One JSON line; the package's tuples are written as arrays unchanged,
-    and each ``raw`` value, JSON text already, goes under its key in key order."""
+def _json(payload: dict, **raw: str) -> list[str]:
+    """One JSON line as parts to write in turn: the package's tuples as arrays, and
+    each ``raw`` value, JSON text already, a part of its own under its key in key order."""
     if not raw:
-        return _ENCODER.encode(payload)
+        return [_ENCODER.encode(payload)]
     fields = {key: _ENCODER.encode(value) for key, value in payload.items()} | raw
-    return "{" + ",".join(_ENCODER.encode(key) + ":" + fields[key] for key in sorted(fields)) + "}"
+    parts = [part for key in sorted(fields)
+             for part in (",", _ENCODER.encode(key), ":", fields[key])]
+    return ["{", *parts[1:], "}"]
 
 
 def _render(sep: str) -> Callable[[Sequence[int]], str]:
@@ -207,11 +209,11 @@ def _cmd_recognize(args, parser) -> int:
         tree, _ = _load_input(parser, args)
     except _NotCograph as exc:
         print("not a cograph", file=sys.stderr)
-        print(_json({"n": exc.n, "p4": exc.witness}) if args.json
-              else "P4: " + " ".join(map(str, exc.witness)))
+        print(*(_json({"n": exc.n, "p4": exc.witness}) if args.json
+                else ["P4: " + " ".join(map(str, exc.witness))]), sep="")
         return 1
     text = serialize_cotree(tree)
-    print(_json({"n": tree.n, "cotree": text}) if args.json else text)
+    print(*(_json({"n": tree.n, "cotree": text}) if args.json else [text]), sep="")
     return 0
 
 
@@ -222,8 +224,8 @@ def _cmd_spectrum(args, parser) -> int:
         modal = join(spectral._modal_rows(tree, part))
     spec = spectral.spectrum(tree)
     if args.json:
-        raw = {"modal": modal} if args.modal else {}
-        print(_json({"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec}, **raw))
+        payload = {"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec}
+        print(*_json(payload, **({"modal": modal} if args.modal else {})), sep="")
         return 0
     print("spectrum: " + " ".join(f"{v}^{m}" for v, m in spec))
     if args.modal:
@@ -241,7 +243,7 @@ def _cmd_partition(args, parser) -> int:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells}
         if args.degree:
             payload.update(degree_cells=degree_cells, degrees=degrees)
-        print(_json(payload))
+        print(*_json(payload), sep="")
         return 0
     print("cells: " + _fmt_cells(cells))
     if args.degree:
@@ -265,9 +267,9 @@ def _cmd_leaders(args, parser) -> int:
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells, "min_size": size}
         if args.all:
-            print(_json(payload | {"count": count}, sets=_json_rows(sets)))
+            print(*_json(payload | {"count": count}, sets=_json_rows(sets)), sep="")
         else:
-            print(_json(payload | {"sets": [control._min_set(cells, tie)]}))
+            print(*_json(payload | {"sets": [control._min_set(cells, tie)]}), sep="")
         return 0
     print(f"min_size: {size}")
     print("set: " + ",".join(map(str, control._min_set(cells, tie))))
@@ -294,7 +296,7 @@ def _cmd_verify(args, parser) -> int:
                    "set": cset, "controllable": ok}
         if args.cross_check:
             payload.update(pbh=pbh, kalman_rank=rank, agree=agree)
-        print(_json(payload))
+        print(*_json(payload), sep="")
         return 0
     print(f"controllable: {'true' if ok else 'false'}")
     if args.cross_check:
@@ -319,10 +321,10 @@ def _cmd_oracle(args, parser) -> int:
     size, sets = oracle.exhaustive_min_sets(graph)
     control_agree = size == len(enum[0]) and sets == enum
     if args.json:
-        print(_json({"n": graph.n, "cotree": serialize_cotree(tree), "p4_free": p4_free,
-                     "spectrum": spec, "oracle_spectrum": roots,
-                     "spectrum_agree": spectrum_agree, "min_size": size, "sets": sets,
-                     "control_agree": control_agree}))
+        print(*_json({"n": graph.n, "cotree": serialize_cotree(tree), "p4_free": p4_free,
+                      "spectrum": spec, "oracle_spectrum": roots,
+                      "spectrum_agree": spectrum_agree, "min_size": size, "sets": sets,
+                      "control_agree": control_agree}), sep="")
     else:
         print(f"p4_free: {'true' if p4_free else 'false'}")
         print("oracle spectrum: " + " ".join(f"{v}^{m}" for v, m in roots))
@@ -343,7 +345,7 @@ def _cmd_random(args, parser) -> int:
         key, text = "threshold", generate.random_threshold_sequence(args.nodes, rng)
     else:
         key, text = "cotree", serialize_cotree(generate.random_cotree(args.nodes, rng))
-    print(_json({"n": args.nodes, key: text}) if args.json else text)
+    print(*(_json({"n": args.nodes, key: text}) if args.json else [text]), sep="")
     return 0
 
 

@@ -191,14 +191,14 @@ def pbh_check(t: CoTree, control: Iterable[int]) -> bool:
     children already demand. One reverse-preorder pass: O(node count).
     """
     _require_controllable_setting(t, "pbh_check")
-    count = t.node_count()
-    hit = [False] * count
+    parent = t._parent
+    hit = [False] * len(parent)
     for v in _control_vertices(control, t.n):
-        hit[t.leaf_id(v)] = True
-    missed = [0] * count  # children of each node that no control reaches
-    for i in range(count - 1, 0, -1):
+        hit[t._leaf_node[v]] = True
+    missed = [0] * len(parent)  # children of each node that no control reaches
+    for i in range(len(parent) - 1, 0, -1):
         if hit[i]:
-            hit[t.parent(i)] = True
+            hit[parent[i]] = True
         else:
-            missed[t.parent(i)] += 1
+            missed[parent[i]] += 1
     return max(missed) <= 1

@@ -14,12 +14,13 @@ equality, serialization, the sibling cells and the modal-matrix column order
 deterministic.
 
 Storage: ``CoTree`` is an arena of nodes numbered in preorder (the root is
-node 0, children have larger ids than their parent). Beside the parent,
-children and label of each node it keeps one sequence of all leaf vertex ids
-in preorder; the leaves below node i are exactly the slice
-``[start(i), end(i))`` of that sequence, so a subtree's size is
-``end - start`` and no per-node leaf set is ever stored. Memory and build
-time are linear in the node count, independent of depth.
+node 0, children have larger ids than their parent). Beside the parent and
+label of each node it keeps one sequence of all leaf vertex ids in preorder;
+the leaves below node i are exactly the slice ``[start(i), end(i))`` of that
+sequence, so a subtree's size is ``end - start`` and no per-node leaf set is
+ever stored. Nor are child lists: a subtree ends at its last leaf, so node
+i's children are i + 1 and then the node after each child's subtree. Memory
+and build time are linear in the node count, independent of depth.
 
 Every traversal in this module is an explicit-stack loop or a single pass
 over the preorder numbering; nothing recurses, so the depth of a tree is
@@ -65,8 +66,8 @@ class CoTree:
             raise ValueError("leaf ids must be distinct and cover 1..n")
         if len(labels) != count or parents[0] is not None:
             raise ValueError("nodes must form a tree numbered in preorder")
-        children: list[list[int]] = [[] for _ in range(count)]  # filled last to first
-        last = list(range(count))  # largest node id in each subtree
+        first = [0] * count  # smallest child id seen so far, 0 for none yet
+        last = list(range(count))  # largest node id in each subtree; -1 marks a gap
         low = [n + 1] * count  # smallest vertex id below each node
         start = [0] * count
         end = [0] * count
@@ -75,9 +76,8 @@ class CoTree:
         k = n  # leaves before node i in preorder, once i is reached
         for i in range(count - 1, -1, -1):
             label = labels[i]
-            kids = children[i]
             if label is None:
-                if kids:
+                if first[i]:
                     raise ValueError("leaf with children")
                 k -= 1
                 v = leaves[k]
@@ -88,70 +88,71 @@ class CoTree:
                 end[i] = k + 1
             elif type(label) is not int or label not in (0, 1):
                 raise ValueError(f"internal label must be 0 or 1, got {label!r}")
-            elif not kids:
+            elif not first[i]:
                 raise ValueError("internal node with no children")
             else:
-                kids.reverse()
-                # preorder: a child follows its parent or its elder sibling's subtree
-                for c in kids:
-                    if c != last[i] + 1:
-                        raise ValueError("nodes must form a tree numbered in preorder")
-                    last[i] = last[c]
-                end[i] = end[kids[-1]]
-                if len(kids) == 1:
+                # preorder: the first child follows its parent, no gap among the rest
+                if first[i] != i + 1 or last[i] < 0:
+                    raise ValueError("nodes must form a tree numbered in preorder")
+                end[i] = end[last[i]]
+                if last[i + 1] == last[i]:
                     canonical = False
             start[i] = k
             if i:
                 up = parents[i]
                 if type(up) is not int or not 0 <= up < i:
                     raise ValueError("nodes must form a tree numbered in preorder")
-                children[up].append(i)
-                # siblings arrive last to first, so each must lower the minimum
+                # siblings arrive last to first: the youngest sets the parent's subtree
+                # end, and each must end just before the next and lower the minimum
+                if not first[up]:
+                    last[up] = last[i]
+                elif first[up] != last[i] + 1:
+                    last[up] = -1  # reported when the parent is reached
+                first[up] = i
                 if low[i] > low[up] or labels[up] == label:
                     canonical = False
                 if low[i] < low[up]:
                     low[up] = low[i]
         if not canonical:
-            del last  # only the check reads it; the layout's peak memory is lower without it
+            del first  # only the check reads it; the layout's peak memory is lower without it
             out_parents: list[int | None] = []
             out_labels: list[int | None] = []
             out_leaves: list[int] = []
-            out_children: list[list[int]] = []
             out_start: list[int] = []
             out_end: list[int] = []
             stack: list[tuple[int, int | None]] = [(0, None)]
             while stack:
                 node, parent = stack.pop()
-                while len(children[node]) == 1:  # only the root can be unary here
-                    node = children[node][0]
+                label = labels[node]
+                while label is not None and last[node + 1] == last[node]:  # unary: only the root
+                    node += 1
+                    label = labels[node]
                 idx = len(out_parents)
                 out_parents.append(parent)
-                if parent is not None:
-                    out_children[parent].append(idx)
-                out_children.append(children[node])  # emptied below, refilled by its children
+                out_labels.append(label)
                 out_start.append(len(out_leaves))  # the first pass counted its leaves
                 out_end.append(len(out_leaves) + end[node] - start[node])
-                label = labels[node]
-                out_labels.append(label)
                 if label is None:
                     out_leaves.append(low[node])
                     leaf_node[low[node]] = idx
                     continue
+                # the scan enters a descendant that is merged into node (same
+                # label) or spliced out (unary), and skips each child it keeps
                 merged: list[int] = []
-                pending = children[node]  # consumed here; every node is laid out once
-                while pending:
-                    c = pending.pop()
-                    if labels[c] == label or len(children[c]) == 1:
-                        pending.extend(children[c])
+                c = node + 1
+                while c <= last[node]:
+                    lab = labels[c]
+                    if lab == label or lab is not None and last[c + 1] == last[c]:
+                        c += 1
                     else:
                         merged.append(c)
+                        c = last[c] + 1
                 merged.sort(key=low.__getitem__, reverse=True)
                 stack.extend([(c, idx) for c in merged])
             parents, labels, leaves = out_parents, out_labels, out_leaves
-            children, start, end = out_children, out_start, out_end
+            start, end = out_start, out_end
         self._parent = tuple(parents)
         self._label = tuple(labels)
-        self._children = tuple(map(tuple, children))
         self._leaves = tuple(leaves)
         self._start = tuple(start)
         self._end = tuple(end)
@@ -185,8 +186,8 @@ class CoTree:
         return self._leaves[self._start[i]]
 
     def leaf_id(self, vertex: int) -> int:
-        """Node id of the leaf carrying the given vertex id."""
-        if not 1 <= vertex <= self.n:
+        """Node id of the leaf carrying the given vertex id, an exact int."""
+        if type(vertex) is not int or not 1 <= vertex <= self.n:
             raise KeyError(vertex)
         return self._leaf_node[vertex]
 
@@ -194,7 +195,14 @@ class CoTree:
         return self._parent[i]
 
     def children(self, i: int) -> tuple[int, ...]:
-        return self._children[i]
+        """Child ids in order: in preorder a subtree ends at its last leaf, so
+        they are i + 1 and then the node after each child's subtree, up to i's."""
+        leaves, end, leaf_node = self._leaves, self._end, self._leaf_node
+        kids, c = [], range(len(end))[i] + 1  # a negative i counts from the end
+        while c <= leaf_node[leaves[end[i] - 1]]:
+            kids.append(c)
+            c = leaf_node[leaves[end[c] - 1]] + 1
+        return tuple(kids)
 
     def leaf_sequence(self, i: int) -> tuple[int, ...]:
         """Vertex ids of the leaves below node i, in preorder (a slice of the
@@ -211,12 +219,12 @@ class CoTree:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CoTree) and (
             self._label == other._label
-            and self._children == other._children
+            and self._parent == other._parent
             and self._leaves == other._leaves
         )
 
     def __hash__(self) -> int:
-        return hash((self._label, self._children, self._leaves))
+        return hash((self._label, self._parent, self._leaves))
 
     def __repr__(self) -> str:
         return f"CoTree(n={self.n}, nodes={self.node_count()})"
@@ -229,24 +237,17 @@ def cotree_to_graph(t: CoTree) -> Graph:
     minus the mask of u's child on the path down to v. One bottom-up pass
     builds the leaf masks, one top-down pass carries that OR along every
     root-to-leaf path, and matrix row i belongs to vertex id i + 1."""
-    count = t.node_count()
-    mask = [0] * count
-    for i in range(count - 1, -1, -1):
-        if t.is_leaf(i):
-            mask[i] = 1 << (t.leaf_vertex(i) - 1)
-        else:
-            for c in t.children(i):
-                mask[i] |= mask[c]
-    above = [0] * count  # neighbours every leaf below node i gets from its ancestors
-    rows = [0] * t.n
-    for i in range(count):
-        if t.is_leaf(i):
-            rows[t.leaf_vertex(i) - 1] = above[i]
-            continue
-        join = t.label(i) == 1
-        for c in t.children(i):
-            above[c] = above[i] | (mask[i] & ~mask[c]) if join else above[i]
-    return Graph._trusted(t.n, tuple(rows))
+    parent, label, leaf_node = t._parent, t._label, t._leaf_node
+    mask = [0] * len(parent)
+    for v, node in enumerate(leaf_node[1:]):
+        mask[node] = 1 << v
+    for i in range(len(parent) - 1, 0, -1):  # a node's children all come after it
+        mask[parent[i]] |= mask[i]
+    above = [0] * len(parent)  # neighbours every leaf below node i gets from its ancestors
+    for c in range(1, len(parent)):
+        p = parent[c]
+        above[c] = above[p] | (mask[p] & ~mask[c]) if label[p] else above[p]
+    return Graph._trusted(t.n, tuple([above[node] for node in leaf_node[1:]]))
 
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")

@@ -40,6 +40,7 @@ controllability operations never consume it.
 from __future__ import annotations
 
 from collections import Counter
+from operator import sub
 from typing import Callable
 
 from .cotree import CoTree
@@ -51,14 +52,13 @@ MODAL_CAP = 3_000
 
 def _node_eigenvalues(t: CoTree) -> list[int]:
     """Eigenvalue of every internal node and degree of every leaf, in one
-    preorder pass that hands each child its parent's accumulated ancestor
-    correction; a leaf keeps the correction it receives, its degree."""
-    values = [0] * t.node_count()  # a node's correction until the pass reaches it
-    for v in t.internal_ids():
-        label, size, correction = t.label(v), t.leaf_count(v), values[v]
-        values[v] = label * size + correction
-        for c in t.children(v):
-            values[c] = correction + label * (size - t.leaf_count(c))
+    preorder pass: a node's value is its parent's minus the parent's label
+    times its leaf count (a leaf's degree), plus its own label times that count."""
+    parent, label = t._parent, t._label
+    values: list[int] = []
+    for p, lab, size in zip(parent, label, map(sub, t._end, t._start)):
+        value = 0 if p is None else values[p] - label[p] * size
+        values.append(value if lab is None else value + lab * size)
     return values
 
 
@@ -73,8 +73,8 @@ def degree_partition(t: CoTree) -> tuple[tuple[int, tuple[int, ...]], ...]:
     cographs equal degree does not imply siblinghood."""
     values = _node_eigenvalues(t)
     by_degree: dict[int, list[int]] = {}
-    for v in range(1, t.n + 1):
-        by_degree.setdefault(values[t.leaf_id(v)], []).append(v)
+    for v, node in enumerate(t._leaf_node[1:], 1):
+        by_degree.setdefault(values[node], []).append(v)
     return tuple((d, tuple(cell)) for d, cell in sorted(by_degree.items()))
 
 
@@ -84,8 +84,8 @@ def spectrum(t: CoTree) -> tuple[tuple[int, int], ...]:
     summing to n."""
     values = _node_eigenvalues(t)
     counts: Counter = Counter()
-    for v in t.internal_ids():
-        counts[values[v]] += len(t.children(v)) - 1
+    for v, k in Counter(t._parent[1:]).items():  # each internal node's child count
+        counts[values[v]] += k - 1
     counts[0] += 1
     return tuple(sorted(counts.items()))
 
@@ -96,17 +96,13 @@ def modal_columns(t: CoTree) -> list[tuple[int, int, int, int, int, int, int]]:
     equal to a on ``seq[i0:i1]``, to -b on ``seq[i1:i2]`` and to 0 elsewhere,
     where ``seq = t.leaf_sequence(t.root)``; a = i2 - i1 and b = i1 - i0."""
     values = _node_eigenvalues(t)
-    start = [0] * t.node_count()  # offset of each node's leaves in seq
+    leaves, start, end, leaf_node = t._leaves, t._start, t._end, t._leaf_node
     columns = []
     for v in t.internal_ids():
-        value = values[v]
-        i0 = i1 = start[v]
-        for j, c in enumerate(t.children(v)):
-            size = t.leaf_count(c)
-            start[c] = i1
-            if j:
-                columns.append((v, value, size, i0, i1, i1 - i0, i1 + size))
-            i1 += size
+        value, i0, c = values[v], start[v], v + 1
+        while end[c] != end[v]:  # c is not the last child; the next follows c's last leaf
+            c = leaf_node[leaves[end[c] - 1]] + 1
+            columns.append((v, value, end[c] - start[c], i0, start[c], start[c] - i0, end[c]))
     return columns
 
 

@@ -80,6 +80,70 @@ def nested_text(nested) -> str:
     return f"{label}(" + ",".join(nested_text(c) for c in kids) + ")"
 
 
+def reversed_text(t: CoTree) -> str:
+    """Cotree text of the same graph that no ``CoTree`` stores as written:
+    every node's children in reverse order, under a unary root labelled 0.
+    Built bottom-up, each child's text dropped once its parent's holds it."""
+    built = [""] * t.node_count()
+    for i in range(t.node_count() - 1, -1, -1):
+        if t.is_leaf(i):
+            built[i] = str(t.leaf_vertex(i))
+            continue
+        kids = t.children(i)
+        built[i] = f"{t.label(i)}(" + ",".join(built[c] for c in reversed(kids)) + ")"
+        for c in kids:
+            built[c] = ""
+    return f"0({built[0]})"
+
+
+def cotree_shapes(n: int) -> list[tuple[list, list, list]]:
+    """Every cograph on n unlabelled vertices once, as the canonical preorder
+    columns (parents, labels, leaves) of its cotree shape. A shape with n >= 2
+    leaves is a root label over a multiset of two or more children, each a
+    leaf or a shape of the other root label; its leaves are numbered 1..n in
+    preorder, which orders every node's children by smallest leaf."""
+    shapes: list = [None, None]  # shapes[m][label]: on m >= 2 leaves, under that root label
+    for m in range(2, n + 1):
+        by_label = []
+        for label in (0, 1):
+            # a child is a leaf (size 1, shape None) or a smaller shape of the other label
+            pool = [(1, None)] + [(k, s) for k in range(2, m) for s in shapes[k][1 - label]]
+            by_label.append([(label, kids) for kids in _multisets(pool, m)])
+        shapes.append(by_label)
+    return [_shape_columns(shape) for shape in ([None] if n == 1 else shapes[n][0] + shapes[n][1])]
+
+
+def _multisets(pool: list[tuple[int, object]], total: int, first: int = 0):
+    """The multisets of ``pool``'s (size, shape) items from index ``first`` on
+    whose sizes sum to ``total``, each as a tuple of shapes in pool order."""
+    if total == 0:
+        yield ()
+        return
+    for i in range(first, len(pool)):
+        size, shape = pool[i]
+        if size <= total:
+            for rest in _multisets(pool, total - size, i):
+                yield (shape, *rest)
+
+
+def _shape_columns(shape) -> tuple[list, list, list]:
+    """Preorder columns of a shape, its leaves numbered 1..n in preorder."""
+    parents: list = []
+    labels: list = []
+    leaves: list = []
+    stack = [(shape, None)]
+    while stack:
+        node, up = stack.pop()
+        parents.append(up)
+        if node is None:
+            labels.append(None)
+            leaves.append(len(leaves) + 1)
+        else:
+            labels.append(node[0])
+            stack.extend((c, len(parents) - 1) for c in reversed(node[1]))
+    return parents, labels, leaves
+
+
 # -- reference constructions --------------------------------------------------
 #
 # Plain-function versions of graph composition, matrix algebra and cotree and

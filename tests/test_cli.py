@@ -78,6 +78,28 @@ def test_spectrum_modal(capsys):
     assert payload["modal"] == [[1], [-1]]
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["spectrum", "--modal", "--cotree", serialize_cotree(random_cotree(200, random.Random(3)))],
+     "modal"),
+    (["leaders", "--all", "--expr", "*".join(["(.+.)"] * 8)], "sets")])
+def test_json_writes_a_raw_array_uncopied(monkeypatch, argv, key):
+    """The modal matrix and the ``leaders --all`` sets go out as the one
+    array text they were rendered into, written between the line's other
+    parts; no write copies that text into a longer line."""
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([*argv, "--json"]) == 0
+    line = out.getvalue()
+    assert max(writes) == len(cli._ENCODER.encode(json.loads(line)[key])) < len(line) - 50
+
+
 def test_partition_degree(capsys):
     code, payload, _ = run_json(
         capsys, "partition", "--threshold", THRESHOLD_EXAMPLE, "--degree"
@@ -575,13 +597,17 @@ def test_one_and_two_vertex_modal_output(capsys):
 def test_json_with_raw_fragments_equals_the_encoder_on_golden_payloads(monkeypatch, capsys,
                                                                         tmp_path):
     """Every payload the golden cases print, with any raw fragment decoded
-    back in, encodes to what ``_json`` printed; and moving any one of its
-    values out as a raw fragment leaves the line unchanged."""
+    back in, encodes to the line whose parts ``_json`` gave; and moving any
+    one of its values out as a raw fragment leaves the line unchanged."""
     golden = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
     seen = []
-    real = cli._json
+    parts = cli._json
+
+    def real(payload, **raw):
+        return "".join(parts(payload, **raw))
+
     monkeypatch.setattr(cli, "_json", lambda payload, **raw: seen.append((payload, raw))
-                        or real(payload, **raw))
+                        or parts(payload, **raw))
     edge_file = tmp_path / "graph.txt"
     for case in golden["cases"]:
         argv = list(case["argv"])

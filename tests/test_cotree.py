@@ -1,6 +1,7 @@
 """Cotree recognition, canonical form, and structural queries."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,10 +9,13 @@ import cographctl.cotree as cotree
 
 from cographctl import (
     CoTree,
+    char_poly,
     cotree_to_graph,
     find_p4,
+    integer_roots,
     is_controllable,
     kalman_rank,
+    laplacian,
     min_control_size,
     parse_cotree,
     parse_expr,
@@ -21,6 +25,7 @@ from cographctl import (
     recognize,
     serialize_cotree,
     sibling_partition,
+    spectrum,
 )
 
 from helpers import (
@@ -28,6 +33,7 @@ from helpers import (
     THRESHOLD_EXAMPLE,
     components_reference,
     cotree_corpus,
+    cotree_shapes,
     from_edges,
     is_canonical,
     join_of,
@@ -37,6 +43,7 @@ from helpers import (
     p4_reference,
     path_to_root,
     random_graph,
+    reversed_text,
     scrambled,
     single,
     threshold_to_graph,
@@ -122,7 +129,8 @@ def test_every_cotree_is_canonical():
 
 
 def _stored(t: CoTree):
-    return (t._parent, t._label, t._children, t._leaves, t._start, t._end, t._leaf_node)
+    return (t._parent, t._label, [t.children(i) for i in range(t.node_count())],
+            t._leaves, t._start, t._end, t._leaf_node)
 
 
 def _answers(t: CoTree):
@@ -184,6 +192,55 @@ def test_layout_writes_what_the_checking_pass_would_index():
     assert _answers(parse_expr("3000"))[:4] == (3000, 3001, 0, (0,))
 
 
+def test_every_shape_up_to_nine_leaves():
+    """Every canonical cotree shape on n <= 9 leaves, as many as OEIS A000084
+    counts cographs on n unlabelled vertices: each is stored as its canonical
+    columns give it and as the layout writes it from a reversed text, its
+    children are those its parent column names, and up to n = 8 its
+    spectrum is the characteristic polynomial's integer roots."""
+    counts = []
+    for n in range(1, 10):
+        shapes = cotree_shapes(n)
+        counts.append(len(shapes))
+        for parents, labels, leaves in shapes:
+            t = CoTree(parents, labels, leaves)
+            assert (list(t._parent), list(t._label), list(t._leaves)) == (parents, labels, leaves)
+            assert _stored(parse_cotree(reversed_text(t))) == _stored(t)
+            kids = [[] for _ in parents]
+            for c, up in enumerate(parents[1:], 1):
+                kids[up].append(c)
+            assert [t.children(i) for i in range(len(parents))] == list(map(tuple, kids))
+            if n <= 8:
+                roots = integer_roots(char_poly(laplacian(cotree_to_graph(t))))
+                assert spectrum(t) == tuple(sorted(roots.items()))
+    assert counts == [1, 2, 4, 10, 24, 66, 180, 522, 1532]
+
+
+def test_constructor_and_layout_peaks():
+    """Peak traced memory of the constructor on the canonical columns of the
+    10^5-leaf tree that `random --nodes 100000 --seed 1` prints (the checking
+    pass alone), and of parse_cotree on a reversed text of a 2 x 10^4-leaf
+    random tree (the layout; tracemalloc slows it about 25-fold, so the 10^5
+    text would cost the suite several seconds). With no list per node they
+    read 23.5 and 7.7 MiB; with a child list per node, 37.1 and 10.0 MiB."""
+    big = random_cotree(100_000, random.Random(1))
+    columns = (list(big._parent), list(big._label), list(big._leaves))
+    del big
+    t = random_cotree(20_000, random.Random(1))
+    text = reversed_text(t)
+    tracemalloc.start()
+    try:
+        CoTree(*columns)
+        canonical = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert parse_cotree(text) == t
+        laid_out = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert canonical < 30 * 2**20
+    assert laid_out < 8.8 * 2**20
+
+
 def test_noncanonical_k3_gets_the_k3_answers():
     t = parse_cotree("1(1(1,2),3)")
     assert t == CoTree([None, 0, 1, 1, 0], [1, 1, None, None, None], [1, 2, 3])
@@ -223,6 +280,10 @@ def test_structural_queries():
     assert not g2.has_edge(4, 5)
     root_path = path_to_root(t2, lca(t2, 1, 2))
     assert root_path[0] == lca(t2, 1, 2) and root_path[-1] == t2.root
+    # a vertex id is an exact int in 1..n: a bool or a float is no id
+    for bad in (0, t.n + 1, True, 1.0):
+        with pytest.raises(KeyError):
+            t.leaf_id(bad)
 
 
 def test_lca_label_matches_adjacency():
