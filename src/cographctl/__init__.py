@@ -2,11 +2,11 @@
 selection for cograph consensus networks."""
 
 from .control import (
+    control_rank,
     count_min_control_sets,
     enumerate_min_control_sets,
     is_controllable,
     min_control_size,
-    pbh_check,
     select_min_control_set,
     sibling_partition,
 )
@@ -41,6 +41,7 @@ __all__ = [
     "ParseError",
     "SizeCapError",
     "char_poly",
+    "control_rank",
     "cotree_to_graph",
     "count_min_control_sets",
     "degree_partition",
@@ -57,7 +58,6 @@ __all__ = [
     "parse_cotree",
     "parse_expr",
     "parse_threshold",
-    "pbh_check",
     "random_cotree",
     "random_threshold_sequence",
     "read_edge_list",

@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import control, generate, oracle, spectral
 from .cotree import CoTree, cotree_to_graph, recognize
@@ -178,9 +178,9 @@ def _json_rows(rows: Iterable[str]) -> str:
     return ("[[" + "],[".join(rows) + "]]").replace(",]", "]")
 
 
-def _text_rows(rows: Iterable[str], sep: str = " ", lead: str = "") -> str:
-    """Lines of int rows rendered with separator ``sep``, each after ``lead``."""
-    return (lead + ("\n" + lead).join(rows) + "\n").replace(sep + "\n", "\n")
+def _text_lines(rows: Iterable[str], lead: str = "") -> Iterator[str]:
+    """Lines of int rows rendered with a separator after each int, each after ``lead``."""
+    return (lead + row[:-1] + "\n" for row in rows)
 
 
 def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
@@ -220,8 +220,8 @@ def _cmd_recognize(args, parser) -> int:
 def _cmd_spectrum(args, parser) -> int:
     tree, _ = _load_input(parser, args)
     if args.modal:  # MODAL_CAP is checked before any other work
-        part, join = (_render(","), _json_rows) if args.json else (_render(" "), _text_rows)
-        modal = join(spectral._modal_rows(tree, part))
+        part, form = (_render(","), _json_rows) if args.json else (_render(" "), _text_lines)
+        modal = form(spectral._modal_rows(tree, part))
     spec = spectral.spectrum(tree)
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec}
@@ -230,7 +230,7 @@ def _cmd_spectrum(args, parser) -> int:
     print("spectrum: " + " ".join(f"{v}^{m}" for v, m in spec))
     if args.modal:
         print("modal:")
-        sys.stdout.write(modal)
+        sys.stdout.writelines(modal)
     return 0
 
 
@@ -275,7 +275,7 @@ def _cmd_leaders(args, parser) -> int:
     print("set: " + ",".join(map(str, control._min_set(cells, tie))))
     if args.all:
         print(f"count: {count}")
-        sys.stdout.write(_text_rows(sets, ",", "set: "))
+        sys.stdout.writelines(_text_lines(sets, "set: "))
     return 0
 
 
@@ -286,9 +286,9 @@ def _cmd_verify(args, parser) -> int:
     cset = _parse_set(args.set)
     ok = control.is_controllable(tree, cset)
     if args.cross_check:
-        pbh = control.pbh_check(tree, cset)
+        crank = control.control_rank(tree, cset)
         rank = oracle.kalman_rank(graph or cotree_to_graph(tree), cset)
-        agree = pbh == ok == (rank == tree.n)
+        pbh, agree = crank == tree.n, crank == rank and ok == (rank == tree.n)
         if not agree:
             raise _DomainError("cross-check disagreement; this is a bug")
     if args.json:

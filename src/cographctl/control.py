@@ -7,10 +7,9 @@ sibling partition; with p cells on n vertices the minimum number of control
 nodes is n - p, achieved exactly by taking all but one vertex from every cell.
 
 Two checks guard each other here, both O(n): ``is_controllable`` runs the
-cell test, while ``pbh_check`` runs the eigenvector (PBH) test one cotree
-node at a time, reading each node's eigenvector block's rank at the control
-rows off how many of its children the controls reach. They must agree on
-every input.
+cell test, while ``control_rank`` reads the exact Kalman rank off the
+eigenvector (PBH) test one cotree node at a time, from how many of its
+children the controls reach. The set is controllable iff that rank is n.
 """
 
 from __future__ import annotations
@@ -178,22 +177,23 @@ def is_controllable(t: CoTree, control: Iterable[int]) -> bool:
     )
 
 
-def pbh_check(t: CoTree, control: Iterable[int]) -> bool:
-    """Eigenvector (PBH) test: True iff every internal node has at most one
-    child whose leaves no control vertex reaches.
+def control_rank(t: CoTree, control: Iterable[int]) -> int:
+    """Exact Kalman rank of the dynamics driven at the control vertices, n
+    iff they control the network: n minus, over the internal nodes,
+    max(0, missed - 1), where missed counts the children no control reaches.
 
     Internal node v with k children carries k - 1 eigenvectors. They take
     the same row at every leaf below one child, and any k - 1 of the k child
     rows are independent, so the block's rank at the control rows is
-    min(children hit, k - 1). Blocks that share an eigenvalue live on
-    disjoint leaf sets, so their stacked rank is the sum of the block ranks.
-    The all-ones eigenvector needs one control, which the root's two or more
-    children already demand. One reverse-preorder pass: O(node count).
-    """
-    _require_controllable_setting(t, "pbh_check")
+    min(children hit, k - 1) = k - 1 - max(0, missed - 1). Blocks that share
+    an eigenvalue live on disjoint leaf sets, so their stacked ranks add up.
+    Any control sees the all-ones vector, alone at eigenvalue 0 under a join
+    root; the empty set sees nothing. One reverse-preorder pass, O(n)."""
+    _require_controllable_setting(t, "control_rank")
+    vertices = _control_vertices(control, t.n)
     parent = t._parent
     hit = [False] * len(parent)
-    for v in _control_vertices(control, t.n):
+    for v in vertices:
         hit[t._leaf_node[v]] = True
     missed = [0] * len(parent)  # children of each node that no control reaches
     for i in range(len(parent) - 1, 0, -1):
@@ -201,4 +201,4 @@ def pbh_check(t: CoTree, control: Iterable[int]) -> bool:
             hit[parent[i]] = True
         else:
             missed[parent[i]] += 1
-    return max(missed) <= 1
+    return t.n - sum(m - 1 for m in missed if m > 1) if vertices else 0

@@ -5,13 +5,13 @@ and whose internal nodes carry a label: 0 means its children are composed by
 disjoint union, 1 means they are composed by join. Two vertices are adjacent
 exactly when their lowest common ancestor is labeled 1.
 
-Every ``CoTree`` is canonical: its constructor, the only place that applies
-these rules, merges nested nodes of equal label and splices out unary nodes,
-so labels alternate along every leaf-to-root path and every internal node
-has at least two children. With children ordered by their smallest
-descendant leaf, the canonical form is unique per graph, which makes tree
-equality, serialization, the sibling cells and the modal-matrix column order
-deterministic.
+Every ``CoTree`` is canonical: its constructor merges nested nodes of equal
+label and splices out unary nodes (``parsing._canonical`` does the same to
+an expression's columns first), so labels alternate along every path and
+every internal node has at least two children. With children ordered by
+their smallest descendant leaf, the canonical form is unique per graph, which
+makes tree equality, serialization, the sibling cells and the modal-matrix
+column order deterministic.
 
 Storage: ``CoTree`` is an arena of nodes numbered in preorder (the root is
 node 0, children have larger ids than their parent). Beside the parent and

@@ -538,29 +538,6 @@ def rank_rational(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def kalman_rank_closed_form(t: CoTree, control: Iterable[int]) -> int:
-    """Kalman rank of a connected cograph from its cotree alone:
-    n - sum over internal nodes of ((k - 1) - min(hits, k - 1)), where k is
-    the node's child count and hits the number of its children with a
-    control leaf below. A node's k - 1 eigenvectors take one row per child
-    and any k - 1 of those rows are independent, so the controls see
-    min(hits, k - 1) of them, and any control sees the all-ones vector.
-    Under a union root the root's block shares the eigenvalue 0 with the
-    all-ones vector and the count is off, hence a join root and a nonempty
-    set."""
-    hit_vertices = set(control)
-    if not hit_vertices:
-        raise ValueError("the closed form needs a nonempty control set")
-    if not t.is_leaf(t.root) and t.label(t.root) != 1:
-        raise ValueError("the closed form needs a connected cograph (join root)")
-    deficit = 0
-    for i in t.internal_ids():
-        kids = t.children(i)
-        hits = sum(1 for c in kids if hit_vertices.intersection(t.leaf_sequence(c)))
-        deficit += (len(kids) - 1) - min(hits, len(kids) - 1)
-    return t.n - deficit
-
-
 def eigenvalue_reference(t: CoTree, v: int) -> int:
     """Eigenvalue of internal node v by the walk to the root: label(v) times
     its leaf count, plus label(u) * (leaf_count(u) - leaf_count(w)) for each

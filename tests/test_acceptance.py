@@ -13,6 +13,7 @@ from itertools import combinations
 
 from cographctl import (
     char_poly,
+    control_rank,
     cotree_to_graph,
     enumerate_min_control_sets,
     find_p4,
@@ -25,7 +26,6 @@ from cographctl import (
     modal_matrix,
     parse_expr,
     parse_threshold,
-    pbh_check,
     random_cotree,
     recognize,
     sibling_partition,
@@ -170,7 +170,7 @@ def test_criterion_5_controllability_triple_agreement(capsys):
     for t, g, verdict in table:
         for subset, kalman_ok in verdict.items():
             cell_ok = is_controllable(t, subset)
-            pbh_ok = pbh_check(t, subset)
+            pbh_ok = control_rank(t, subset) == t.n
             assert cell_ok == pbh_ok == kalman_ok, (subset, t)
             checked += 1
     elapsed = time.perf_counter() - start

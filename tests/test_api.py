@@ -47,6 +47,6 @@ def test_readme_library_example_gives_its_commented_values():
         3,
         [(1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5)],
         True,
-        True,
+        5,
         5,
     ]

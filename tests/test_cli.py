@@ -100,6 +100,28 @@ def test_json_writes_a_raw_array_uncopied(monkeypatch, argv, key):
     assert max(writes) == len(cli._ENCODER.encode(json.loads(line)[key])) < len(line) - 50
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--modal", "--cotree", serialize_cotree(random_cotree(200, random.Random(3)))],
+    ["leaders", "--all", "--expr", "*".join(["(.+.)"] * 8)]])
+def test_text_rows_are_written_one_line_at_a_time(monkeypatch, argv):
+    """In text mode the modal rows and the ``leaders --all`` sets go out one
+    line per write: no write is longer than the longest line, so the listing
+    is never joined into one string."""
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    assert len(writes) >= len(lines) > 200
+    assert max(writes) == max(map(len, lines))
+
+
 def test_partition_degree(capsys):
     code, payload, _ = run_json(
         capsys, "partition", "--threshold", THRESHOLD_EXAMPLE, "--degree"
@@ -155,6 +177,17 @@ def test_verify_uncontrollable(capsys):
     assert payload["controllable"] is False
     assert payload["kalman_rank"] < 8
     assert payload["agree"] is True
+
+
+def test_cross_check_compares_exact_ranks(monkeypatch, capsys):
+    """``agree`` needs the Kalman rank itself to equal ``control_rank``, not
+    only the two verdicts: an oracle one short of the true rank on a set that
+    is not controllable anyway is a disagreement."""
+    argv = ["verify", "--cotree", EIGHT_NODE_TEXT, "--set", "6,7", "--cross-check"]
+    assert run(capsys, *argv)[1].endswith("kalman_rank: 4\nagree: true\n")
+    rank = cli.oracle.kalman_rank
+    monkeypatch.setattr(cli.oracle, "kalman_rank", lambda g, control: rank(g, control) - 1)
+    assert run(capsys, *argv) == (1, "", "error: cross-check disagreement; this is a bug\n")
 
 
 def test_oracle_battery(capsys):
@@ -565,8 +598,8 @@ def test_rendered_rows_equal_the_encoded_tuples():
         matrix = modal_matrix(t)
         assert cli._json_rows(spectral._modal_rows(t, cli._render(","))) == cli._ENCODER.encode(
             matrix), serialize_cotree(t)
-        assert cli._text_rows(spectral._modal_rows(t, cli._render(" "))) == "".join(
-            " ".join(map(str, row)) + "\n" for row in matrix), serialize_cotree(t)
+        assert list(cli._text_lines(spectral._modal_rows(t, cli._render(" ")))) == [
+            " ".join(map(str, row)) + "\n" for row in matrix], serialize_cotree(t)
         if t.n == 1 or t.label(t.root) != 1:
             continue
         cells = sibling_partition(t)
@@ -575,8 +608,8 @@ def test_rendered_rows_equal_the_encoded_tuples():
         sets = list(control._min_sets(cells))
         assert cli._json_rows(control._min_sets(cells, cli._render(","))) == cli._ENCODER.encode(
             sets), serialize_cotree(t)
-        assert cli._text_rows(control._min_sets(cells, cli._render(",")), ",", "set: ") == "".join(
-            "set: " + ",".join(map(str, s)) + "\n" for s in sets), serialize_cotree(t)
+        assert list(cli._text_lines(control._min_sets(cells, cli._render(",")), "set: ")) == [
+            "set: " + ",".join(map(str, s)) + "\n" for s in sets], serialize_cotree(t)
         over_tail_cap += len(sets) * len(sets[0]) > control._TAIL_CAP
     assert over_tail_cap >= 2
 

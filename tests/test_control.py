@@ -8,7 +8,9 @@ from itertools import combinations, islice, product
 import pytest
 
 from cographctl import (
+    CoTree,
     NotConnectedError,
+    control_rank,
     cotree_to_graph,
     count_min_control_sets,
     enumerate_min_control_sets,
@@ -18,7 +20,6 @@ from cographctl import (
     parse_cotree,
     parse_expr,
     parse_threshold,
-    pbh_check,
     random_cotree,
     random_threshold_sequence,
     select_min_control_set,
@@ -33,6 +34,7 @@ from helpers import (
     block_reference,
     choose_block_rows,
     cotree_corpus,
+    cotree_shapes,
     eight_node_tree,
     lca,
     leaves_below,
@@ -127,12 +129,17 @@ def test_is_controllable_examples():
         is_controllable(t, (1, 99))
 
 
+def full_rank(t, control):
+    """The eigenvector (PBH) verdict: ``control_rank`` reaches n."""
+    return control_rank(t, control) == t.n
+
+
 def test_pbh_examples():
-    assert pbh_check(eight_node_tree(), (2, 7, 8))
-    assert not pbh_check(eight_node_tree(), ())
+    assert control_rank(eight_node_tree(), (2, 7, 8)) == 8
+    assert control_rank(eight_node_tree(), ()) == 0
     t = parse_expr("(.+.)*(.+.+.)")
-    assert pbh_check(t, (1, 3, 4))
-    assert kalman_rank(cotree_to_graph(t), (1, 3, 4)) == 5
+    assert control_rank(t, (1, 3, 4)) == kalman_rank(cotree_to_graph(t), (1, 3, 4)) == 5
+    assert control_rank(t, (1, 3)) == kalman_rank(cotree_to_graph(t), (1, 3)) == 4
 
 
 def test_triple_agreement_exhaustive_small():
@@ -141,9 +148,29 @@ def test_triple_agreement_exhaustive_small():
         vertices = range(1, t.n + 1)
         for size in range(t.n + 1):
             for subset in combinations(vertices, size):
-                cell = is_controllable(t, subset)
-                assert pbh_check(t, subset) == cell
-                assert (kalman_rank(g, subset) == t.n) == cell
+                rank = kalman_rank(g, subset)
+                assert control_rank(t, subset) == rank
+                assert (rank == t.n) == is_controllable(t, subset)
+
+
+def test_every_connected_shape_and_set_up_to_seven_leaves():
+    """On every connected cograph shape with 2 <= n <= 7 and every subset of
+    its vertices, the empty set included (14,116 pairs), ``control_rank`` is
+    the Kalman rank, and it is n exactly when the cell test passes."""
+    pairs = 0
+    for n in range(2, 8):
+        for parents, labels, leaves in cotree_shapes(n):
+            if labels[0] != 1:
+                continue
+            t = CoTree(parents, labels, leaves)
+            g = cotree_to_graph(t)
+            for size in range(n + 1):
+                for subset in combinations(range(1, n + 1), size):
+                    rank = control_rank(t, subset)
+                    assert rank == kalman_rank(g, subset), (serialize_cotree(t), subset)
+                    assert (rank == n) == is_controllable(t, subset), (serialize_cotree(t), subset)
+                    pairs += 1
+    assert pairs == 14_116
 
 
 def mixed_shape_tree(rng):
@@ -171,7 +198,7 @@ def test_pbh_check_matches_stacked_elimination():
         while len(sets) < 20:
             sets.append(tuple(v for v in vertices if rng.random() < rng.random()))
         for subset in sets:
-            assert pbh_check(t, subset) == pbh_reference(t, subset) == is_controllable(t, subset)
+            assert full_rank(t, subset) == pbh_reference(t, subset) == is_controllable(t, subset)
             pairs += 1
     assert pairs >= 3000
 
@@ -282,31 +309,31 @@ def test_control_set_validation():
         (([1],), "1-based ids"),
         ((5, 1), "control vertex 5 out of range 1..4"),
     ):
-        for check in (is_controllable, pbh_check):
+        for check in (is_controllable, control_rank):
             with pytest.raises(ValueError, match=message):
                 check(t, ids)
     # any order of distinct ids is a set
-    assert is_controllable(t, (3, 1)) is pbh_check(t, (3, 1)) is False
-    assert is_controllable(t, (3, 1, 2)) is pbh_check(t, (3, 1, 2)) is True
+    assert is_controllable(t, (3, 1)) is full_rank(t, (3, 1)) is False
+    assert is_controllable(t, (3, 1, 2)) is full_rank(t, (3, 1, 2)) is True
 
 
 def test_bool_is_not_a_vertex_id():
     # True == 1, but a flag is not a vertex
     t = parse_expr(".*.")
     for ids in ((True,), (False,), (2, True)):
-        for check in (is_controllable, pbh_check):
+        for check in (is_controllable, control_rank):
             with pytest.raises(ValueError, match="1-based ids"):
                 check(t, ids)
-    assert is_controllable(t, [1]) and pbh_check(t, [1])
+    assert is_controllable(t, [1]) and full_rank(t, [1])
 
 
 def test_checks_take_any_iterable_of_ids():
     for t in cotree_corpus(40, 8, seed=316):
         for ids in ((), select_min_control_set(t), tuple(range(2, t.n + 1))):
-            for check in (is_controllable, pbh_check):
-                verdict = check(t, ids)
-                assert check(t, list(ids)) is verdict
-                assert check(t, (v for v in ids)) is verdict
+            for check in (is_controllable, control_rank):
+                answer = check(t, ids)
+                assert check(t, list(ids)) == answer
+                assert check(t, (v for v in ids)) == answer
 
 
 def test_package_built_sets_are_tuples_of_ints():
@@ -326,7 +353,7 @@ def test_disconnected_rejected_by_all_ops():
         count_min_control_sets,
         lambda tt: list(enumerate_min_control_sets(tt)),
         lambda tt: is_controllable(tt, (1,)),
-        lambda tt: pbh_check(tt, (1,)),
+        lambda tt: control_rank(tt, (1,)),
     ):
         with pytest.raises(NotConnectedError):
             op(t)

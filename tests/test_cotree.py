@@ -10,6 +10,7 @@ import cographctl.cotree as cotree
 from cographctl import (
     CoTree,
     char_poly,
+    control_rank,
     cotree_to_graph,
     find_p4,
     integer_roots,
@@ -20,7 +21,6 @@ from cographctl import (
     parse_cotree,
     parse_expr,
     parse_threshold,
-    pbh_check,
     random_cotree,
     recognize,
     serialize_cotree,
@@ -247,7 +247,7 @@ def test_noncanonical_k3_gets_the_k3_answers():
     assert sibling_partition(t) == ((1, 2, 3),)
     assert min_control_size(t) == 2
     assert is_controllable(t, [1]) is False
-    assert pbh_check(t, [1]) is False
+    assert control_rank(t, [1]) == 2
     assert kalman_rank(join_of([K1] * 3), [1]) == kalman_rank(cotree_to_graph(t), [1]) == 2
 
 

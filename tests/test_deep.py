@@ -15,10 +15,10 @@ import pytest
 
 from cographctl import (
     Graph,
+    control_rank,
     is_controllable,
     parse_cotree,
     parse_threshold,
-    pbh_check,
     random_cotree,
     read_edge_list,
     recognize,
@@ -184,9 +184,9 @@ def test_pbh_check_on_large_trees(n, seed):
     if n == 500:
         assert len(t.children(t.root)) == 491
     chosen = select_min_control_set(t)
-    assert pbh_check(t, chosen) is is_controllable(t, chosen) is True
+    assert control_rank(t, chosen) == t.n and is_controllable(t, chosen)
     short = chosen[1:]
-    assert pbh_check(t, short) is is_controllable(t, short) is False
+    assert control_rank(t, short) < t.n and not is_controllable(t, short)
 
 
 def _stack_depth() -> int:

@@ -12,6 +12,7 @@ from cographctl import (
     NonIntegerRootError,
     SizeCapError,
     char_poly,
+    control_rank,
     cotree_to_graph,
     exhaustive_min_sets,
     find_p4,
@@ -34,7 +35,6 @@ from helpers import (
     integer_roots_reference,
     is_connected,
     join_of,
-    kalman_rank_closed_form,
     kalman_reference,
     random_graph,
     rank_rational,
@@ -129,7 +129,7 @@ def test_kalman_rank_matches_closed_form_up_to_n_100():
         g = cotree_to_graph(t)
         for size in (1, 2, t.n // 2):
             control = rng.sample(range(1, t.n + 1), size)
-            assert kalman_rank(g, control) == kalman_rank_closed_form(t, control), (t, control)
+            assert kalman_rank(g, control) == control_rank(t, control), (t, control)
 
 
 def test_char_poly_k2_k3():
