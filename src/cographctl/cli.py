@@ -15,6 +15,7 @@ import functools
 import json
 import random
 import sys
+from itertools import islice
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,6 +35,7 @@ from .parsing import (
 # Caps on the super-polynomial paths, checked before any of their work starts.
 CROSS_CHECK_CAP = 100  # vertices; the Kalman oracle takes under 0.5 s at n = 100
 ALL_SETS_CAP = 1_000_000  # leaders --all: sets x vertices bounds its output, up to n ids a set
+_SETS_PER_WRITE = 1024  # leaders --all text: the sets go out this many lines to a write
 
 
 class _DomainError(Exception):
@@ -129,13 +131,8 @@ def _load_input(
     text = getattr(args, kind)
     if text.startswith("@"):  # '@' is in none of the three grammars
         text = _read_text(text[1:] if text != "@-" else None, f"--{kind} input")
-    if kind == "expr":
-        tree = parse_expr(text)
-    elif kind == "cotree":
-        tree = parse_cotree(text)
-    else:
-        tree = parse_threshold(text)
-    return tree, None
+    parse = {"expr": parse_expr, "cotree": parse_cotree, "threshold": parse_threshold}[kind]
+    return parse(text), None
 
 
 def _read_text(path: str | None, label: str) -> str:
@@ -178,9 +175,11 @@ def _json_rows(rows: Iterable[str]) -> str:
     return ("[[" + "],[".join(rows) + "]]").replace(",]", "]")
 
 
-def _text_lines(rows: Iterable[str], lead: str = "") -> Iterator[str]:
-    """Lines of int rows rendered with a separator after each int, each after ``lead``."""
-    return (lead + row[:-1] + "\n" for row in rows)
+def _text_lines(rows: Iterable[str], lead: str = "", per: int = 1) -> Iterator[str]:
+    """Lines of int rows rendered with a separator after each int, each after
+    ``lead``, joined ``per`` lines to a string."""
+    lines = (lead + row[:-1] + "\n" for row in rows)
+    return iter(lambda: "".join(islice(lines, per)), "")
 
 
 def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
@@ -275,7 +274,7 @@ def _cmd_leaders(args, parser) -> int:
     print("set: " + ",".join(map(str, control._min_set(cells, tie))))
     if args.all:
         print(f"count: {count}")
-        sys.stdout.writelines(_text_lines(sets, "set: "))
+        sys.stdout.writelines(_text_lines(sets, "set: ", _SETS_PER_WRITE))
     return 0
 
 

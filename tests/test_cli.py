@@ -100,13 +100,14 @@ def test_json_writes_a_raw_array_uncopied(monkeypatch, argv, key):
     assert max(writes) == len(cli._ENCODER.encode(json.loads(line)[key])) < len(line) - 50
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--modal", "--cotree", serialize_cotree(random_cotree(200, random.Random(3)))],
-    ["leaders", "--all", "--expr", "*".join(["(.+.)"] * 8)]])
-def test_text_rows_are_written_one_line_at_a_time(monkeypatch, argv):
-    """In text mode the modal rows and the ``leaders --all`` sets go out one
-    line per write: no write is longer than the longest line, so the listing
-    is never joined into one string."""
+@pytest.mark.parametrize("argv, lines_per_write", [
+    (["spectrum", "--modal", "--cotree", serialize_cotree(random_cotree(200, random.Random(3)))], 1),
+    (["leaders", "--all", "--expr", "*".join(["(.+.)"] * 12)], cli._SETS_PER_WRITE)])
+def test_text_listings_are_written_in_bounded_pieces(monkeypatch, argv, lines_per_write):
+    """In text mode each modal row goes out in a write of its own, and the
+    ``leaders --all`` sets (4,096 here) ``_SETS_PER_WRITE`` lines to a write:
+    no write is longer than that many of the longest line, so the listing is
+    never joined into one string."""
     writes = []
 
     class Recorder(io.StringIO):
@@ -118,8 +119,10 @@ def test_text_rows_are_written_one_line_at_a_time(monkeypatch, argv):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(argv) == 0
     lines = out.getvalue().splitlines(keepends=True)
-    assert len(writes) >= len(lines) > 200
-    assert max(writes) == max(map(len, lines))
+    assert len(lines) > 3 * lines_per_write and len(lines) > 200
+    assert max(writes) <= lines_per_write * max(map(len, lines))
+    if lines_per_write == 1:
+        assert max(writes) == max(map(len, lines))
 
 
 def test_partition_degree(capsys):

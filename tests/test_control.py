@@ -143,34 +143,20 @@ def test_pbh_examples():
 
 
 def test_triple_agreement_exhaustive_small():
-    for t in cotree_corpus(25, 5, seed=300):
+    """On every subset, the empty set included, of the random-numbered trees
+    of the corpus and of every connected cograph shape with 2 <= n <= 7
+    (14,116 shape pairs), ``control_rank`` is the Kalman rank, and it is n
+    exactly when the cell test passes."""
+    shapes = [CoTree(*columns) for n in range(2, 8) for columns in cotree_shapes(n)
+              if columns[1][0] == 1]
+    assert sum(2 ** t.n for t in shapes) == 14_116  # (shape, subset) pairs
+    for t in [*cotree_corpus(25, 5, seed=300), *shapes]:
         g = cotree_to_graph(t)
-        vertices = range(1, t.n + 1)
         for size in range(t.n + 1):
-            for subset in combinations(vertices, size):
+            for subset in combinations(range(1, t.n + 1), size):
                 rank = kalman_rank(g, subset)
-                assert control_rank(t, subset) == rank
-                assert (rank == t.n) == is_controllable(t, subset)
-
-
-def test_every_connected_shape_and_set_up_to_seven_leaves():
-    """On every connected cograph shape with 2 <= n <= 7 and every subset of
-    its vertices, the empty set included (14,116 pairs), ``control_rank`` is
-    the Kalman rank, and it is n exactly when the cell test passes."""
-    pairs = 0
-    for n in range(2, 8):
-        for parents, labels, leaves in cotree_shapes(n):
-            if labels[0] != 1:
-                continue
-            t = CoTree(parents, labels, leaves)
-            g = cotree_to_graph(t)
-            for size in range(n + 1):
-                for subset in combinations(range(1, n + 1), size):
-                    rank = control_rank(t, subset)
-                    assert rank == kalman_rank(g, subset), (serialize_cotree(t), subset)
-                    assert (rank == n) == is_controllable(t, subset), (serialize_cotree(t), subset)
-                    pairs += 1
-    assert pairs == 14_116
+                assert control_rank(t, subset) == rank, (serialize_cotree(t), subset)
+                assert (rank == t.n) == is_controllable(t, subset), (serialize_cotree(t), subset)
 
 
 def mixed_shape_tree(rng):
@@ -330,10 +316,12 @@ def test_bool_is_not_a_vertex_id():
 def test_checks_take_any_iterable_of_ids():
     for t in cotree_corpus(40, 8, seed=316):
         for ids in ((), select_min_control_set(t), tuple(range(2, t.n + 1))):
-            for check in (is_controllable, control_rank):
-                answer = check(t, ids)
-                assert check(t, list(ids)) == answer
-                assert check(t, (v for v in ids)) == answer
+            for check in (is_controllable, full_rank):
+                verdict = check(t, ids)
+                assert check(t, list(ids)) is verdict
+                assert check(t, (v for v in ids)) is verdict
+            rank = control_rank(t, ids)
+            assert control_rank(t, list(ids)) == control_rank(t, (v for v in ids)) == rank
 
 
 def test_package_built_sets_are_tuples_of_ints():
