@@ -17,6 +17,7 @@ import random
 import sys
 from itertools import islice
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import control, generate, oracle, spectral
@@ -35,7 +36,7 @@ from .parsing import (
 # Caps on the super-polynomial paths, checked before any of their work starts.
 CROSS_CHECK_CAP = 100  # vertices; the Kalman oracle takes under 0.5 s at n = 100
 ALL_SETS_CAP = 1_000_000  # leaders --all: sets x vertices bounds its output, up to n ids a set
-_SETS_PER_WRITE = 1024  # leaders --all text: the sets go out this many lines to a write
+_PIECE = 1 << 14  # characters to a write of a listing, about
 
 
 class _DomainError(Exception):
@@ -152,17 +153,20 @@ def _read_text(path: str | None, label: str) -> str:
 
 # Payloads are the package's acyclic tuples, so the encoder skips its cycle check.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
+_SLOT = "\0"  # a listing's place in its payload; no payload string holds a NUL
 
 
-def _json(payload: dict, **raw: str) -> list[str]:
-    """One JSON line as parts to write in turn: the package's tuples as arrays, and
-    each ``raw`` value, JSON text already, a part of its own under its key in key order."""
-    if not raw:
-        return [_ENCODER.encode(payload)]
-    fields = {key: _ENCODER.encode(value) for key, value in payload.items()} | raw
-    parts = [part for key in sorted(fields)
-             for part in (",", _ENCODER.encode(key), ":", fields[key])]
-    return ["{", *parts[1:], "}"]
+def _json(payload: dict, **listing: Iterable[str]) -> Iterator[str]:
+    """One JSON line as parts to write in turn, the package's tuples as arrays; a ``listing``
+    (int rows rendered with ",") goes under its key as arrays, in ``_listing``'s parts."""
+    head, slot, tail = _ENCODER.encode(payload | dict.fromkeys(listing, [_SLOT])).partition(
+        _ENCODER.encode(_SLOT))  # head ends with the array's "[", tail starts with its "]"
+    yield head
+    if slot:
+        parts = _listing(*listing.values(), ",[", "]")
+        yield next(parts)[1:]  # the first row has no "," before it
+        yield from parts
+    yield tail + "\n"
 
 
 def _render(sep: str) -> Callable[[Sequence[int]], str]:
@@ -170,16 +174,17 @@ def _render(sep: str) -> Callable[[Sequence[int]], str]:
     return lambda ids: ("%d" + sep) * len(ids) % tuple(ids)
 
 
-def _json_rows(rows: Iterable[str]) -> str:
-    """JSON array text of int rows rendered with separator ","."""
-    return ("[[" + "],[".join(rows) + "]]").replace(",]", "]")
-
-
-def _text_lines(rows: Iterable[str], lead: str = "", per: int = 1) -> Iterator[str]:
-    """Lines of int rows rendered with a separator after each int, each after
-    ``lead``, joined ``per`` lines to a string."""
-    lines = (lead + row[:-1] + "\n" for row in rows)
-    return iter(lambda: "".join(islice(lines, per)), "")
+def _listing(rows: Iterable[str], lead: str, end: str) -> Iterator[str]:
+    """The lines ``lead + row + end`` of int rows rendered with a separator after
+    each int, each row less its last separator, in parts of about ``_PIECE``
+    characters; the first line's length sets the lines to a part."""
+    rows = map(itemgetter(slice(None, -1)), rows)  # C slices: no Python frame per row
+    first = next(rows)
+    per = max(1, _PIECE // len(lead + first + end))
+    chunk = [first, *islice(rows, per - 1)]
+    while chunk:
+        yield f"{lead}{(end + lead).join(chunk)}{end}"
+        chunk = list(islice(rows, per))
 
 
 def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
@@ -189,8 +194,8 @@ def _fmt_cells(cells: Sequence[Sequence[int]]) -> str:
 def _parse_set(text: str) -> tuple[int, ...]:
     """The --set ids, checked here so that a bad id is reported before a
     disconnected input; ``is_controllable`` checks their range 1..n. An id is
-    an ASCII digit run, as in the other grammars: ``int`` would also take
-    ``1_2``, signs and non-ASCII digits."""
+    an ASCII digit run. The tree grammars take any decimal digit, and edge
+    lists whatever ``int`` takes, ``1_2`` and signs included."""
     parts = [part for part in map(str.strip, text.split(",")) if part]
     try:
         if not all(part.isascii() and part.isdigit() for part in parts):
@@ -208,28 +213,27 @@ def _cmd_recognize(args, parser) -> int:
         tree, _ = _load_input(parser, args)
     except _NotCograph as exc:
         print("not a cograph", file=sys.stderr)
-        print(*(_json({"n": exc.n, "p4": exc.witness}) if args.json
-                else ["P4: " + " ".join(map(str, exc.witness))]), sep="")
+        sys.stdout.writelines(_json({"n": exc.n, "p4": exc.witness}) if args.json
+                              else ["P4: " + " ".join(map(str, exc.witness)) + "\n"])
         return 1
     text = serialize_cotree(tree)
-    print(*(_json({"n": tree.n, "cotree": text}) if args.json else [text]), sep="")
+    sys.stdout.writelines(_json({"n": tree.n, "cotree": text}) if args.json else [text + "\n"])
     return 0
 
 
 def _cmd_spectrum(args, parser) -> int:
     tree, _ = _load_input(parser, args)
     if args.modal:  # MODAL_CAP is checked before any other work
-        part, form = (_render(","), _json_rows) if args.json else (_render(" "), _text_lines)
-        modal = form(spectral._modal_rows(tree, part))
+        modal = spectral._modal_rows(tree, _render("," if args.json else " "))
     spec = spectral.spectrum(tree)
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "spectrum": spec}
-        print(*_json(payload, **({"modal": modal} if args.modal else {})), sep="")
+        sys.stdout.writelines(_json(payload, **({"modal": modal} if args.modal else {})))
         return 0
     print("spectrum: " + " ".join(f"{v}^{m}" for v, m in spec))
     if args.modal:
         print("modal:")
-        sys.stdout.writelines(modal)
+        sys.stdout.writelines(_listing(modal, "", "\n"))
     return 0
 
 
@@ -242,7 +246,7 @@ def _cmd_partition(args, parser) -> int:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells}
         if args.degree:
             payload.update(degree_cells=degree_cells, degrees=degrees)
-        print(*_json(payload), sep="")
+        sys.stdout.writelines(_json(payload))
         return 0
     print("cells: " + _fmt_cells(cells))
     if args.degree:
@@ -265,16 +269,14 @@ def _cmd_leaders(args, parser) -> int:
         sets = control._min_sets(cells, _render(","))
     if args.json:
         payload = {"n": tree.n, "cotree": serialize_cotree(tree), "cells": cells, "min_size": size}
-        if args.all:
-            print(*_json(payload | {"count": count}, sets=_json_rows(sets)), sep="")
-        else:
-            print(*_json(payload | {"sets": [control._min_set(cells, tie)]}), sep="")
+        sys.stdout.writelines(_json(payload | {"count": count}, sets=sets) if args.all
+                              else _json(payload | {"sets": [control._min_set(cells, tie)]}))
         return 0
     print(f"min_size: {size}")
     print("set: " + ",".join(map(str, control._min_set(cells, tie))))
     if args.all:
         print(f"count: {count}")
-        sys.stdout.writelines(_text_lines(sets, "set: ", _SETS_PER_WRITE))
+        sys.stdout.writelines(_listing(sets, "set: ", "\n"))
     return 0
 
 
@@ -291,11 +293,10 @@ def _cmd_verify(args, parser) -> int:
         if not agree:
             raise _DomainError("cross-check disagreement; this is a bug")
     if args.json:
-        payload = {"n": tree.n, "cotree": serialize_cotree(tree),
-                   "set": cset, "controllable": ok}
+        payload = {"n": tree.n, "cotree": serialize_cotree(tree), "set": cset, "controllable": ok}
         if args.cross_check:
             payload.update(pbh=pbh, kalman_rank=rank, agree=agree)
-        print(*_json(payload), sep="")
+        sys.stdout.writelines(_json(payload))
         return 0
     print(f"controllable: {'true' if ok else 'false'}")
     if args.cross_check:
@@ -320,10 +321,10 @@ def _cmd_oracle(args, parser) -> int:
     size, sets = oracle.exhaustive_min_sets(graph)
     control_agree = size == len(enum[0]) and sets == enum
     if args.json:
-        print(*_json({"n": graph.n, "cotree": serialize_cotree(tree), "p4_free": p4_free,
-                      "spectrum": spec, "oracle_spectrum": roots,
-                      "spectrum_agree": spectrum_agree, "min_size": size, "sets": sets,
-                      "control_agree": control_agree}), sep="")
+        sys.stdout.writelines(_json({
+            "n": graph.n, "cotree": serialize_cotree(tree), "p4_free": p4_free,
+            "spectrum": spec, "oracle_spectrum": roots, "spectrum_agree": spectrum_agree,
+            "min_size": size, "sets": sets, "control_agree": control_agree}))
     else:
         print(f"p4_free: {'true' if p4_free else 'false'}")
         print("oracle spectrum: " + " ".join(f"{v}^{m}" for v, m in roots))
@@ -344,7 +345,7 @@ def _cmd_random(args, parser) -> int:
         key, text = "threshold", generate.random_threshold_sequence(args.nodes, rng)
     else:
         key, text = "cotree", serialize_cotree(generate.random_cotree(args.nodes, rng))
-    print(*(_json({"n": args.nodes, key: text}) if args.json else [text]), sep="")
+    sys.stdout.writelines(_json({"n": args.nodes, key: text}) if args.json else [text + "\n"])
     return 0
 
 
@@ -361,11 +362,8 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    try:
+    try:  # argparse reports every parse failure by raising SystemExit
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return _COMMANDS[args.command](args, parser)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,7 +39,9 @@ from .graphs import Graph, _bits
 
 class CoTree:
     """Immutable rooted tree over an arena of nodes; node ids index the arena
-    in preorder, so the root is node 0 and children have larger ids."""
+    in preorder, so the root is node 0 and children have larger ids. A node id
+    indexes the stored columns as a tuple position does: -1 is the last node,
+    ``True`` is node 1 and a float raises ``TypeError``."""
 
     def __init__(
         self,

@@ -6,13 +6,17 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from itertools import accumulate
 from math import prod
 from pathlib import Path
 
 import pytest
 
 from cographctl import (
+    CoTree,
     SizeCapError,
+    enumerate_min_control_sets,
     modal_matrix,
     parse_cotree,
     parse_expr,
@@ -21,13 +25,14 @@ from cographctl import (
     read_edge_list,
     serialize_cotree,
     sibling_partition,
+    spectrum,
 )
 import cographctl
 import cographctl.cli as cli
 from cographctl import control, spectral
 from cographctl.cli import main
 
-from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE, cotree_corpus, is_canonical
+from helpers import EIGHT_NODE_TEXT, THRESHOLD_EXAMPLE, cotree_corpus, cotree_shapes, is_canonical
 
 
 def run(capsys, *argv):
@@ -78,51 +83,129 @@ def test_spectrum_modal(capsys):
     assert payload["modal"] == [[1], [-1]]
 
 
+class Recorder(io.StringIO):
+    """A stdout that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def part_bound(line_lengths):
+    """The longest write ``_listing`` may make for these lines: as many of the
+    longest line as the first line's length puts in a part."""
+    return max(1, cli._PIECE // line_lengths[0]) * max(line_lengths)
+
+
 @pytest.mark.parametrize("argv, key", [
     (["spectrum", "--modal", "--cotree", serialize_cotree(random_cotree(200, random.Random(3)))],
      "modal"),
-    (["leaders", "--all", "--expr", "*".join(["(.+.)"] * 8)], "sets")])
+    (["leaders", "--all", "--expr", "*".join(["(.+.)"] * 12)], "sets")])
 def test_json_writes_a_raw_array_uncopied(monkeypatch, argv, key):
-    """The modal matrix and the ``leaders --all`` sets go out as the one
-    array text they were rendered into, written between the line's other
-    parts; no write copies that text into a longer line."""
-    writes = []
-
-    class Recorder(io.StringIO):
-        def write(self, text):
-            writes.append(len(text))
-            return super().write(text)
-
+    """The modal matrix and the ``leaders --all`` sets go out in parts of
+    about ``_PIECE`` characters between the rest of the line's head and
+    tail: the line is the encoder's, and no write holds the whole array."""
     out = Recorder()
     monkeypatch.setattr(sys, "stdout", out)
     assert main([*argv, "--json"]) == 0
     line = out.getvalue()
-    assert max(writes) == len(cli._ENCODER.encode(json.loads(line)[key])) < len(line) - 50
+    whole = json.loads(line)
+    assert line == cli._ENCODER.encode(whole) + "\n"
+    array = cli._ENCODER.encode(whole[key])
+    head, *parts, tail = out.writes
+    assert line[:head].endswith(f'"{key}":[') and line[-tail:].startswith("]")
+    assert sum(parts) == len(array) - 2 and len(parts) > 3
+    rows = [len(cli._ENCODER.encode(row)) + 1 for row in whole[key]]  # each with its ","
+    assert max(parts) <= part_bound(rows) < len(array) // 3
 
 
-@pytest.mark.parametrize("argv, lines_per_write", [
-    (["spectrum", "--modal", "--cotree", serialize_cotree(random_cotree(200, random.Random(3)))], 1),
-    (["leaders", "--all", "--expr", "*".join(["(.+.)"] * 12)], cli._SETS_PER_WRITE)])
-def test_text_listings_are_written_in_bounded_pieces(monkeypatch, argv, lines_per_write):
-    """In text mode each modal row goes out in a write of its own, and the
-    ``leaders --all`` sets (4,096 here) ``_SETS_PER_WRITE`` lines to a write:
-    no write is longer than that many of the longest line, so the listing is
-    never joined into one string."""
-    writes = []
-
-    class Recorder(io.StringIO):
-        def write(self, text):
-            writes.append(len(text))
-            return super().write(text)
-
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--modal", "--cotree", serialize_cotree(random_cotree(200, random.Random(3)))],
+    ["leaders", "--all", "--expr", "*".join(["(.+.)"] * 12)]])
+def test_text_listings_are_written_in_bounded_pieces(monkeypatch, argv):
+    """In text mode the modal rows and the ``leaders --all`` sets (4,096
+    here) go out in parts of about ``_PIECE`` characters, as many lines to
+    a part as fit the first line, so the listing is never joined into one
+    string."""
     out = Recorder()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(argv) == 0
     lines = out.getvalue().splitlines(keepends=True)
-    assert len(lines) > 3 * lines_per_write and len(lines) > 200
-    assert max(writes) <= lines_per_write * max(map(len, lines))
-    if lines_per_write == 1:
-        assert max(writes) == max(map(len, lines))
+    listing = list(map(len, lines[2:] if argv[0] == "spectrum" else lines[3:]))
+    # the last writes are the listing's parts, ending at a line's end
+    parts = out.writes[-1 - list(accumulate(reversed(out.writes))).index(sum(listing)):]
+    assert len(parts) > 3 and max(parts) <= part_bound(listing) < sum(listing) // 3
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+def test_listings_equal_the_encoder_on_every_small_shape(monkeypatch, piece):
+    """Every connected shape with 2 <= n <= 7 through both listings in both
+    modes, with parts so short that their boundaries fall between rows: the
+    JSON line is the encoder's on the tuple forms, the text a per-line join,
+    and no write of a listing is longer than one part."""
+    monkeypatch.setattr(cli, "_PIECE", piece)
+    shapes = [CoTree(*columns) for n in range(2, 8) for columns in cotree_shapes(n)]
+    shapes = [t for t in shapes if t.label(t.root) == 1]
+    assert len(shapes) == 1 + 2 + 5 + 12 + 33 + 90  # half of OEIS A000084, n = 2..7
+    for t in shapes:
+        text, matrix, sets = serialize_cotree(t), modal_matrix(t), list(enumerate_min_control_sets(t))
+        spec, cells = spectrum(t), sibling_partition(t)
+        cases = [
+            (["spectrum", "--modal"], "modal", matrix,
+             {"n": t.n, "cotree": text, "spectrum": spec},
+             "spectrum: " + " ".join(f"{v}^{m}" for v, m in spec) + "\nmodal:\n",
+             [" ".join(map(str, row)) + "\n" for row in matrix]),
+            (["leaders", "--all"], "sets", sets,
+             {"n": t.n, "cotree": text, "cells": cells, "min_size": len(sets[0]), "count": len(sets)},
+             f"min_size: {len(sets[0])}\nset: {','.join(map(str, sets[0]))}\ncount: {len(sets)}\n",
+             ["set: " + ",".join(map(str, s)) + "\n" for s in sets])]
+        for argv, key, rows, payload, head, lines in cases:
+            out = Recorder()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main([*argv, "--cotree", text, "--json"]) == 0
+            assert out.getvalue() == cli._ENCODER.encode(payload | {key: rows}) + "\n", text
+            rows = [len(cli._ENCODER.encode(row)) + 1 for row in rows]  # each with its ","
+            assert max(out.writes[1:-1]) <= part_bound(rows)
+            out = Recorder()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main([*argv, "--cotree", text]) == 0
+            assert out.getvalue() == head + "".join(lines), text
+            size = len("".join(lines))
+            parts = out.writes[-1 - list(accumulate(reversed(out.writes))).index(size):]
+            assert max(parts) <= part_bound(list(map(len, lines)))
+            if piece == 1:
+                assert parts == list(map(len, lines))
+
+
+def test_listings_hold_their_text_about_once(monkeypatch):
+    """``spectrum --modal`` on the 3000-vertex random tree (an 18 MB matrix)
+    and ``leaders --all`` on the 15-pair chain (32,768 sets) keep no string
+    of the whole listing in either mode; written whole, the JSON matrix
+    peaked at 52.7 MiB and the JSON sets at 4.4 MiB."""
+    class Discard(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            return len(data)
+
+    tree = serialize_cotree(random_cotree(3000, random.Random(1)))
+    chain = "*".join(["(.+.)"] * 15)
+    for argv, limit in ((["spectrum", "--modal", "--cotree", tree], 25),
+                        (["leaders", "--all", "--expr", chain], 1)):
+        for mode in (["--json"], []):
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Discard(), encoding="utf-8"))
+            tracemalloc.start()
+            try:
+                assert main([*argv, *mode]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit << 20, (argv[0], mode, peak)
 
 
 def test_partition_degree(capsys):
@@ -599,20 +682,20 @@ def test_rendered_rows_equal_the_encoded_tuples():
     over_tail_cap = 0
     for t in rendering_corpus():
         matrix = modal_matrix(t)
-        assert cli._json_rows(spectral._modal_rows(t, cli._render(","))) == cli._ENCODER.encode(
-            matrix), serialize_cotree(t)
-        assert list(cli._text_lines(spectral._modal_rows(t, cli._render(" ")))) == [
-            " ".join(map(str, row)) + "\n" for row in matrix], serialize_cotree(t)
+        assert "".join(cli._json({}, modal=spectral._modal_rows(t, cli._render(",")))) == (
+            cli._ENCODER.encode({"modal": matrix}) + "\n"), serialize_cotree(t)
+        assert "".join(cli._listing(spectral._modal_rows(t, cli._render(" ")), "", "\n")) == "".join(
+            " ".join(map(str, row)) + "\n" for row in matrix), serialize_cotree(t)
         if t.n == 1 or t.label(t.root) != 1:
             continue
         cells = sibling_partition(t)
         if prod(map(len, cells)) * t.n > cli.ALL_SETS_CAP:
             continue
         sets = list(control._min_sets(cells))
-        assert cli._json_rows(control._min_sets(cells, cli._render(","))) == cli._ENCODER.encode(
-            sets), serialize_cotree(t)
-        assert list(cli._text_lines(control._min_sets(cells, cli._render(",")), "set: ")) == [
-            "set: " + ",".join(map(str, s)) + "\n" for s in sets], serialize_cotree(t)
+        assert "".join(cli._json({}, sets=control._min_sets(cells, cli._render(",")))) == (
+            cli._ENCODER.encode({"sets": sets}) + "\n"), serialize_cotree(t)
+        assert "".join(cli._listing(control._min_sets(cells, cli._render(",")), "set: ", "\n")) == (
+            "".join("set: " + ",".join(map(str, s)) + "\n" for s in sets)), serialize_cotree(t)
         over_tail_cap += len(sets) * len(sets[0]) > control._TAIL_CAP
     assert over_tail_cap >= 2
 
@@ -632,18 +715,23 @@ def test_one_and_two_vertex_modal_output(capsys):
 
 def test_json_with_raw_fragments_equals_the_encoder_on_golden_payloads(monkeypatch, capsys,
                                                                         tmp_path):
-    """Every payload the golden cases print, with any raw fragment decoded
-    back in, encodes to the line whose parts ``_json`` gave; and moving any
-    one of its values out as a raw fragment leaves the line unchanged."""
+    """Every payload the golden cases print, with its listing's rows decoded
+    back in, encodes to the line whose parts ``_json`` gave; and splicing in
+    any one of its values that holds int rows as the listing, in parts of any
+    size, leaves the line unchanged."""
     golden = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
     seen = []
     parts = cli._json
 
-    def real(payload, **raw):
-        return "".join(parts(payload, **raw))
+    def real(payload, **listing):
+        return "".join(parts(payload, **listing))
 
-    monkeypatch.setattr(cli, "_json", lambda payload, **raw: seen.append((payload, raw))
-                        or parts(payload, **raw))
+    def record(payload, **listing):
+        listing = {key: list(rows) for key, rows in listing.items()}
+        seen.append((payload, listing))
+        return parts(payload, **listing)
+
+    monkeypatch.setattr(cli, "_json", record)
     edge_file = tmp_path / "graph.txt"
     for case in golden["cases"]:
         argv = list(case["argv"])
@@ -653,12 +741,22 @@ def test_json_with_raw_fragments_equals_the_encoder_on_golden_payloads(monkeypat
             argv[at] = str(edge_file)
         main(argv)
     capsys.readouterr()
-    assert len(seen) > 300 and sum(bool(raw) for _, raw in seen) > 30
-    for payload, raw in seen:
-        whole = payload | {key: json.loads(text) for key, text in raw.items()}
-        line = cli._ENCODER.encode(whole)
-        assert real(payload, **raw) == line
+    assert len(seen) > 300 and sum(bool(listing) for _, listing in seen) > 30
+    rows_moved = 0
+    for payload, listing in seen:
+        whole = payload | {key: json.loads("[" + ",".join(f"[{row[:-1]}]" for row in rows) + "]")
+                           for key, rows in listing.items()}
+        line = cli._ENCODER.encode(whole) + "\n"
+        assert real(payload, **listing) == line
         assert real(whole) == line
-        for key in whole:
+        for key, value in whole.items():
+            if not (isinstance(value, (list, tuple)) and value
+                    and all(isinstance(row, (list, tuple)) for row in value)):
+                continue
+            rows = [cli._render(",")(row) for row in value]
             rest = {k: v for k, v in whole.items() if k != key}
-            assert real(rest, **{key: cli._ENCODER.encode(whole[key])}) == line
+            for piece in (1, 7, 1 << 14):
+                monkeypatch.setattr(cli, "_PIECE", piece)
+                assert real(rest, **{key: rows}) == line
+            rows_moved += 1
+    assert rows_moved > 300

@@ -172,7 +172,7 @@ def mixed_shape_tree(rng):
     return parse_expr("*".join("(" + "+".join("." * k) + ")" for k in sizes))
 
 
-def test_pbh_check_matches_stacked_elimination():
+def test_control_rank_matches_stacked_elimination():
     rng = random.Random(6060)
     pairs = 0
     for _ in range(150):

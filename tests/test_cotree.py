@@ -286,6 +286,24 @@ def test_structural_queries():
             t.leaf_id(bad)
 
 
+def test_node_ids_index_as_tuple_positions():
+    """A node id indexes the stored columns as a tuple position does: a
+    negative id counts from the end, ``True`` is node 1 and a float raises
+    ``TypeError``. Vertex ids are checked instead (``leaf_id`` above)."""
+    t = parse_cotree("1(0(1,2),3,0(4,5))")
+    last = t.node_count() - 1
+    assert (last, t.leaf_vertex(last), t.label(1)) == (7, 5, 0)
+    for get in (t.parent, t.is_leaf, t.leaf_sequence, t.leaf_count, t.children):
+        assert get(-1) == get(last) and get(-last - 1) == get(0)
+        assert get(True) == get(1) and get(False) == get(0)
+        with pytest.raises(TypeError):
+            get(1.0)
+    assert t.leaf_vertex(-1) == 5 and t.label(True) == 0 and t.label(-3) == 0
+    for get, node in ((t.label, 1.0), (t.leaf_vertex, 7.0)):
+        with pytest.raises(TypeError):
+            get(node)
+
+
 def test_lca_label_matches_adjacency():
     for t in cotree_corpus(25, 8, seed=101, mixed_roots=True):
         g = cotree_to_graph(t)

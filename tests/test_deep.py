@@ -177,7 +177,7 @@ def test_serialize_parse_roundtrip_deep():
 
 
 @pytest.mark.parametrize("n, seed", [(500, 2), (10**5, 3)], ids=["wide-root", "hundred-thousand"])
-def test_pbh_check_on_large_trees(n, seed):
+def test_control_rank_on_large_trees(n, seed):
     """The n = 500, seed-2 tree has 491 children at its root; a stacked
     elimination over the root's block alone is 490 x 490 there."""
     t = random_cotree(n, random.Random(seed))
