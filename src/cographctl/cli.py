@@ -111,6 +111,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _plain_grammar(parser: argparse.ArgumentParser) -> dict[str, tuple[dict, dict, frozenset]]:
+    """Per subcommand whose actions are all flags and untyped one-value
+    options, read off the parser's own actions: the defaults in declaration
+    order, each option string's action and the required dests."""
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    grammar = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]  # all but -h/--help
+        if all(a.type is None and (type(a) is argparse._StoreTrueAction
+                                   or type(a) is argparse._StoreAction and a.nargs is None)
+               for a in actions):
+            grammar[name] = ({a.dest: a.default for a in actions},
+                             {s: a for a in actions for s in a.option_strings},
+                             frozenset(a.dest for a in actions if a.required))
+    return grammar
+
+
+def _plain_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace | None:
+    """``parser.parse_args(argv)``'s namespace for a plain argv: a command from
+    ``_plain_grammar``, then only exact option strings of it, a value option's
+    value being the next token, a str that does not start with "-" (and one of
+    its choices). None for every other form, help and usage errors included,
+    which argparse reads."""
+    grammar = _plain_grammar(parser)
+    if not argv or type(argv[0]) is not str or argv[0] not in grammar:
+        return None
+    defaults, options, required = grammar[argv[0]]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token) if type(token) is str else None
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if (type(value) is not str or value.startswith("-")
+                or action.choices is not None and value not in action.choices):
+            return None
+        values[action.dest] = value  # a repeated option keeps its last value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(command=argv[0], **defaults | values)
+
+
 def _load_input(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> tuple[CoTree, Graph | None]:
@@ -362,8 +409,9 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:  # argparse reports every parse failure by raising SystemExit
-        args = parser.parse_args(argv)
+        args = _plain_args(parser, argv) or parser.parse_args(argv)
         return _COMMANDS[args.command](args, parser)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

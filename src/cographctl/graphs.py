@@ -28,13 +28,13 @@ class Graph:
         self.__post_init__()
 
     def __post_init__(self):  # the checks; perfbench's tracer wraps them under this name
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError("graph needs a positive int vertex count")
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << self.n) - 1
         for i, row in enumerate(self.rows):
-            if not isinstance(row, int):
+            if type(row) is not int:
                 raise ValueError("adjacency rows must be int bitmasks")
             if row & ~full:
                 raise ValueError("adjacency bit outside vertex range")

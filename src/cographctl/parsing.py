@@ -199,18 +199,14 @@ def parse_threshold(text: str) -> CoTree:
 
 
 def serialize_cotree(t: CoTree) -> str:
-    """One pass over the stored preorder columns. Node i > 0 is a later
-    sibling, written after a ',', iff its parent is not node i - 1; an
-    internal node opens its group, and a leaf writes its id and closes each
-    group whose leaf interval ends where the leaf's does."""
+    """One pass over the stored preorder columns. An internal node opens its
+    group; leaf k (in preorder) writes its id and closes each group whose leaf
+    interval ends at k. A ',' precedes node i iff node i - 1 is a leaf, so
+    each leaf's text ends with one, and the last is dropped."""
     ends = Counter(t._end)  # a leaf's end, and that of every group it closes
-    leaves = iter(t._leaves)
-    parts = [f"{label}(" if label is not None else f"{next(leaves)}{')' * (ends[end] - 1)}"
-             for label, end in zip(t._label, t._end)]
-    for i, up in enumerate(t._parent):
-        if up is not None and up != i - 1:
-            parts[i] = "," + parts[i]
-    return "".join(parts)
+    tails = iter([f"{v}{')' * (ends[k] - 1)}," for k, v in enumerate(t._leaves, 1)])
+    return "".join([next(tails) if label is None else ("0(", "1(")[label]
+                    for label in t._label])[:-1]
 
 
 def parse_cotree(text: str) -> CoTree:

@@ -1,5 +1,6 @@
 """Command surface, JSON schema, and exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -510,6 +511,91 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert "kalman_rank" in kept[2][1] and "kalman_rank" not in kept[3][1]
     assert "unrecognized arguments: --bogus" in kept[4][2]
     assert "modal" not in kept[5][1]
+
+
+def argparse_reading(argv):
+    """argparse's namespace for ``argv`` as an ordered item list, or None
+    where it exits (help, usage errors) or raises on a token that is not a str."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return list(vars(cli.build_parser().parse_args(argv)).items())
+    except (SystemExit, TypeError):
+        return None
+
+
+def request_argvs(rng: random.Random):
+    """Argvs shaped like the benchmark's requests: each analysis command on
+    each input flag, with its own flags after the input and --json last."""
+    texts = {"--expr": ["(.+.)*(.+.+.)", "(.+.)\n*(.+.)", "12", "@-"],
+             "--cotree": ["1(0(1,2),0(3,4,5))", "0( 1 , 1(2,3) )", "@tree.txt"],
+             "--threshold": [THRESHOLD_EXAMPLE, "01" * 40], "--edges": ["graph.txt", ""]}
+    extras = {"spectrum": [[], ["--modal"]], "partition": [[], ["--degree"]],
+              "leaders": [[], ["--all"], ["--tie", "highest"], ["--tie", "lowest", "--all"]],
+              "verify": [["--set", "1,3,4"], ["--set", "2", "--cross-check"]],
+              "recognize": [[]], "oracle": [[]]}
+    for command, flag_sets in extras.items():
+        for flag, values in texts.items():
+            for extra in flag_sets:
+                yield [command, flag, rng.choice(values), *extra, *rng.choice([[], ["--json"]])]
+
+
+def mutants(base, rng: random.Random):
+    """``base`` with one to three edits that argparse reads, or refuses, in
+    ways the plain reader must leave to it."""
+    flags = ["--expr", "--cotree", "--json", "--modal", "--all", "--tie", "--set",
+             "--cross-check", "--nodes", "--bogus", "-h", "--help", "--", "-x"]
+    edits = [
+        lambda a: a[:1] + [t[:rng.randint(3, len(t) - 1)] if t.startswith("--") and len(t) > 4
+                           else t for t in a[1:]],  # abbreviations
+        lambda a: [a[0], f"{a[1]}={a[2]}", *a[3:]] if len(a) > 2 else a,  # --flag=value
+        lambda a: a[:1] + a[3:] + a[1:3],  # the input flag moved to the end
+        lambda a: a + a[1:3],  # a repeated flag, last value kept
+        lambda a: a + [rng.choice(["--expr", "--set", "--tie", "--cotree"])],  # no value
+        lambda a: a[:2] + [rng.choice(["-1", "-", "--json", "-(.+.)"])] + a[3:],
+        lambda a: a[:rng.randint(0, len(a))] + [rng.choice(["-h", "--help"])]
+        + a[len(a) // 2:],
+        lambda a: (a[:i] + [rng.choice(flags)] + a[i:]) if (i := rng.randint(0, len(a))) else a,
+        lambda a: [rng.choice(["bogus", "Spectrum", "spec", "random", "--json", ""])] + a[1:],
+        lambda a: a[:rng.randint(0, 2)],
+        lambda a: a + ["--tie", rng.choice(["middle", "Lowest", "lowest", "highest", ""])],
+        lambda a: [t for t in a if not t.startswith("--set") and "," not in t],
+        lambda a: a[:1] + ["--"] + a[1:],
+        lambda a: ["random", "--nodes", str(rng.randint(-2, 9)), "--seed", "3",
+                   *rng.choice([[], ["--threshold"], ["--json"], ["--nodes", "4"]])],
+    ]
+    argv = list(base)
+    for _ in range(rng.randint(1, 3)):
+        argv = rng.choice(edits)(argv)
+    if rng.random() < 0.05:  # a token that is not a str
+        argv.insert(rng.randint(0, len(argv)), rng.choice([5, None, b"--json", ("a",)]))
+    return argv
+
+
+def test_plain_reader_gives_argparse_namespace_or_defers(monkeypatch, capsys):
+    """On every golden argv, every benchmark-shaped argv and thousands of
+    mutants of them, the plain reader returns argparse's namespace, in the
+    same order, or None; it returns None wherever argparse exits or raises,
+    and reads every golden argv but the random command's."""
+    rng = random.Random(2727)
+    golden = [case["argv"] for case in
+              json.loads(Path(__file__).with_name("golden_cli.json").read_text())["cases"]]
+    requests = list(request_argvs(rng))
+    mutated = [mutants(rng.choice(golden + requests), rng) for _ in range(4000)]
+    parser = cli.build_parser()
+    taken = refused = 0
+    for argv in golden + requests + mutated:
+        plain = cli._plain_args(parser, list(argv))
+        expected = argparse_reading(list(argv))
+        refused += expected is None
+        if plain is not None:
+            taken += 1
+            assert list(vars(plain).items()) == expected, argv
+    assert all(cli._plain_args(parser, argv) is not None
+               for argv in golden + requests if argv[0] != "random")
+    assert refused > 2000 and taken - len(golden) - len(requests) > 250
+    # argv=None reads sys.argv[1:] through the same reader
+    monkeypatch.setattr(sys, "argv", ["cographctl", "recognize", "--expr", "(.+.)*(.+.+.)"])
+    assert (main(), capsys.readouterr().out) == (0, "1(0(1,2),0(3,4,5))\n")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -9,6 +9,7 @@ import cographctl.cotree as cotree
 
 from cographctl import (
     CoTree,
+    Graph,
     char_poly,
     control_rank,
     cotree_to_graph,
@@ -391,6 +392,36 @@ def test_p4_search_matches_reference(monkeypatch):
             found += 1
             assert real(g, mask) == expected
     assert found > 1000
+
+
+def test_recognize_on_every_labelled_graph_up_to_six_vertices(monkeypatch):
+    """All 2^(n(n-1)/2) labelled graphs for each n <= 6: the cographs number
+    1, 2, 8, 52, 472, 5504 (OEIS A006351) and each one's cotree rebuilds the
+    graph; every other graph's witness is the 4-subset search's first P4 on
+    the part where both splits failed."""
+    stuck = []
+    real = cotree._p4_in_subgraph
+    monkeypatch.setattr(cotree, "_p4_in_subgraph",
+                        lambda g, mask: stuck.append(mask) or real(g, mask))
+    counts = []
+    for n in range(1, 7):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        cographs = 0
+        for edges in range(1 << len(pairs)):
+            rows = [0] * n
+            for k, (i, j) in enumerate(pairs):
+                if edges >> k & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            g = Graph(n, tuple(rows))
+            result = recognize(g)
+            if isinstance(result, CoTree):
+                cographs += 1
+                assert cotree_to_graph(result) == g
+            else:
+                assert result == p4_reference(g, stuck.pop())
+        counts.append(cographs)
+    assert counts == [1, 2, 8, 52, 472, 5504] and not stuck
 
 
 def component_cases(rng: random.Random, count: int):

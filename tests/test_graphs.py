@@ -148,11 +148,30 @@ def test_graph_validation():
         ((2.0, (0, 0)), "graph needs a positive int vertex count"),
         ((2, ("a", 0)), "adjacency rows must be int bitmasks"),
         ((2, (1.0, 0)), "adjacency rows must be int bitmasks"),
+        ((True, (0,)), "graph needs a positive int vertex count"),  # exact ints only
+        ((2, (False, False)), "adjacency rows must be int bitmasks"),
+        ((2, (0, True)), "adjacency rows must be int bitmasks"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError) as info:
             Graph(*args)
         assert str(info.value) == message, args
+
+
+def test_every_graph_that_passes_its_checks_reads_back_from_its_edge_list():
+    """``Graph(True, (0,))`` once passed the checks and wrote the header
+    ``True 0``, which ``read_edge_list`` refuses: each input here is either
+    refused or writes an edge list that reads back as the same graph."""
+    refused = 0
+    for n, rows in [(True, (0,)), (2, (False, False)), (1, (0,)), (2, (0, 0)),
+                    (2, (0b10, 0b01)), (3, (0b110, 0b001, 0b001))]:
+        try:
+            g = Graph(n, rows)
+        except ValueError:
+            refused += 1
+            continue
+        assert read_edge_list(write_edge_list(g)) == g
+    assert refused == 2
 
 
 def test_graph_is_an_immutable_value():
