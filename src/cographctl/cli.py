@@ -120,8 +120,8 @@ def _plain_grammar(parser: argparse.ArgumentParser) -> dict[str, tuple[dict, dic
     grammar = {}
     for name, p in sub.choices.items():
         actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]  # all but -h/--help
-        if all(a.type is None and (type(a) is argparse._StoreTrueAction
-                                   or type(a) is argparse._StoreAction and a.nargs is None)
+        if all(type(a) is argparse._StoreTrueAction
+               or type(a) is argparse._StoreAction and a.nargs is None and a.type is None
                for a in actions):
             grammar[name] = ({a.dest: a.default for a in actions},
                              {s: a for a in actions for s in a.option_strings},
@@ -135,10 +135,10 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespa
     value being the next token, a str that does not start with "-" (and one of
     its choices). None for every other form, help and usage errors included,
     which argparse reads."""
-    grammar = _plain_grammar(parser)
-    if not argv or type(argv[0]) is not str or argv[0] not in grammar:
+    command = _plain_grammar(parser).get(argv[0]) if argv and type(argv[0]) is str else None
+    if command is None:
         return None
-    defaults, options, required = grammar[argv[0]]
+    defaults, options, required = command
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:

@@ -552,14 +552,11 @@ def mutants(base, rng: random.Random):
         lambda a: a + a[1:3],  # a repeated flag, last value kept
         lambda a: a + [rng.choice(["--expr", "--set", "--tie", "--cotree"])],  # no value
         lambda a: a[:2] + [rng.choice(["-1", "-", "--json", "-(.+.)"])] + a[3:],
-        lambda a: a[:rng.randint(0, len(a))] + [rng.choice(["-h", "--help"])]
-        + a[len(a) // 2:],
-        lambda a: (a[:i] + [rng.choice(flags)] + a[i:]) if (i := rng.randint(0, len(a))) else a,
+        lambda a: a[:(i := rng.randint(0, len(a)))] + [rng.choice(flags)] + a[i:],  # -h, --, ...
         lambda a: [rng.choice(["bogus", "Spectrum", "spec", "random", "--json", ""])] + a[1:],
         lambda a: a[:rng.randint(0, 2)],
         lambda a: a + ["--tie", rng.choice(["middle", "Lowest", "lowest", "highest", ""])],
         lambda a: [t for t in a if not t.startswith("--set") and "," not in t],
-        lambda a: a[:1] + ["--"] + a[1:],
         lambda a: ["random", "--nodes", str(rng.randint(-2, 9)), "--seed", "3",
                    *rng.choice([[], ["--threshold"], ["--json"], ["--nodes", "4"]])],
     ]
