@@ -111,14 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's own parser, by name: a command reports its usage
+    errors through it, under its own usage line."""
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 @functools.lru_cache(maxsize=1)
 def _plain_grammar(parser: argparse.ArgumentParser) -> dict[str, tuple[dict, dict, frozenset]]:
     """Per subcommand whose actions are all flags and untyped one-value
     options, read off the parser's own actions: the defaults in declaration
     order, each option string's action and the required dests."""
-    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     grammar = {}
-    for name, p in sub.choices.items():
+    for name, p in _command_parsers(parser).items():
         actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]  # all but -h/--help
         if all(type(a) is argparse._StoreTrueAction
                or type(a) is argparse._StoreAction and a.nargs is None and a.type is None
@@ -412,7 +418,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:  # argparse reports every parse failure by raising SystemExit
         args = _plain_args(parser, argv) or parser.parse_args(argv)
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command](args, _command_parsers(parser)[args.command])
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

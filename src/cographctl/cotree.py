@@ -5,13 +5,17 @@ and whose internal nodes carry a label: 0 means its children are composed by
 disjoint union, 1 means they are composed by join. Two vertices are adjacent
 exactly when their lowest common ancestor is labeled 1.
 
-Every ``CoTree`` is canonical: its constructor merges nested nodes of equal
-label and splices out unary nodes (``parsing._canonical`` does the same to
-an expression's columns first), so labels alternate along every path and
-every internal node has at least two children. With children ordered by
-their smallest descendant leaf, the canonical form is unique per graph, which
-makes tree equality, serialization, the sibling cells and the modal-matrix
-column order deterministic.
+Every ``CoTree`` is canonical: its constructor checks the caller's columns,
+merges nested nodes of equal label and splices out unary nodes, so labels
+alternate along every path and every internal node has at least two
+children. The package's own producers (``parse_expr`` after
+``parsing._canonical``, ``parse_threshold``, ``recognize`` and
+``random_cotree``) build canonical columns and store them through
+``CoTree._trusted`` with no check; ``parse_cotree``, whose grammar gives a
+tree, checks only its leaf ids before ``_canonical_columns`` lays it out.
+With children ordered by their smallest descendant leaf, the canonical form
+is unique per graph, which makes tree equality, serialization, the sibling
+cells and the modal-matrix column order deterministic.
 
 Storage: ``CoTree`` is an arena of nodes numbered in preorder (the root is
 node 0, children have larger ids than their parent). Beside the parent and
@@ -57,102 +61,62 @@ class CoTree:
         has a child and no leaf has one. Ids, parents and labels must be
         exact ints: a bool or a float is rejected.
 
-        One bottom-up pass checks and indexes the columns. If they are not
-        canonical, one top-down pass lays out the canonical tree (unary nodes
-        spliced out, a child with its parent's label merged into it, children
-        sorted by smallest leaf) and writes the stored columns as it places
-        each node; nothing checks that output again."""
-        count = len(parents)
-        n = len(leaves)
-        if n == 0 or labels.count(None) != n:
+        One forward pass checks the tree; ``_canonical_columns`` then lays
+        it out anew unless it is canonical already."""
+        count, n = len(parents), len(leaves)
+        if (set(map(type, leaves)) != {int} or labels.count(None) != n or min(leaves) < 1
+                or max(leaves) > n or len(set(leaves)) != n):
             raise ValueError("leaf ids must be distinct and cover 1..n")
         if len(labels) != count or parents[0] is not None:
             raise ValueError("nodes must form a tree numbered in preorder")
-        first = [0] * count  # smallest child id seen so far, 0 for none yet
-        last = list(range(count))  # largest node id in each subtree; -1 marks a gap
-        low = [n + 1] * count  # smallest vertex id below each node
+        path = [0]  # node i - 1 and its ancestors
+        for i in range(1, count):
+            up = parents[i]
+            if type(up) is not int or not 0 <= up < i:
+                raise ValueError("nodes must form a tree numbered in preorder")
+            while path[-1] > up:
+                path.pop()
+            if path[-1] != up:  # in preorder a parent is node i - 1 or one of its ancestors
+                raise ValueError("nodes must form a tree numbered in preorder")
+            label = labels[up]
+            if type(label) is not int or label not in (0, 1):
+                raise ValueError("leaf with children" if label is None
+                                 else f"internal label must be 0 or 1, got {label!r}")
+            path.append(i)
+        if len(set(parents)) != count - n + 1:  # None and each node with a child
+            raise ValueError("internal node with no children")
+        self._store(*_canonical_columns(parents, labels, leaves))
+
+    @classmethod
+    def _trusted(cls, parents: Sequence[int | None], labels: Sequence[int | None],
+                 leaves: Sequence[int]) -> CoTree:
+        """The tree of columns that are canonical by construction, stored as
+        given with no check; the counterpart of ``Graph._trusted``."""
+        tree = cls.__new__(cls)
+        tree._store(parents, labels, leaves)
+        return tree
+
+    def _store(self, parents: Sequence[int | None], labels: Sequence[int | None],
+               leaves: Sequence[int]) -> None:
+        """Store canonical columns and derive the leaf intervals in one
+        bottom-up pass: a node starts after the leaves before it, a leaf ends
+        one later, and an internal node ends where its last child ends."""
+        count, n = len(parents), len(leaves)
         start = [0] * count
         end = [0] * count
         leaf_node = [-1] * (n + 1)
-        canonical = True
         k = n  # leaves before node i in preorder, once i is reached
-        for i in range(count - 1, -1, -1):
-            label = labels[i]
-            if label is None:
-                if first[i]:
-                    raise ValueError("leaf with children")
+        for i in range(count - 1, 0, -1):
+            if labels[i] is None:
                 k -= 1
-                v = leaves[k]
-                if type(v) is not int or not 1 <= v <= n or leaf_node[v] >= 0:
-                    raise ValueError("leaf ids must be distinct and cover 1..n")
-                leaf_node[v] = i
-                low[i] = v
+                leaf_node[leaves[k]] = i
                 end[i] = k + 1
-            elif type(label) is not int or label not in (0, 1):
-                raise ValueError(f"internal label must be 0 or 1, got {label!r}")
-            elif not first[i]:
-                raise ValueError("internal node with no children")
-            else:
-                # preorder: the first child follows its parent, no gap among the rest
-                if first[i] != i + 1 or last[i] < 0:
-                    raise ValueError("nodes must form a tree numbered in preorder")
-                end[i] = end[last[i]]
-                if last[i + 1] == last[i]:
-                    canonical = False
             start[i] = k
-            if i:
-                up = parents[i]
-                if type(up) is not int or not 0 <= up < i:
-                    raise ValueError("nodes must form a tree numbered in preorder")
-                # siblings arrive last to first: the youngest sets the parent's subtree
-                # end, and each must end just before the next and lower the minimum
-                if not first[up]:
-                    last[up] = last[i]
-                elif first[up] != last[i] + 1:
-                    last[up] = -1  # reported when the parent is reached
-                first[up] = i
-                if low[i] > low[up] or labels[up] == label:
-                    canonical = False
-                if low[i] < low[up]:
-                    low[up] = low[i]
-        if not canonical:
-            del first  # only the check reads it; the layout's peak memory is lower without it
-            out_parents: list[int | None] = []
-            out_labels: list[int | None] = []
-            out_leaves: list[int] = []
-            out_start: list[int] = []
-            out_end: list[int] = []
-            stack: list[tuple[int, int | None]] = [(0, None)]
-            while stack:
-                node, parent = stack.pop()
-                label = labels[node]
-                while label is not None and last[node + 1] == last[node]:  # unary: only the root
-                    node += 1
-                    label = labels[node]
-                idx = len(out_parents)
-                out_parents.append(parent)
-                out_labels.append(label)
-                out_start.append(len(out_leaves))  # the first pass counted its leaves
-                out_end.append(len(out_leaves) + end[node] - start[node])
-                if label is None:
-                    out_leaves.append(low[node])
-                    leaf_node[low[node]] = idx
-                    continue
-                # the scan enters a descendant that is merged into node (same
-                # label) or spliced out (unary), and skips each child it keeps
-                merged: list[int] = []
-                c = node + 1
-                while c <= last[node]:
-                    lab = labels[c]
-                    if lab == label or lab is not None and last[c + 1] == last[c]:
-                        c += 1
-                    else:
-                        merged.append(c)
-                        c = last[c] + 1
-                merged.sort(key=low.__getitem__, reverse=True)
-                stack.extend([(c, idx) for c in merged])
-            parents, labels, leaves = out_parents, out_labels, out_leaves
-            start, end = out_start, out_end
+            up = parents[i]
+            if not end[up]:  # siblings arrive last to first
+                end[up] = end[i]
+        if count == 1:  # a single leaf
+            leaf_node[leaves[0]], end[0] = 0, 1
         self._parent = tuple(parents)
         self._label = tuple(labels)
         self._leaves = tuple(leaves)
@@ -230,6 +194,72 @@ class CoTree:
 
     def __repr__(self) -> str:
         return f"CoTree(n={self.n}, nodes={self.node_count()})"
+
+
+def _canonical_columns(
+    parents: Sequence[int | None], labels: Sequence[int | None], leaves: Sequence[int]
+) -> tuple[Sequence[int | None], Sequence[int | None], Sequence[int]]:
+    """Canonical columns of a tree's preorder columns, whose labels must be
+    0 or 1 and leaf ids 1..n, each once. One bottom-up pass indexes them and
+    notes whether they are canonical already; if not, one top-down pass lays
+    out the canonical tree (unary nodes spliced out, a child with its
+    parent's label merged into it, children sorted by smallest leaf)."""
+    count = len(parents)
+    last = list(range(count))  # largest node id in each subtree
+    low = [len(leaves) + 1] * count  # smallest vertex id below each node
+    canonical = True
+    k = len(leaves)  # leaves before node i in preorder, once i is reached
+    for i in range(count - 1, 0, -1):
+        up = parents[i]
+        label = labels[i]
+        if label is None:
+            k -= 1
+            v = low[i] = leaves[k]
+        else:
+            v = low[i]
+            if last[i + 1] == last[i] or labels[up] == label:  # unary, or to be merged
+                canonical = False
+        if last[up] == up:  # siblings arrive last to first: the youngest ends the subtree
+            last[up] = last[i]
+        # and each must lower the minimum
+        if v < low[up]:
+            low[up] = v
+        else:
+            canonical = False
+    if canonical and (count == 1 or last[1] != last[0]):  # and the root is not unary
+        return parents, labels, leaves
+    root = 0
+    while labels[root] is not None and last[root + 1] == last[root]:  # a unary root
+        root += 1
+    out_parents: list[int | None] = []
+    out_labels: list[int | None] = []
+    out_leaves: list[int] = []
+    out_parent: list[int | None] = [None] * count  # each kept node's, once its parent is placed
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        idx = len(out_parents)
+        out_parents.append(out_parent[node])
+        label = labels[node]
+        out_labels.append(label)
+        if label is None:
+            out_leaves.append(low[node])
+            continue
+        # the scan enters a descendant that is merged into node (same
+        # label) or spliced out (unary), and keeps each other child
+        merged: list[int] = []
+        c = node + 1
+        while c <= last[node]:
+            lab = labels[c]
+            if lab == label or lab is not None and last[c + 1] == last[c]:
+                c += 1
+            else:
+                merged.append(c)
+                out_parent[c] = idx
+                c = last[c] + 1
+        merged.sort(key=low.__getitem__, reverse=True)
+        stack += merged
+    return out_parents, out_labels, out_leaves
 
 
 def cotree_to_graph(t: CoTree) -> Graph:
@@ -386,4 +416,4 @@ def recognize(g: Graph) -> CoTree | tuple[int, int, int, int]:
             return _p4_in_subgraph(g, mask)
         labels.append(label)
         stack.extend((sub, idx) for sub in reversed(comps))
-    return CoTree(parents, labels, leaves)
+    return CoTree._trusted(parents, labels, leaves)

@@ -39,7 +39,7 @@ def random_cotree(n: int, rng: random.Random, root_label: int = 1) -> CoTree:
         cuts = sorted(rng.sample(range(1, size), k - 1))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [size])]
         stack.extend((s, 1 - label, idx) for s in reversed(sizes))
-    return CoTree(parents, labels, range(1, n + 1))
+    return CoTree._trusted(parents, labels, range(1, n + 1))
 
 
 def random_threshold_sequence(n: int, rng: random.Random) -> str:

@@ -71,27 +71,33 @@ def _close(basis: list[tuple[int, list[int]]], work: deque,
            rows: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
     """Grow a closed (M-invariant) ``basis`` in place to the smallest
     M-invariant span that also holds ``work``, and return it; M is the
-    matrix ``rows`` from ``_laplacian_rows``.
-
-    The basis holds primitive integer vectors in echelon form, each with a
-    pivot where every later one is 0. Reduction is fraction-free,
-    w <- b[p].w - w[p].b and then w / gcd(w). A vector off the work list that
-    is not in the span joins the basis and queues M.w, whose entry i is
-    deg(i).w_i minus the sum of w over i's neighbours.
+    matrix ``rows`` from ``_laplacian_rows``. A vector off the work list
+    that joins the basis queues M.w, whose entry i is deg(i).w_i minus the
+    sum of w over i's neighbours.
     """
     while work and len(basis) < len(rows):
-        w = work.popleft()
-        for p, b in basis:
-            c, d = w[p], b[p]
-            if c:
-                w = _primitive([d * x - c * y for x, y in zip(w, b)])
-        if any(w):
-            # the smallest entry as pivot keeps the multipliers b[p] small
-            pivot = min((i for i, x in enumerate(w) if x), key=lambda i: abs(w[i]))
-            basis.append((pivot, w))
+        w = _join(basis, work.popleft())
+        if w is not None:
             work.append(_primitive([deg * x - sum(map(w.__getitem__, near))
                                     for x, (deg, near) in zip(w, rows)]))
     return basis
+
+
+def _join(basis: list[tuple[int, list[int]]], w: list[int]) -> list[int] | None:
+    """Reduce w against ``basis``, whose primitive integer vectors are in
+    echelon form (each has a pivot where every later one is 0), and append
+    and return what is left, or return None when that is 0. Reduction is
+    fraction-free, w <- b[p].w - w[p].b and then w / gcd(w)."""
+    for p, b in basis:
+        c, d = w[p], b[p]
+        if c:
+            w = _primitive([d * x - c * y for x, y in zip(w, b)])
+    if not any(w):
+        return None
+    # the smallest entry as pivot keeps the multipliers b[p] small
+    pivot = min((i for i, x in enumerate(w) if x), key=lambda i: abs(w[i]))
+    basis.append((pivot, w))
+    return w
 
 
 def _primitive(w: list[int]) -> list[int]:
@@ -192,19 +198,24 @@ def exhaustive_min_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     Kalman-rank search over all vertex subsets. Capped at n <= 10.
 
     The k-subsets come in ``combinations`` order, and each one's Krylov space
-    is its prefix's closed basis, kept from size k - 1, extended by e_v for
-    its last vertex v: K(S + v) = K(S) + K(e_v). So each subset costs one
-    extension, not a rank from scratch."""
+    is its prefix's closed basis, kept from size k - 1, plus the closed basis
+    of its last vertex v, kept from size 1: K(S + v) = K(S) + K(e_v). Both
+    spaces are L-invariant, so their sum is too, and each subset costs the
+    reduction of K(e_v)'s vectors into K(S), with no product by L."""
     if g.n > EXHAUSTIVE_CAP:
         raise SizeCapError(f"exhaustive search capped at n <= {EXHAUSTIVE_CAP}, got {g.n}")
     n = g.n
     rows = _laplacian_rows(g, list(range(n)))
+    singles = [_close([], deque([[int(i == v) for i in range(n)]]), rows) for v in range(n)]
     spans: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {(): []}
     for k in range(1, n + 1):
         hits, grown = [], {}
         for c in combinations(range(1, n + 1), k):
-            unit = [int(i == c[-1] - 1) for i in range(n)]
-            basis = _close(spans[c[:-1]].copy(), deque([unit]), rows)
+            basis = spans[c[:-1]].copy()
+            for _, w in singles[c[-1] - 1]:
+                if len(basis) == n:
+                    break
+                _join(basis, w)
             if len(basis) == n:
                 hits.append(c)
             else:

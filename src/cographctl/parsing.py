@@ -14,7 +14,7 @@ from itertools import islice
 from operator import length_hint
 from typing import Iterator
 
-from .cotree import CoTree
+from .cotree import CoTree, _canonical_columns
 from .errors import ParseError, SizeCapError
 from .graphs import Graph
 
@@ -81,7 +81,8 @@ def parse_expr(text: str) -> CoTree:
     Nodes are appended to the arena in reading order, which is preorder: the
     text and each '(' open a union node, each term opens a join node below
     it, and an integer atom k > 1 opens a union node over k leaves.
-    ``_canonical`` makes the columns canonical, so the constructor keeps them."""
+    ``_canonical`` makes the columns canonical, so the trusted builder
+    stores them as they are."""
     bad = _NOT_EXPR.search(text)
     if bad:
         raise _error(f"unexpected character {bad[0]!r}", text, bad.start())
@@ -128,7 +129,7 @@ def parse_expr(text: str) -> CoTree:
         elif after != "*" and (after or groups):
             message = "unbalanced parenthesis" if groups else "stray token after expression"
             raise _error_at(message, text, total, tokens)
-    return CoTree(*_canonical(parents, labels), range(1, n + 1))
+    return CoTree._trusted(*_canonical(parents, labels), range(1, n + 1))
 
 
 def _canonical(parents: list[int | None], labels: list[int | None]) -> tuple[list, list]:
@@ -170,7 +171,7 @@ def parse_threshold(text: str) -> CoTree:
     bits 2..n, the last run at the root and each run's node the first child
     of the next run's. The bottom node holds vertex 1 and the first run's
     vertices. In preorder the run nodes come first, top to bottom, and the
-    leaves 1..n follow, so the constructor stores the columns as they are."""
+    leaves 1..n follow, so the trusted builder stores the columns as they are."""
     bad = _NOT_THRESHOLD.search(text)
     if bad:
         raise _error(f"threshold sequence may only contain 0/1, got {bad[0]!r}", text, bad.start())
@@ -187,7 +188,7 @@ def parse_threshold(text: str) -> CoTree:
         parents += [node] * size
     top = int(bits[-1])
     labels = [top ^ (k & 1) for k in range(depth)] + [None] * len(bits)
-    return CoTree(parents, labels, range(1, len(bits) + 1))
+    return CoTree._trusted(parents, labels, range(1, len(bits) + 1))
 
 
 # -- cotree serialization ------------------------------------------------------
@@ -245,10 +246,10 @@ def parse_cotree(text: str) -> CoTree:
         if after != ("," if open_nodes else ""):
             message = "unbalanced parenthesis in cotree" if open_nodes else "stray text after cotree"
             raise _error_at(message, text, total, tokens)
-    try:
-        return CoTree(parents, labels, leaves)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    # the grammar gives a tree with labels 0 or 1 and leaf ids >= 1
+    if max(leaves) != len(leaves) or len(set(leaves)) != len(leaves):
+        raise ParseError("leaf ids must be distinct and cover 1..n")
+    return CoTree._trusted(*_canonical_columns(parents, labels, leaves))
 
 
 # -- edge lists ----------------------------------------------------------------

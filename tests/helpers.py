@@ -96,6 +96,55 @@ def reversed_text(t: CoTree) -> str:
     return f"0({built[0]})"
 
 
+def stored(t: CoTree) -> tuple:
+    """Every column a tree stores, and each node's children."""
+    return (t._parent, t._label, [t.children(i) for i in range(t.node_count())],
+            t._leaves, t._start, t._end, t._leaf_node)
+
+
+def trusted_columns(monkeypatch) -> list[tuple]:
+    """The list of the columns that each later call of ``CoTree._trusted``
+    gets, in call order; the calls still build their trees."""
+    built = []
+    real = CoTree._trusted
+    monkeypatch.setattr(CoTree, "_trusted",
+                        classmethod(lambda cls, *columns: built.append(columns) or real(*columns)))
+    return built
+
+
+def expr_text(t: CoTree, i: int = 0) -> str:
+    """Expression text of the subtree at node i of a cotree whose leaves are
+    1..n in preorder, which is the expression's reading order: a leaf is
+    '.', and an internal node its children's texts in parentheses, joined
+    by '+' (union) or '*' (join)."""
+    if t.is_leaf(i):
+        return "."
+    return "(" + "+*"[t.label(i)].join(expr_text(t, c) for c in t.children(i)) + ")"
+
+
+def threshold_bits(t: CoTree) -> tuple[str, list[int]] | None:
+    """The construction bits of a cotree whose internal nodes form one path
+    (a threshold graph), with its vertex ids in construction order; None for
+    any other cotree. The lowest node's leaves come first, the first of them
+    with bit 0, then each node's own leaves, with its label as their bit."""
+    if t.n == 1:
+        return "0", [1]
+    path = [t.root]
+    while True:
+        inner = [c for c in t.children(path[-1]) if not t.is_leaf(c)]
+        if len(inner) > 1:
+            return None
+        if not inner:
+            break
+        path.append(inner[0])
+    bits, order = "", []
+    for node in reversed(path):
+        own = [t.leaf_vertex(c) for c in t.children(node) if t.is_leaf(c)]
+        bits += str(t.label(node)) * len(own)
+        order += own
+    return "0" + bits[1:], order
+
+
 def cotree_shapes(n: int) -> list[tuple[list, list, list]]:
     """Every cograph on n unlabelled vertices once, as the canonical preorder
     columns (parents, labels, leaves) of its cotree shape. A shape with n >= 2

@@ -416,9 +416,14 @@ def test_empty_flag_values_reach_their_parser(capsys):
     assert code == 2 and "No such file" in err
     for flag in ("--expr", "--cotree", "--threshold", "--edges"):
         assert "exactly one of" not in run(capsys, "recognize", flag, "")[2]
-    # an empty value still counts as given when a second flag is present
-    code, _, err = run(capsys, "spectrum", "--expr", "", "--threshold", "01")
-    assert code == 2 and "exactly one of" in err
+    # an empty value still counts as given when a second flag is present;
+    # a missing or doubled flag is reported with the command's own usage
+    for argv in (["spectrum", "--expr", "", "--threshold", "01"], ["spectrum", "--json"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("usage: cographctl spectrum [-h] [--expr EXPR] ")
+        assert err.endswith("\ncographctl spectrum: error: exactly one of "
+                            "--expr/--cotree/--threshold/--edges is required\n")
 
 
 def test_graph_built_only_for_commands_that_read_it(monkeypatch, capsys):

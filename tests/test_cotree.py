@@ -47,8 +47,10 @@ from helpers import (
     reversed_text,
     scrambled,
     single,
+    stored,
     threshold_to_graph,
     to_nested,
+    trusted_columns,
     union_of,
 )
 
@@ -129,11 +131,6 @@ def test_every_cotree_is_canonical():
             assert is_canonical(again)
 
 
-def _stored(t: CoTree):
-    return (t._parent, t._label, [t.children(i) for i in range(t.node_count())],
-            t._leaves, t._start, t._end, t._leaf_node)
-
-
 def _answers(t: CoTree):
     """Every accessor at every node and vertex."""
     nodes = [(t.is_leaf(i), t.leaf_vertex(i) if t.is_leaf(i) else t.label(i), t.parent(i),
@@ -161,10 +158,9 @@ def _columns(nested):
 
 
 def test_layout_writes_what_the_checking_pass_would_index():
-    """A tree built from non-canonical columns, whose stored columns the
-    top-down layout wrote, equals in every stored column and every accessor
-    the same tree built from its canonical columns, which only the checking
-    pass indexes."""
+    """A tree built from non-canonical columns, which the top-down layout
+    wrote, equals in every stored column and every accessor the same tree
+    built from its canonical columns, which are stored as given."""
     rng = random.Random(4242)
     cases = []  # (tree from non-canonical columns, the tree it must equal)
     for t in cotree_corpus(60, 300, seed=4243, mixed_roots=True):
@@ -187,18 +183,19 @@ def test_layout_writes_what_the_checking_pass_would_index():
     for laid_out, expected in cases:
         assert is_canonical(laid_out)
         again = CoTree(laid_out._parent, laid_out._label, laid_out._leaves)
-        assert _stored(again) == _stored(laid_out)
+        assert stored(again) == stored(laid_out)
         assert _answers(again) == _answers(laid_out)
-        assert _stored(laid_out) == _stored(expected)
+        assert stored(laid_out) == stored(expected)
     assert _answers(parse_expr("3000"))[:4] == (3000, 3001, 0, (0,))
 
 
 def test_every_shape_up_to_nine_leaves():
     """Every canonical cotree shape on n <= 9 leaves, as many as OEIS A000084
     counts cographs on n unlabelled vertices: each is stored as its canonical
-    columns give it and as the layout writes it from a reversed text, its
-    children are those its parent column names, and up to n = 8 its
-    spectrum is the characteristic polynomial's integer roots."""
+    columns give it, by the checked constructor and the trusted builder
+    alike, and as the layout writes it from a reversed text, its children
+    are those its parent column names, and up to n = 8 its spectrum is the
+    characteristic polynomial's integer roots."""
     counts = []
     for n in range(1, 10):
         shapes = cotree_shapes(n)
@@ -206,7 +203,8 @@ def test_every_shape_up_to_nine_leaves():
         for parents, labels, leaves in shapes:
             t = CoTree(parents, labels, leaves)
             assert (list(t._parent), list(t._label), list(t._leaves)) == (parents, labels, leaves)
-            assert _stored(parse_cotree(reversed_text(t))) == _stored(t)
+            assert stored(CoTree._trusted(parents, labels, leaves)) == stored(t)
+            assert stored(parse_cotree(reversed_text(t))) == stored(t)
             kids = [[] for _ in parents]
             for c, up in enumerate(parents[1:], 1):
                 kids[up].append(c)
@@ -219,11 +217,12 @@ def test_every_shape_up_to_nine_leaves():
 
 def test_constructor_and_layout_peaks():
     """Peak traced memory of the constructor on the canonical columns of the
-    10^5-leaf tree that `random --nodes 100000 --seed 1` prints (the checking
-    pass alone), and of parse_cotree on a reversed text of a 2 x 10^4-leaf
-    random tree (the layout; tracemalloc slows it about 25-fold, so the 10^5
-    text would cost the suite several seconds). With no list per node they
-    read 23.5 and 7.7 MiB; with a child list per node, 37.1 and 10.0 MiB."""
+    10^5-leaf tree that `random --nodes 100000 --seed 1` prints (no layout),
+    and of parse_cotree on a reversed text of a 2 x 10^4-leaf random tree
+    (the layout; tracemalloc slows it about 25-fold, so the 10^5 text would
+    cost the suite several seconds). They read 17.0 and 5.6 MiB; 23.5 and
+    7.7 MiB when one pass checked and indexed and the layout wrote the leaf
+    ranges too, and 37.1 and 10.0 MiB with a child list per node."""
     big = random_cotree(100_000, random.Random(1))
     columns = (list(big._parent), list(big._label), list(big._leaves))
     del big
@@ -488,6 +487,30 @@ def test_one_split_per_node_below_the_root(monkeypatch):
         t = recognize(g)
         assert isinstance(t, CoTree)
         assert len(calls) == len(t.internal_ids()) + t.label(t.root)
+
+
+def test_recognize_and_random_cotree_emit_canonical_columns(monkeypatch):
+    """The columns recognize and random_cotree hand to the trusted builder
+    are canonical: the checked constructor stores the same tree from them,
+    in every column. Recognized trees give their graph back."""
+    built = trusted_columns(monkeypatch)
+    rng = random.Random(5151)
+    trees = [random_cotree(n, rng, root_label=rng.randint(0, 1) if n > 1 else 1)
+             for n in [1, 2, 3] + [rng.randint(2, 60) for _ in range(300)] + [2000]]
+    made = built.copy()
+    graphs = [cotree_to_graph(t) for t in trees[:-1]]
+    graphs += [random_graph(rng.randint(1, 9), rng, rng.random()) for _ in range(600)]
+    for g in graphs:
+        built.clear()
+        t = recognize(g)
+        if isinstance(t, CoTree):
+            made += built
+            assert cotree_to_graph(t) == g
+    assert len(made) > len(trees) + 300
+    for columns in made:
+        t = CoTree._trusted(*columns)
+        assert stored(CoTree(*columns)) == stored(t)
+        assert is_canonical(t)
 
 
 def test_random_cotree_root_label_is_an_exact_0_or_1():

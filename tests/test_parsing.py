@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cographctl import (
+    CoTree,
     ParseError,
     SizeCapError,
     cotree_to_graph,
@@ -16,18 +17,22 @@ from cographctl import (
     serialize_cotree,
     write_edge_list,
 )
-from cographctl import parsing
 from cographctl.generate import random_cotree, random_threshold_sequence
 
 from test_fuzz import DEEP, random_expr as parenthesized_expr
 from helpers import (
     THRESHOLD_EXAMPLE,
+    cotree_shapes,
     expr_reference,
+    expr_text,
     is_canonical,
     join_of,
     nested_text,
     single,
+    stored,
+    threshold_bits,
     threshold_to_graph,
+    trusted_columns,
     union_of,
 )
 
@@ -171,12 +176,11 @@ def test_threshold_neighborhood_rule_matches_composition_fold():
 
 
 def test_parse_threshold_emits_canonical_columns(monkeypatch):
-    """The columns handed to the constructor are canonical, so it stores
-    them as they are, and they give the tree of the fold in which vertex j
-    joins or unites with the tree of vertices 1..j-1 by bit j."""
-    built = []
-    real = parsing.CoTree
-    monkeypatch.setattr(parsing, "CoTree", lambda *columns: built.append(columns) or real(*columns))
+    """The columns handed to the trusted builder are canonical: it stores
+    them as they are, the checked constructor stores the same tree from
+    them, and they give the tree of the fold in which vertex j joins or
+    unites with the tree of vertices 1..j-1 by bit j."""
+    built = trusted_columns(monkeypatch)
     rng = random.Random(1710)
     seqs = [random_threshold_sequence(rng.randint(1, 40), rng) for _ in range(2000)]
     for _ in range(1000):  # long runs
@@ -190,6 +194,7 @@ def test_parse_threshold_emits_canonical_columns(monkeypatch):
         assert [t.parent(i) for i in range(t.node_count())] == parents
         assert [None if t.is_leaf(i) else t.label(i) for i in range(t.node_count())] == labels
         assert t.leaf_sequence(t.root) == tuple(leaves)
+        assert stored(CoTree(parents, labels, leaves)) == stored(t)
         nested = 1
         for v in range(2, len(bits) + 1):
             nested = (int(bits[v - 1]), [nested, v])
@@ -197,12 +202,10 @@ def test_parse_threshold_emits_canonical_columns(monkeypatch):
 
 
 def test_parse_expr_emits_canonical_columns(monkeypatch):
-    """The columns handed to the constructor are canonical, so it stores
-    them as they are and never lays the tree out again; they give the
-    expression's graph."""
-    built = []
-    real = parsing.CoTree
-    monkeypatch.setattr(parsing, "CoTree", lambda *columns: built.append(columns) or real(*columns))
+    """The columns handed to the trusted builder are canonical: it stores
+    them as they are, the checked constructor stores the same tree from
+    them, and they give the expression's graph."""
+    built = trusted_columns(monkeypatch)
     rng = random.Random(1711)
     texts = [random_expr(rng) for _ in range(1500)]
     texts += [parenthesized_expr(rng.randint(1, 30), rng) for _ in range(500)]
@@ -216,6 +219,7 @@ def test_parse_expr_emits_canonical_columns(monkeypatch):
         assert list(t._label) == labels
         assert t._leaves == tuple(leaves) == tuple(range(1, t.n + 1))
         assert is_canonical(t)
+        assert stored(CoTree(parents, labels, leaves)) == stored(t)
         if len(text) < 200 and t.n < 5000:
             assert cotree_to_graph(t) == expr_reference(text)
     assert (t.n, t.node_count()) == (100000, 100001)
@@ -238,6 +242,28 @@ def test_cotree_roundtrip_on_random_canonical_trees():
     for _ in range(50):
         t = random_cotree(rng.randint(1, 10), rng)
         assert parse_cotree(serialize_cotree(t)) == t
+
+
+def test_every_shape_round_trips_through_every_input_format():
+    """Every canonical shape on n <= 8 leaves comes back identical from its
+    cotree text, its expression text and its edge list, and each threshold
+    shape, its vertices renumbered in construction order, from its bits."""
+    thresholds = 0
+    for n in range(1, 9):
+        for columns in cotree_shapes(n):
+            t = CoTree(*columns)
+            assert stored(parse_cotree(serialize_cotree(t))) == stored(t)
+            assert stored(parse_expr(expr_text(t))) == stored(t)
+            edges = read_edge_list(write_edge_list(cotree_to_graph(t)))
+            assert stored(recognize(edges)) == stored(t)
+            found = threshold_bits(t)
+            if found:
+                bits, order = found
+                renumbered = dict(zip(order, range(1, n + 1)))
+                columns[2][:] = map(renumbered.__getitem__, columns[2])
+                assert stored(parse_threshold(bits)) == stored(CoTree(*columns))
+                thresholds += 1
+    assert thresholds == 2 ** 8 - 1  # 2^(n-1) threshold graphs on n vertices
 
 
 def test_parse_cotree_errors():
