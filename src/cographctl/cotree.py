@@ -5,17 +5,18 @@ and whose internal nodes carry a label: 0 means its children are composed by
 disjoint union, 1 means they are composed by join. Two vertices are adjacent
 exactly when their lowest common ancestor is labeled 1.
 
-Every ``CoTree`` is canonical: its constructor checks the caller's columns,
-merges nested nodes of equal label and splices out unary nodes, so labels
-alternate along every path and every internal node has at least two
-children. The package's own producers (``parse_expr`` after
-``parsing._canonical``, ``parse_threshold``, ``recognize`` and
-``random_cotree``) build canonical columns and store them through
-``CoTree._trusted`` with no check; ``parse_cotree``, whose grammar gives a
-tree, checks only its leaf ids before ``_canonical_columns`` lays it out.
-With children ordered by their smallest descendant leaf, the canonical form
-is unique per graph, which makes tree equality, serialization, the sibling
-cells and the modal-matrix column order deterministic.
+Every ``CoTree`` is canonical: labels alternate along every path, every
+internal node has at least two children, and children are ordered by their
+smallest descendant leaf. That form is unique per graph, which makes tree
+equality, serialization, the sibling cells and the modal-matrix column order
+deterministic. ``_canonical_columns`` is the one code that makes columns
+canonical (it splices out unary nodes, merges nested nodes of equal label
+and orders children), and it picks its algorithm from the leaf order alone:
+leaves in increasing order take one splice-and-merge pass, any other order
+an index pass and a top-down layout. The constructor checks the caller's
+columns and hands them to it, as do ``parse_expr`` and ``parse_cotree``;
+``parse_threshold``, ``recognize`` and ``random_cotree`` build canonical
+columns themselves and store them through ``CoTree._trusted`` with no check.
 
 Storage: ``CoTree`` is an arena of nodes numbered in preorder (the root is
 node 0, children have larger ids than their parent). Beside the parent and
@@ -33,9 +34,10 @@ bounded only by memory.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from itertools import compress
-from operator import and_, or_
+from itertools import compress, islice
+from operator import and_, lt, or_
 from typing import Iterator, Sequence
 
 from .graphs import Graph, _bits
@@ -61,8 +63,9 @@ class CoTree:
         has a child and no leaf has one. Ids, parents and labels must be
         exact ints: a bool or a float is rejected.
 
-        One forward pass checks the tree; ``_canonical_columns`` then lays
-        it out anew unless it is canonical already."""
+        One forward pass checks the tree; ``_canonical_columns`` then makes
+        it canonical, by its splice pass when the leaves increase and by its
+        layout otherwise."""
         count, n = len(parents), len(leaves)
         if (set(map(type, leaves)) != {int} or labels.count(None) != n or min(leaves) < 1
                 or max(leaves) > n or len(set(leaves)) != n):
@@ -200,39 +203,47 @@ def _canonical_columns(
     parents: Sequence[int | None], labels: Sequence[int | None], leaves: Sequence[int]
 ) -> tuple[Sequence[int | None], Sequence[int | None], Sequence[int]]:
     """Canonical columns of a tree's preorder columns, whose labels must be
-    0 or 1 and leaf ids 1..n, each once. One bottom-up pass indexes them and
-    notes whether they are canonical already; if not, one top-down pass lays
-    out the canonical tree (unary nodes spliced out, a child with its
-    parent's label merged into it, children sorted by smallest leaf)."""
-    count = len(parents)
+    0 or 1 and leaf ids 1..n, each once: unary nodes spliced out, a child
+    with its parent's label merged into it, children sorted by smallest leaf.
+    Leaves in increasing order, as in every expression, stay in that order,
+    so one preorder pass splices and merges; any other order takes one
+    bottom-up index pass and one top-down layout."""
+    if leaves == range(1, len(leaves) + 1) or all(map(lt, leaves, islice(leaves, 1, None))):
+        kids = Counter(parents)
+        into: list[int | None] = [None] * len(parents)  # where each node's children go
+        out_parents: list[int | None] = []
+        out_labels: list[int | None] = []
+        for i, up in enumerate(parents):
+            if up is not None:
+                up = into[up]
+            label = labels[i]
+            if label is not None and (kids[i] == 1 or up is not None and out_labels[up] == label):
+                into[i] = up  # spliced out, or merged into that node
+            else:
+                into[i] = len(out_parents)
+                out_parents.append(up)
+                out_labels.append(label)
+        return out_parents, out_labels, leaves
+    count = len(parents)  # over two or more leaves: a single leaf is in order
     last = list(range(count))  # largest node id in each subtree
     low = [len(leaves) + 1] * count  # smallest vertex id below each node
-    canonical = True
     k = len(leaves)  # leaves before node i in preorder, once i is reached
     for i in range(count - 1, 0, -1):
         up = parents[i]
-        label = labels[i]
-        if label is None:
+        if labels[i] is None:
             k -= 1
             v = low[i] = leaves[k]
         else:
             v = low[i]
-            if last[i + 1] == last[i] or labels[up] == label:  # unary, or to be merged
-                canonical = False
         if last[up] == up:  # siblings arrive last to first: the youngest ends the subtree
             last[up] = last[i]
-        # and each must lower the minimum
         if v < low[up]:
             low[up] = v
-        else:
-            canonical = False
-    if canonical and (count == 1 or last[1] != last[0]):  # and the root is not unary
-        return parents, labels, leaves
     root = 0
     while labels[root] is not None and last[root + 1] == last[root]:  # a unary root
         root += 1
-    out_parents: list[int | None] = []
-    out_labels: list[int | None] = []
+    out_parents = []
+    out_labels = []
     out_leaves: list[int] = []
     out_parent: list[int | None] = [None] * count  # each kept node's, once its parent is placed
     stack = [root]

@@ -4,6 +4,9 @@ serializations, and edge lists.
 Vertex numbering is always 1-based and, for expressions, assigned left to
 right in reading order. That numbering is the single source of truth for
 which vertex ids later appear in sibling cells and control sets.
+
+The expression and cotree grammars write a tree's preorder columns as read
+and leave its canonical form to ``cotree._canonical_columns``.
 """
 
 from __future__ import annotations
@@ -56,13 +59,6 @@ def _error_at(message: str, text: str, total: int, tokens: Iterator[str],
     return _error(message, text, match.start())
 
 
-def _number(token: str, text: str, total: int, tokens: Iterator[str]) -> int:
-    try:
-        return int(token)
-    except ValueError:  # more digits than int() converts
-        raise _error_at("number too long", text, total, tokens) from None
-
-
 # -- cograph expressions ------------------------------------------------------
 #
 # expr   := term ('+' term)*          union, binds loosest
@@ -80,9 +76,9 @@ def parse_expr(text: str) -> CoTree:
 
     Nodes are appended to the arena in reading order, which is preorder: the
     text and each '(' open a union node, each term opens a join node below
-    it, and an integer atom k > 1 opens a union node over k leaves.
-    ``_canonical`` makes the columns canonical, so the trusted builder
-    stores them as they are."""
+    it, and an integer atom k > 1 opens a union node over k leaves. The
+    leaves are 1..n in reading order, so ``_canonical_columns`` makes the
+    columns canonical in its one splice-and-merge pass."""
     bad = _NOT_EXPR.search(text)
     if bad:
         raise _error(f"unexpected character {bad[0]!r}", text, bad.start())
@@ -105,7 +101,10 @@ def parse_expr(text: str) -> CoTree:
         if tok == ".":
             count = 1
         elif tok.isdecimal():
-            count = _number(tok, text, total, tokens)
+            try:
+                count = int(tok)
+            except ValueError:  # more digits than int() converts
+                raise _error_at("number too long", text, total, tokens) from None
             if count == 0:
                 raise _error_at("atom must be a positive vertex count", text, total, tokens)
         else:
@@ -129,29 +128,7 @@ def parse_expr(text: str) -> CoTree:
         elif after != "*" and (after or groups):
             message = "unbalanced parenthesis" if groups else "stray token after expression"
             raise _error_at(message, text, total, tokens)
-    return CoTree._trusted(*_canonical(parents, labels), range(1, n + 1))
-
-
-def _canonical(parents: list[int | None], labels: list[int | None]) -> tuple[list, list]:
-    """Canonical columns of an expression's tree in one preorder pass: its
-    labels alternate along every path and its leaves come in vertex order,
-    so once each unary node is spliced out and each node with its new
-    parent's label merged into it, children come in order of smallest leaf."""
-    kids = Counter(parents)
-    into: list[int | None] = [None] * len(parents)  # where each node's children go
-    out_parents: list[int | None] = []
-    out_labels: list[int | None] = []
-    for i, up in enumerate(parents):
-        if up is not None:
-            up = into[up]
-        label = labels[i]
-        if label is not None and (kids[i] == 1 or up is not None and out_labels[up] == label):
-            into[i] = up  # spliced out, or merged into that node
-        else:
-            into[i] = len(out_parents)
-            out_parents.append(up)
-            out_labels.append(label)
-    return out_parents, out_labels
+    return CoTree._trusted(*_canonical_columns(parents, labels, range(1, n + 1)))
 
 
 # -- threshold construction sequences -----------------------------------------
@@ -215,7 +192,9 @@ def parse_cotree(text: str) -> CoTree:
     back as the canonical cotree of the same graph.
 
     Nodes are appended to the arena in reading order, which is preorder;
-    ``open_nodes`` holds the internal nodes whose ')' is still to come."""
+    ``open_nodes`` holds the internal nodes whose ')' is still to come. A
+    text whose leaf ids increase takes ``_canonical_columns``'s splice pass,
+    any other its layout."""
     parents: list[int | None] = []
     labels: list[int | None] = []
     leaves: list[int] = []
@@ -225,7 +204,10 @@ def parse_cotree(text: str) -> CoTree:
     for tok in tokens:  # a node's number, then the token that tells its kind
         if not tok.isdecimal():
             raise _error_at("expected a number", text, total, tokens)
-        value = _number(tok, text, total, tokens)
+        try:
+            value = int(tok)
+        except ValueError:  # more digits than int() converts
+            raise _error_at("number too long", text, total, tokens) from None
         parents.append(open_nodes[-1] if open_nodes else None)
         after = next(tokens)  # the last token is the empty one, never a number
         if after == "(":

@@ -112,6 +112,26 @@ def trusted_columns(monkeypatch) -> list[tuple]:
     return built
 
 
+def columns_graph(parents: Sequence[int | None], labels: Sequence[int | None],
+                  leaves: Sequence[int]) -> Graph:
+    """The graph that the preorder columns of any cotree describe, pair by
+    pair: vertices u and v are adjacent exactly when the lowest common
+    ancestor of their leaves is labelled 1. Unary nodes and nodes that share
+    their parent's label are read as they stand."""
+    paths = {}  # vertex id -> its leaf and each of that leaf's ancestors
+    for node, v in zip((i for i, lab in enumerate(labels) if lab is None), leaves):
+        path = [node]
+        while parents[path[-1]] is not None:
+            path.append(parents[path[-1]])
+        paths[v] = path
+    edges = []
+    for u in range(1, len(leaves)):
+        above = set(paths[u])
+        edges += [(u - 1, v - 1) for v in range(u + 1, len(leaves) + 1)
+                  if labels[next(a for a in paths[v] if a in above)] == 1]
+    return from_edges(len(leaves), edges)
+
+
 def expr_text(t: CoTree, i: int = 0) -> str:
     """Expression text of the subtree at node i of a cotree whose leaves are
     1..n in preorder, which is the expression's reading order: a leaf is

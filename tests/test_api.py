@@ -1,5 +1,6 @@
 """The public surface: ``cographctl.__all__`` is exactly what README documents,
-and README's library example gives the values its comments state."""
+README names every public attribute of ``CoTree`` and ``Graph``, and README's
+library example gives the values its comments state."""
 
 import ast
 import re
@@ -22,6 +23,10 @@ def test_exports_are_the_documented_surface():
     assert set(cographctl.__all__) == names
     for name in names:
         assert getattr(cographctl, name).__module__.startswith("cographctl.")
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    named = set(re.findall(r"`(\w+)`", section))  # the Notes included
+    for cls in (cographctl.CoTree, cographctl.Graph):
+        assert {name for name in dir(cls) if not name.startswith("_")} <= named, cls
 
 
 def test_readme_library_example_gives_its_commented_values():

@@ -23,6 +23,7 @@ from cographctl import (
     parse_expr,
     parse_threshold,
     random_cotree,
+    random_threshold_sequence,
     recognize,
     serialize_cotree,
     sibling_partition,
@@ -34,6 +35,7 @@ from helpers import (
     THRESHOLD_EXAMPLE,
     components_reference,
     cotree_corpus,
+    columns_graph,
     cotree_shapes,
     from_edges,
     is_canonical,
@@ -215,17 +217,81 @@ def test_every_shape_up_to_nine_leaves():
     assert counts == [1, 2, 4, 10, 24, 66, 180, 522, 1532]
 
 
+def _edited(nested, rng: random.Random):
+    """Every form of a nested tree with one of the two edits that perfbench's
+    non-canonical cotree text makes, leaves kept in place: a unary node of a
+    random label above one node, or two adjacent children of a node
+    regrouped under a new node with that node's label."""
+    forms = [(rng.randint(0, 1), [nested])]
+    if isinstance(nested, tuple):
+        label, kids = nested
+        if len(kids) >= 3:
+            forms += [(label, kids[:j] + [(label, kids[j:j + 2])] + kids[j + 2:])
+                      for j in range(len(kids) - 1)]
+        forms += [(label, kids[:j] + [form] + kids[j + 1:])
+                  for j, kid in enumerate(kids) for form in _edited(kid, rng)]
+    return forms
+
+
+def _raw_tree(n: int, rng: random.Random) -> tuple[list, list]:
+    """Parents and labels of a random tree on n leaves in preorder, with
+    labels drawn independently (so a child may share its parent's) and
+    unary chains above some nodes."""
+    parents: list = []
+    labels: list = []
+    stack = [(n, None)]
+    while stack:
+        size, up = stack.pop()
+        while rng.random() < 0.25:  # a unary node above this one
+            parents.append(up)
+            labels.append(rng.randint(0, 1))
+            up = len(parents) - 1
+        parents.append(up)
+        if size == 1:
+            labels.append(None)
+            continue
+        labels.append(rng.randint(0, 1))
+        cuts = [0, *sorted(rng.sample(range(1, size), rng.randint(1, size - 1))), size]
+        stack += [(cuts[j + 1] - cuts[j], len(parents) - 1) for j in range(len(cuts) - 2, -1, -1)]
+    return parents, labels
+
+
+def test_both_canonicalizer_branches_on_noncanonical_columns():
+    """Non-canonical columns give the canonical tree of the graph they
+    describe, read pair by pair from lowest common ancestors, in both of
+    ``_canonical_columns``' branches: leaves in increasing order (the splice
+    pass) and in any other order (the layout). The columns are every shape
+    on n <= 7 leaves with one of perfbench's two edits, and seeded raw trees
+    on n <= 12 leaves with unary chains and labels that need not alternate;
+    each with its leaf ids as numbered in preorder and reversed."""
+    rng = random.Random(3030)
+    cases = []
+    for n in range(1, 8):
+        for shape in cotree_shapes(n):
+            cases += [_columns(form)[:2] for form in _edited(to_nested(CoTree(*shape)), rng)]
+    cases += [_raw_tree(rng.randint(1, 12), rng) for _ in range(400)]
+    for parents, labels in cases:
+        n = labels.count(None)
+        for leaves in (list(range(1, n + 1)), list(range(n, 0, -1))):
+            assert CoTree(parents, labels, leaves) == recognize(columns_graph(parents, labels, leaves))
+
+
 def test_constructor_and_layout_peaks():
     """Peak traced memory of the constructor on the canonical columns of the
-    10^5-leaf tree that `random --nodes 100000 --seed 1` prints (no layout),
-    and of parse_cotree on a reversed text of a 2 x 10^4-leaf random tree
-    (the layout; tracemalloc slows it about 25-fold, so the 10^5 text would
-    cost the suite several seconds). They read 17.0 and 5.6 MiB; 23.5 and
-    7.7 MiB when one pass checked and indexed and the layout wrote the leaf
-    ranges too, and 37.1 and 10.0 MiB with a child list per node."""
+    10^5-leaf tree that `random --nodes 100000 --seed 1` prints, whose
+    leaves are not in increasing order (the layout), and on those of a
+    10^5-bit threshold tree, whose leaves are (the splice pass), and of
+    parse_cotree on a reversed text of a 2 x 10^4-leaf random tree (the
+    layout; tracemalloc slows it about 25-fold, so the 10^5 text would cost
+    the suite several seconds). They read 20.2, 21.3 and 5.6 MiB. The first
+    read 17.0 MiB when canonical columns were stored as given, 23.5 MiB
+    when one pass checked and indexed and the layout wrote the leaf ranges
+    too, and 37.1 MiB with a child list per node; the last 7.7 and 10.0 MiB."""
     big = random_cotree(100_000, random.Random(1))
     columns = (list(big._parent), list(big._label), list(big._leaves))
-    del big
+    bits = parse_threshold(random_threshold_sequence(100_000, random.Random(1)))
+    ordered = (list(bits._parent), list(bits._label), list(bits._leaves))
+    del big, bits
     t = random_cotree(20_000, random.Random(1))
     text = reversed_text(t)
     tracemalloc.start()
@@ -233,11 +299,15 @@ def test_constructor_and_layout_peaks():
         CoTree(*columns)
         canonical = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
+        CoTree(*ordered)
+        spliced = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         assert parse_cotree(text) == t
         laid_out = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert canonical < 30 * 2**20
+    assert spliced < 30 * 2**20
     assert laid_out < 8.8 * 2**20
 
 
