@@ -166,31 +166,22 @@ def integer_roots(coeffs: Sequence[int]) -> Counter:
 
 
 def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
-    """Search all 4-subsets for an induced path, returned as 1-based ids in
-    path order; None when the graph is P4-free."""
+    """The lexicographically first induced P4, as 1-based ids in path order
+    from its smaller end; None when the graph is P4-free. Four vertices
+    induce a path iff their degrees among themselves are 1, 1, 2, 2 (three
+    edges on four vertices form a path, a triangle and a lone vertex, or a star)."""
+    rows = g.rows
     for quad in combinations(range(g.n), 4):
-        witness = _path_order(g, quad)
-        if witness is not None:
-            return witness
+        a, b, c, d = quad
+        inside = 1 << a | 1 << b | 1 << c | 1 << d
+        deg = [(rows[v] & inside).bit_count() for v in quad]
+        if sorted(deg) == [1, 1, 2, 2]:
+            order = [quad[deg.index(1)]]
+            while len(order) < 4:
+                order.append(next(v for v in quad
+                                  if v not in order and rows[order[-1]] >> v & 1))
+            return tuple(v + 1 for v in order)
     return None
-
-
-def _path_order(g: Graph, quad: tuple[int, ...]) -> tuple[int, int, int, int] | None:
-    pairs = [(i, j) for i, j in combinations(quad, 2) if g.has_edge(i, j)]
-    if len(pairs) != 3:
-        return None
-    deg = Counter()
-    for i, j in pairs:
-        deg[i] += 1
-        deg[j] += 1
-    if sorted(deg[v] for v in quad) != [1, 1, 2, 2]:
-        return None
-    ends = sorted(v for v in quad if deg[v] == 1)
-    order = [ends[0]]
-    while len(order) < 4:
-        order.append(next(v for v in quad
-                          if v not in order and g.has_edge(order[-1], v)))
-    return tuple(v + 1 for v in order)
 
 
 def exhaustive_min_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:

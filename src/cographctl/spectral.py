@@ -40,7 +40,8 @@ controllability operations never consume it.
 from __future__ import annotations
 
 from collections import Counter
-from operator import sub
+from itertools import compress
+from operator import ne, sub
 from typing import Callable
 
 from .cotree import CoTree
@@ -83,9 +84,10 @@ def spectrum(t: CoTree) -> tuple[tuple[int, int], ...]:
     (eigenvalue, multiplicity) pairs, trivial 0 included, multiplicities
     summing to n."""
     values = _node_eigenvalues(t)
-    counts: Counter = Counter()
-    for v, k in Counter(t._parent[1:]).items():  # each internal node's child count
-        counts[values[v]] += k - 1
+    # each child but its parent's first adds one copy of the parent's eigenvalue
+    # (its modal column); a first child's parent is the node just before it
+    later = t._parent[1:]
+    counts = Counter(map(values.__getitem__, compress(later, map(ne, later, range(len(later))))))
     counts[0] += 1
     return tuple(sorted(counts.items()))
 

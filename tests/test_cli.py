@@ -1,6 +1,7 @@
 """Command surface, JSON schema, and exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -619,6 +620,39 @@ def test_out_of_memory_exits_one_without_a_traceback(tmp_path):
                           env=env, preexec_fn=limit_memory, capture_output=True, text=True,
                           timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
+def test_console_script_runs_without_the_collector(monkeypatch, capsys, tmp_path):
+    """``entry`` turns the cyclic collector off before ``main``, which leaves
+    the collector as it found it: no request leaves a reference cycle, on
+    10^3 and 10^4 leaves or when it fails, so the collector has nothing to
+    free and would only rescan the request's data."""
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+    finally:
+        gc.enable()
+    assert seen == [False] and exit_.value.code == 0
+    monkeypatch.undo()
+    requests = [["spectrum", "--expr", "(.+"], ["leaders", "--expr", ".+."]]
+    for nodes in (1000, 10_000):
+        assert main(["random", "--nodes", str(nodes), "--seed", "1"]) == 0
+        assert gc.isenabled()
+        path = tmp_path / f"{nodes}.txt"
+        path.write_text(capsys.readouterr().out)
+        requests += [[command, "--cotree", f"@{path}", "--json"]
+                     for command in ("spectrum", "partition", "leaders")]
+    gc.disable()
+    try:
+        for argv in requests:
+            gc.collect()
+            main(argv)
+            assert not gc.isenabled() and gc.collect() == 0, argv
+    finally:
+        gc.enable()
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_text_output_builds_no_payload_and_no_cotree_text(monkeypatch, capsys):

@@ -286,7 +286,10 @@ def test_constructor_and_layout_peaks():
     the suite several seconds). They read 20.2, 21.3 and 5.6 MiB. The first
     read 17.0 MiB when canonical columns were stored as given, 23.5 MiB
     when one pass checked and indexed and the layout wrote the leaf ranges
-    too, and 37.1 MiB with a child list per node; the last 7.7 and 10.0 MiB."""
+    too, and 37.1 MiB with a child list per node; the last 7.7 and 10.0 MiB.
+    The second read 17.5 MiB when canonical columns were stored as given;
+    it reads 21.3 MiB too with a byte per node in place of the splice pass's
+    child ``Counter``, as the pass's output lists set it."""
     big = random_cotree(100_000, random.Random(1))
     columns = (list(big._parent), list(big._label), list(big._leaves))
     bits = parse_threshold(random_threshold_sequence(100_000, random.Random(1)))
@@ -372,6 +375,11 @@ def test_node_ids_index_as_tuple_positions():
     for get, node in ((t.label, 1.0), (t.leaf_vertex, 7.0)):
         with pytest.raises(TypeError):
             get(node)
+    with pytest.raises(ValueError, match="node -1 is a leaf"):
+        t.label(-1)
+    with pytest.raises(ValueError, match="node 1 is internal"):
+        t.leaf_vertex(1)
+    assert repr(t) == "CoTree(n=5, nodes=8)"
 
 
 def test_lca_label_matches_adjacency():
@@ -467,7 +475,8 @@ def test_recognize_on_every_labelled_graph_up_to_six_vertices(monkeypatch):
     """All 2^(n(n-1)/2) labelled graphs for each n <= 6: the cographs number
     1, 2, 8, 52, 472, 5504 (OEIS A006351) and each one's cotree rebuilds the
     graph; every other graph's witness is the 4-subset search's first P4 on
-    the part where both splits failed."""
+    the part where both splits failed, and the oracle's witness is its first
+    P4 on the whole graph."""
     stuck = []
     real = cotree._p4_in_subgraph
     monkeypatch.setattr(cotree, "_p4_in_subgraph",
@@ -489,6 +498,7 @@ def test_recognize_on_every_labelled_graph_up_to_six_vertices(monkeypatch):
                 assert cotree_to_graph(result) == g
             else:
                 assert result == p4_reference(g, stuck.pop())
+            assert find_p4(g) == p4_reference(g, (1 << n) - 1)
         counts.append(cographs)
     assert counts == [1, 2, 8, 52, 472, 5504] and not stuck
 
@@ -584,11 +594,19 @@ def test_recognize_and_random_cotree_emit_canonical_columns(monkeypatch):
 
 
 def test_random_cotree_root_label_is_an_exact_0_or_1():
+    """Root label 0 needs two leaves, and neither generator takes an empty
+    graph."""
     for label in (2, -1, None, True, 1.0):
         with pytest.raises(ValueError, match="root label must be 0 or 1"):
             random_cotree(5, random.Random(1), root_label=label)
     for label in (0, 1):
         assert random_cotree(5, random.Random(1), root_label=label).label(0) == label
+    with pytest.raises(ValueError, match="root label 0 needs n >= 2"):
+        random_cotree(1, random.Random(1), root_label=0)
+    with pytest.raises(ValueError, match="need at least one leaf"):
+        random_cotree(0, random.Random(1))
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        random_threshold_sequence(0, random.Random(1))
 
 
 @pytest.mark.parametrize("parents, labels, leaves", [

@@ -36,6 +36,7 @@ from helpers import (
     is_connected,
     join_of,
     kalman_reference,
+    p4_reference,
     random_graph,
     rank_rational,
     single,
@@ -239,10 +240,20 @@ def test_integer_roots_matches_divisor_reference():
 
 
 def test_is_p4_free_examples():
+    """No cograph has a P4; on random graphs with 7 <= n <= 12 of every
+    density the witness is the reference search's first P4 on the whole
+    graph, in path order from its smaller end."""
     p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert find_p4(p4) == (1, 2, 3, 4)
     for t in cotree_corpus(25, 8, seed=31, mixed_roots=True):
         assert find_p4(cotree_to_graph(t)) is None
+    rng = random.Random(3131)
+    witnesses = []
+    for _ in range(300):
+        g = random_graph(rng.randint(7, 12), rng, rng.random())
+        witnesses.append(find_p4(g))
+        assert witnesses[-1] == p4_reference(g, (1 << g.n) - 1)
+    assert 30 < witnesses.count(None) < 270
 
 
 def test_exhaustive_min_sets_eight_node():
