@@ -10,7 +10,6 @@ input, size cap), 2 usage errors (bad flags or unparseable input).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
@@ -19,7 +18,8 @@ import sys
 from itertools import islice
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import control, generate, oracle, spectral
 from .cotree import CoTree, cotree_to_graph, recognize
@@ -33,6 +33,9 @@ from .parsing import (
     read_edge_list,
     serialize_cotree,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 # Caps on the super-polynomial paths, checked before any of their work starts.
 CROSS_CHECK_CAP = 100  # vertices; the Kalman oracle takes under 0.5 s at n = 100
@@ -67,7 +70,9 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then kept: each
-    ``parse_args`` call fills a fresh namespace, so calls share no state."""
+    ``parse_args`` call fills a fresh namespace, so calls share no state. Only
+    help, usage errors and the argv forms ``_plain_args`` declines build it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="cographctl",
         description="Cotree decomposition, exact Laplacian spectra, and "
@@ -112,62 +117,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    """Each subcommand's own parser, by name: a command reports its usage
-    errors through it, under its own usage line."""
-    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices
+# The plain grammar, as ``build_parser`` declares it (a test keeps the two equal):
+# each option string's dest, with its const for a flag or its choices for a value
+# option (None: any value); per analysis command, its dests' defaults in declaration
+# order (the namespace's key order) and its required dests. ``random``'s are typed.
+_OPTIONS = {"--expr": ("expr", None), "--cotree": ("cotree", None),
+            "--threshold": ("threshold", None), "--edges": ("edges", None),
+            "--json": ("json", True), "--modal": ("modal", True), "--degree": ("degree", True),
+            "--tie": ("tie", ("lowest", "highest")), "--all": ("all", True),
+            "--set": ("set", None), "--cross-check": ("cross_check", True)}
+_INPUT = {"expr": None, "cotree": None, "threshold": None, "edges": None, "json": False}
+_PLAIN = {"recognize": (_INPUT, ()), "spectrum": (_INPUT | {"modal": False}, ()),
+          "partition": (_INPUT | {"degree": False}, ()), "oracle": (_INPUT, ()),
+          "leaders": (_INPUT | {"tie": "lowest", "all": False}, ()),
+          "verify": (_INPUT | {"set": None, "cross_check": False}, ("set",))}
 
 
-@functools.lru_cache(maxsize=1)
-def _plain_grammar(parser: argparse.ArgumentParser) -> dict[str, tuple[dict, dict, frozenset]]:
-    """Per subcommand whose actions are all flags and untyped one-value
-    options, read off the parser's own actions: the defaults in declaration
-    order, each option string's action and the required dests."""
-    grammar = {}
-    for name, p in _command_parsers(parser).items():
-        actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]  # all but -h/--help
-        if all(type(a) is argparse._StoreTrueAction
-               or type(a) is argparse._StoreAction and a.nargs is None and a.type is None
-               for a in actions):
-            grammar[name] = ({a.dest: a.default for a in actions},
-                             {s: a for a in actions for s in a.option_strings},
-                             frozenset(a.dest for a in actions if a.required))
-    return grammar
-
-
-def _plain_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace | None:
-    """``parser.parse_args(argv)``'s namespace for a plain argv: a command from
-    ``_plain_grammar``, then only exact option strings of it, a value option's
-    value being the next token, a str that does not start with "-" (and one of
-    its choices). None for every other form, help and usage errors included,
-    which argparse reads."""
-    command = _plain_grammar(parser).get(argv[0]) if argv and type(argv[0]) is str else None
+def _plain_args(argv: list) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)``'s namespace, keys in the same order,
+    for a plain argv: a command of ``_PLAIN``, then only exact option strings of
+    it, a value option's value being the next token, a str that does not start
+    with "-" (and one of its choices). None for every other form, which argparse
+    reads: help and usage errors among them."""
+    command = _PLAIN.get(argv[0]) if argv and type(argv[0]) is str else None
     if command is None:
         return None
-    defaults, options, required = command
+    defaults, required = command
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        action = options.get(token) if type(token) is str else None
-        if action is None:
+        dest, spec = _OPTIONS.get(token, (None, None)) if type(token) is str else (None, None)
+        if dest not in defaults:
             return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        if spec is True:  # a flag, spec being its const
+            values[dest] = True
             continue
         value = next(tokens, None)
         if (type(value) is not str or value.startswith("-")
-                or action.choices is not None and value not in action.choices):
+                or spec is not None and value not in spec):
             return None
-        values[action.dest] = value  # a repeated option keeps its last value
-    if not required <= values.keys():
+        values[dest] = value  # a repeated option keeps its last value
+    if not all(map(values.__contains__, required)):
         return None
-    return argparse.Namespace(command=argv[0], **defaults | values)
+    return SimpleNamespace(command=argv[0], **defaults | values)
 
 
-def _load_input(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> tuple[CoTree, Graph | None]:
+def _usage(command: str, message: str) -> NoReturn:
+    """Exits 2 with ``message`` under ``command``'s usage line, as argparse does."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    sub.choices[command].error(message)
+
+
+def _load_input(args: SimpleNamespace | argparse.Namespace) -> tuple[CoTree, Graph | None]:
     """The input's cotree, and its adjacency when the input is an edge list.
     Only the commands that read the graph build it from a cotree, O(n^2);
     degrees need none, since a leaf's ancestor sum in the cotree is its
@@ -175,7 +176,7 @@ def _load_input(
     flags = [name for name in ("expr", "cotree", "threshold", "edges")
              if getattr(args, name, None) is not None]
     if len(flags) != 1:
-        parser.error("exactly one of --expr/--cotree/--threshold/--edges is required")
+        _usage(args.command, "exactly one of --expr/--cotree/--threshold/--edges is required")
     kind = flags[0]
     if kind == "edges":
         edges = read_edge_list(_read_text(args.edges, "edge list"))
@@ -262,9 +263,9 @@ def _parse_set(text: str) -> tuple[int, ...]:
     return control._control_vertices(ids)
 
 
-def _cmd_recognize(args, parser) -> int:
+def _cmd_recognize(args) -> int:
     try:
-        tree, _ = _load_input(parser, args)
+        tree, _ = _load_input(args)
     except _NotCograph as exc:
         print("not a cograph", file=sys.stderr)
         sys.stdout.writelines(_json({"n": exc.n, "p4": exc.witness}) if args.json
@@ -275,8 +276,8 @@ def _cmd_recognize(args, parser) -> int:
     return 0
 
 
-def _cmd_spectrum(args, parser) -> int:
-    tree, _ = _load_input(parser, args)
+def _cmd_spectrum(args) -> int:
+    tree, _ = _load_input(args)
     if args.modal:  # MODAL_CAP is checked before any other work
         modal = spectral._modal_rows(tree, _render("," if args.json else " "))
     spec = spectral.spectrum(tree)
@@ -291,8 +292,8 @@ def _cmd_spectrum(args, parser) -> int:
     return 0
 
 
-def _cmd_partition(args, parser) -> int:
-    tree, _ = _load_input(parser, args)
+def _cmd_partition(args) -> int:
+    tree, _ = _load_input(args)
     cells = control.sibling_partition(tree)
     if args.degree:
         degrees, degree_cells = zip(*spectral.degree_partition(tree))
@@ -309,8 +310,8 @@ def _cmd_partition(args, parser) -> int:
     return 0
 
 
-def _cmd_leaders(args, parser) -> int:
-    tree, _ = _load_input(parser, args)
+def _cmd_leaders(args) -> int:
+    tree, _ = _load_input(args)
     control._require_controllable_setting(tree, "min_control_size")  # its name on any error
     cells = control.sibling_partition(tree)
     size = tree.n - len(cells)
@@ -334,8 +335,8 @@ def _cmd_leaders(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    tree, graph = _load_input(parser, args)
+def _cmd_verify(args) -> int:
+    tree, graph = _load_input(args)
     if args.cross_check and tree.n > CROSS_CHECK_CAP:
         raise SizeCapError(f"cross-check capped at n <= {CROSS_CHECK_CAP}, got {tree.n}")
     cset = _parse_set(args.set)
@@ -360,8 +361,8 @@ def _cmd_verify(args, parser) -> int:
     return 0
 
 
-def _cmd_oracle(args, parser) -> int:
-    tree, graph = _load_input(parser, args)
+def _cmd_oracle(args) -> int:
+    tree, graph = _load_input(args)
     if tree.n > oracle.EXHAUSTIVE_CAP:
         raise SizeCapError(f"oracle battery capped at n <= {oracle.EXHAUSTIVE_CAP}, got {tree.n}")
     # the fast path first: it rejects a disconnected or one-vertex input
@@ -390,9 +391,9 @@ def _cmd_oracle(args, parser) -> int:
     return 0
 
 
-def _cmd_random(args, parser) -> int:
+def _cmd_random(args) -> int:
     if args.nodes < 1:
-        parser.error("--nodes must be at least 1")
+        _usage("random", "--nodes must be at least 1")
     check_vertex_count(args.nodes)
     rng = random.Random(args.seed)
     if args.threshold:
@@ -415,11 +416,10 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:  # argparse reports every parse failure by raising SystemExit
-        args = _plain_args(parser, argv) or parser.parse_args(argv)
-        return _COMMANDS[args.command](args, _command_parsers(parser)[args.command])
+        args = _plain_args(argv) or build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

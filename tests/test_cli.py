@@ -1,5 +1,6 @@
 """Command surface, JSON schema, and exit codes."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -494,7 +495,8 @@ def test_super_polynomial_paths_are_capped_before_their_work(monkeypatch, capsys
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     """Each call in one process answers as the same call on a freshly built
-    parser does, whatever flags the call before it set."""
+    parser does, whatever flags the call before it set. The plain calls build
+    no parser; the first argv that argparse reads builds it, once."""
     verify = ["verify", "--expr", "(.+.)*(.+.+.)", "--set", "1,3,4"]
     sequence = [
         ["leaders", "--threshold", THRESHOLD_EXAMPLE, "--tie", "highest"],
@@ -503,17 +505,22 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         verify,
         ["spectrum", "--expr", ".", "--modal", "--bogus"],
         ["spectrum", "--expr", "(.+.)*(.+.+.)"],
+        ["leaders", f"--threshold={THRESHOLD_EXAMPLE}", "--tie=highest"],
+        ["leaders", f"--threshold={THRESHOLD_EXAMPLE}"],
     ]
     fresh = []
     for argv in sequence:
         cli.build_parser.cache_clear()
         fresh.append(run(capsys, *argv))
     cli.build_parser.cache_clear()
-    kept = [run(capsys, *argv) for argv in sequence]
+    kept = [run(capsys, *argv) for argv in sequence[:4]]
+    assert cli.build_parser.cache_info().misses == 0
+    kept += [run(capsys, *argv) for argv in sequence[4:]]
     assert cli.build_parser.cache_info().misses == 1
     assert kept == fresh
-    assert [code for code, _, _ in kept] == [0, 0, 0, 0, 2, 0]
+    assert [code for code, _, _ in kept] == [0, 0, 0, 0, 2, 0, 0, 0]
     assert kept[0][1] != kept[1][1]  # the tie rule was reset to its default
+    assert kept[6:] == kept[:2]  # and so it is by argparse
     assert "kalman_rank" in kept[2][1] and "kalman_rank" not in kept[3][1]
     assert "unrecognized arguments: --bogus" in kept[4][2]
     assert "modal" not in kept[5][1]
@@ -584,22 +591,90 @@ def test_plain_reader_gives_argparse_namespace_or_defers(monkeypatch, capsys):
               json.loads(Path(__file__).with_name("golden_cli.json").read_text())["cases"]]
     requests = list(request_argvs(rng))
     mutated = [mutants(rng.choice(golden + requests), rng) for _ in range(4000)]
-    parser = cli.build_parser()
     taken = refused = 0
     for argv in golden + requests + mutated:
-        plain = cli._plain_args(parser, list(argv))
+        plain = cli._plain_args(list(argv))
         expected = argparse_reading(list(argv))
         refused += expected is None
         if plain is not None:
             taken += 1
             assert list(vars(plain).items()) == expected, argv
-    assert all(cli._plain_args(parser, argv) is not None
+    assert all(cli._plain_args(argv) is not None
                for argv in golden + requests if argv[0] != "random")
     assert refused > 2000 and taken - len(golden) - len(requests) > 250
-    # argv=None reads sys.argv[1:] through the same reader, and argparse does not parse it
+    # argv=None reads sys.argv[1:] through the same reader, which builds no parser
     monkeypatch.setattr(sys, "argv", ["cographctl", "recognize", "--expr", "(.+.)*(.+.+.)"])
-    monkeypatch.setattr(parser, "parse_args", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("plain argv built the parser"))
     assert (main(), capsys.readouterr().out) == (0, "1(0(1,2),0(3,4,5))\n")
+
+
+def declared_grammar():
+    """The plain grammar as ``build_parser``'s actions declare it: per command
+    whose actions are all flags and untyped one-value options, the defaults in
+    declaration order, each option string's (dest, const) for a flag or (dest,
+    choices) for a value option, and the required dests."""
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    grammar = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]  # all but -h/--help
+        if all(type(a) is argparse._StoreTrueAction
+               or type(a) is argparse._StoreAction and a.nargs is None and a.type is None
+               for a in actions):
+            grammar[name] = (
+                [(a.dest, a.default) for a in actions],
+                {s: (a.dest, a.const if a.nargs == 0 else a.choices and tuple(a.choices))
+                 for a in actions for s in a.option_strings},
+                {a.dest for a in actions if a.required})
+    return grammar
+
+
+def test_plain_table_is_the_declared_grammar():
+    """``cli._PLAIN`` and ``cli._OPTIONS`` hold what the parser declares: the
+    same commands, defaults in the same order, option strings, consts,
+    choices and required dests."""
+    table = {name: ([*defaults.items()],
+                    {s: o for s, o in cli._OPTIONS.items() if o[0] in defaults},
+                    set(required))
+             for name, (defaults, required) in cli._PLAIN.items()}
+    assert table == declared_grammar()
+    assert set(cli._OPTIONS) == {s for _, options, _ in table.values() for s in options}
+
+
+def test_plain_request_imports_no_argparse(tmp_path):
+    """A fresh interpreter answers a plain argv without importing argparse, and
+    on a heap frozen after import the request leaves only a few dozen tracked
+    objects (a built parser keeps about 340 containers alive for the collector
+    to walk after every request); -h still imports argparse and prints the
+    subcommand's usage."""
+    code = (
+        "import contextlib, gc, io, sys\n"
+        "from cographctl.cli import main\n"
+        "gc.collect(); gc.freeze()\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(sys.argv[1:])\n"
+        "gc.collect()\n"
+        "print(code, 'argparse' in sys.modules, len(gc.get_objects()))\n"
+        "print(out.getvalue(), end='')\n")
+    src = os.path.dirname(os.path.dirname(cographctl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def request(*argv):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr == ""
+        status, rest = proc.stdout.split("\n", 1)
+        code_, imported, objects = status.split()
+        return int(code_), imported == "True", int(objects), rest
+
+    code_, imported, objects, out = request(
+        "verify", "--expr", "(.+.)*(.+.+.)", "--set", "1,3,4", "--json")
+    assert (code_, imported, out) == (
+        0, False, '{"controllable":true,"cotree":"1(0(1,2),0(3,4,5))","n":5,"set":[1,3,4]}\n')
+    assert objects < 60
+    code_, imported, _, out = request("verify", "-h")
+    assert (code_, imported) == (0, True) and out.startswith("usage: cographctl verify")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

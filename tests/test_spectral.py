@@ -2,10 +2,12 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from cographctl import (
+    CoTree,
     SizeCapError,
     char_poly,
     cotree_to_graph,
@@ -30,6 +32,7 @@ from helpers import (
     columns_to_matrix,
     compose_spectrum,
     cotree_corpus,
+    cotree_shapes,
     degree_sequence,
     diagonal,
     is_eigenpair_on_adjacency,
@@ -302,3 +305,20 @@ def test_modal_columns_are_eigenpairs_of_the_adjacency():
         columns = modal_columns(t)
         assert len(columns) == t.n - 1
         assert all(is_eigenpair_on_adjacency(g, t, c) for c in columns), t
+
+
+def test_modal_columns_are_an_orthogonal_eigenbasis_on_every_shape():
+    """On every cotree shape with 2 <= n <= 8, each column is an eigenpair on
+    the adjacency, and the columns are pairwise orthogonal and orthogonal to
+    the all-ones vector."""
+    for n in range(2, 9):
+        for shape in cotree_shapes(n):
+            t = CoTree(*shape)
+            g = cotree_to_graph(t)
+            columns = modal_columns(t)
+            assert len(columns) == n - 1
+            assert all(is_eigenpair_on_adjacency(g, t, c) for c in columns), shape
+            vectors = [column_vector(t, c) for c in columns]
+            assert all(sum(w) == 0 for w in vectors), shape
+            assert all(sum(map(int.__mul__, v, w)) == 0
+                       for v, w in combinations(vectors, 2)), shape
