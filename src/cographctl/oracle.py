@@ -9,7 +9,7 @@ paths it validates.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -53,7 +53,7 @@ def kalman_rank(g: Graph, control: Iterable[int]) -> int:
     fixed = {v - 1 for v in vertices}
     free = [i for i in range(n) if i not in fixed]
     work = deque([g.rows[v - 1] >> i & 1 for i in free] for v in vertices)
-    return len(vertices) + len(_close([], work, _laplacian_rows(g, free)))
+    return len(vertices) + len(_close(work, _laplacian_rows(g, free)))
 
 
 def _laplacian_rows(g: Graph, keep: list[int]) -> list[tuple[int, list[int]]]:
@@ -67,14 +67,13 @@ def _laplacian_rows(g: Graph, keep: list[int]) -> list[tuple[int, list[int]]]:
     return rows
 
 
-def _close(basis: list[tuple[int, list[int]]], work: deque,
-           rows: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
-    """Grow a closed (M-invariant) ``basis`` in place to the smallest
-    M-invariant span that also holds ``work``, and return it; M is the
+def _close(work: deque, rows: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
+    """A basis of the smallest M-invariant span holding ``work``, with M the
     matrix ``rows`` from ``_laplacian_rows``. A vector off the work list
     that joins the basis queues M.w, whose entry i is deg(i).w_i minus the
     sum of w over i's neighbours.
     """
+    basis: list[tuple[int, list[int]]] = []
     while work and len(basis) < len(rows):
         w = _join(basis, work.popleft())
         if w is not None:
@@ -184,34 +183,50 @@ def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def exhaustive_min_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """Smallest controllable-set size and every set of that size, by
-    Kalman-rank search over all vertex subsets. Capped at n <= 10.
+def _twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The twin classes of g as 1-based ids, ordered by smallest member:
+    vertices with equal open rows (false twins, pairwise non-adjacent) or
+    equal closed rows, row | own bit (true twins, pairwise adjacent). No
+    vertex x has both kinds: a true twin z of x lies in N(x), so in N(y) for
+    a false twin y, and then y lies in N[z] = N[x], which false twins do
+    not. So each vertex takes its false-twin group when that has two
+    members and its true-twin group otherwise, and the groups partition
+    1..n."""
+    false_twins: dict[int, list[int]] = {}
+    true_twins: dict[int, list[int]] = {}
+    for v, row in enumerate(g.rows):
+        false_twins.setdefault(row, []).append(v + 1)
+        true_twins.setdefault(row | 1 << v, []).append(v + 1)
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(g.rows):
+        group = false_twins[row]
+        if len(group) == 1:
+            group = true_twins[row | 1 << v]
+        classes[group[0]] = group
+    return tuple(map(tuple, classes.values()))
 
-    The k-subsets come in ``combinations`` order, and each one's Krylov space
-    is its prefix's closed basis, kept from size k - 1, plus the closed basis
-    of its last vertex v, kept from size 1: K(S + v) = K(S) + K(e_v). Both
-    spaces are L-invariant, so their sum is too, and each subset costs the
-    reduction of K(e_v)'s vectors into K(S), with no product by L."""
+
+def exhaustive_min_sets(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """Smallest controllable-set size and every set of that size, in
+    ``combinations`` order, by Kalman-rank search over the vertex subsets no
+    twin pair rules out. Capped at n <= 10.
+
+    Twins x, y have L.(e_x - e_y) = (deg x + [x ~ y]).(e_x - e_y), an
+    eigenvector that is 0 on S exactly when x, y are not in S; so by PBH a
+    subset leaving two vertices of one twin class outside is uncontrollable.
+    With p classes every subset of fewer than n - p vertices leaves two of
+    one class outside, so the search starts at size n - p (1 at least) and
+    ranks only the subsets whose outside holds at most one vertex per class:
+    n - k classes, one vertex from each."""
     if g.n > EXHAUSTIVE_CAP:
         raise SizeCapError(f"exhaustive search capped at n <= {EXHAUSTIVE_CAP}, got {g.n}")
     n = g.n
-    rows = _laplacian_rows(g, list(range(n)))
-    singles = [_close([], deque([[int(i == v) for i in range(n)]]), rows) for v in range(n)]
-    spans: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {(): []}
-    for k in range(1, n + 1):
-        hits, grown = [], {}
-        for c in combinations(range(1, n + 1), k):
-            basis = spans[c[:-1]].copy()
-            for _, w in singles[c[-1] - 1]:
-                if len(basis) == n:
-                    break
-                _join(basis, w)
-            if len(basis) == n:
-                hits.append(c)
-            else:
-                grown[c] = basis
+    classes = _twin_classes(g)
+    for k in range(max(1, n - len(classes)), n + 1):
+        candidates = sorted(tuple(v for v in range(1, n + 1) if v not in out)
+                            for chosen in combinations(classes, n - k)
+                            for out in product(*chosen))
+        hits = [c for c in candidates if kalman_rank(g, c) == n]
         if hits:
             return k, hits
-        spans = grown
     raise AssertionError("full actuation is always controllable")

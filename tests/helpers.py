@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
@@ -232,6 +233,19 @@ def from_edges(n: int, edges) -> Graph:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return Graph(n, tuple(rows))
+
+
+@cache
+def labelled_graphs(n: int) -> tuple[Graph, ...]:
+    """All 2^(n(n-1)/2) labelled graphs on n vertices, through the checked
+    constructor: each graph on the first m vertices with every neighbourhood
+    of vertex m among them, m = 0, ..., n - 1. Cached, as two exhaustive
+    tests walk the same graphs."""
+    graphs = [()]
+    for m in range(n):
+        graphs = [tuple(row | (mask >> i & 1) << m for i, row in enumerate(rows)) + (mask,)
+                  for rows in graphs for mask in range(1 << m)]
+    return tuple(Graph(n, rows) for rows in graphs)
 
 
 def threshold_to_graph(bits: str) -> Graph:

@@ -9,7 +9,6 @@ import cographctl.cotree as cotree
 
 from cographctl import (
     CoTree,
-    Graph,
     char_poly,
     control_rank,
     cotree_to_graph,
@@ -40,6 +39,7 @@ from helpers import (
     from_edges,
     is_canonical,
     join_of,
+    labelled_graphs,
     lca,
     leaves_below,
     nested_text,
@@ -483,15 +483,8 @@ def test_recognize_on_every_labelled_graph_up_to_six_vertices(monkeypatch):
                         lambda g, mask: stuck.append(mask) or real(g, mask))
     counts = []
     for n in range(1, 7):
-        pairs = [(i, j) for j in range(n) for i in range(j)]
         cographs = 0
-        for edges in range(1 << len(pairs)):
-            rows = [0] * n
-            for k, (i, j) in enumerate(pairs):
-                if edges >> k & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            g = Graph(n, tuple(rows))
+        for g in labelled_graphs(n):
             result = recognize(g)
             if isinstance(result, CoTree):
                 cographs += 1

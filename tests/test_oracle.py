@@ -5,10 +5,13 @@ import random
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
+import cographctl.oracle as oracle
 from cographctl import (
+    CoTree,
     NonIntegerRootError,
     SizeCapError,
     char_poly,
@@ -23,19 +26,23 @@ from cographctl import (
     parse_expr,
     parse_threshold,
     random_cotree,
+    sibling_partition,
     spectrum,
 )
+from cographctl.oracle import _twin_classes
 
 from helpers import (
     EIGHT_NODE_TEXT,
     char_poly_reference,
     cotree_corpus,
+    cotree_shapes,
     exhaustive_reference,
     from_edges,
     integer_roots_reference,
     is_connected,
     join_of,
     kalman_reference,
+    labelled_graphs,
     p4_reference,
     random_graph,
     rank_rational,
@@ -288,6 +295,84 @@ def test_exhaustive_min_sets_matches_per_subset_reference():
     assert len(graphs) == 1019
     for g in graphs:
         assert exhaustive_min_sets(g) == exhaustive_reference(g), g
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The control sets passed to ``oracle.kalman_rank``, in call order."""
+    sets = []
+    real = oracle.kalman_rank
+    monkeypatch.setattr(oracle, "kalman_rank", lambda g, c: sets.append(c) or real(g, c))
+    return sets
+
+
+@pytest.mark.parametrize("expr, size, count", [
+    (".*9", 8, 9),
+    ("(.+.)*(.+.)*(.+.)*(.+.)*(.+.)", 5, 32),
+])
+def test_exhaustive_min_sets_ranks_only_the_minimum_sets(ranked, expr, size, count):
+    """The star K_{1,9} and the 5-pair chain K_{2,2,2,2,2}: every subset a
+    twin pair leaves uncertified at size n - p is a minimum set, so the
+    search ranks exactly the sets it returns and nothing smaller."""
+    assert exhaustive_min_sets(cotree_to_graph(parse_expr(expr))) == (size, ranked)
+    assert len(ranked) == count
+
+
+def test_exhaustive_min_sets_never_ranks_a_certified_subset(ranked):
+    """On every cotree shape with n <= 7 and on random graphs with n <= 8,
+    no ranked subset is smaller than n - p or leaves two vertices of one
+    twin class outside."""
+    rng = random.Random(29)
+    graphs = [cotree_to_graph(CoTree(*columns)) for n in range(1, 8) for columns in cotree_shapes(n)]
+    graphs += [random_graph(rng.randint(2, 8), rng, rng.random()) for _ in range(200)]
+    for g in graphs:
+        ranked.clear()
+        _, sets = exhaustive_min_sets(g)
+        classes = _twin_classes(g)
+        assert set(sets) <= set(ranked)
+        for c in ranked:
+            assert len(c) >= g.n - len(classes)
+            assert all(len(set(cell) - set(c)) <= 1 for cell in classes), (g, c)
+
+
+def test_twin_classes_are_the_sibling_cells_on_every_shape():
+    for n in range(1, 9):
+        for columns in cotree_shapes(n):
+            t = CoTree(*columns)
+            assert _twin_classes(cotree_to_graph(t)) == sibling_partition(t), columns
+
+
+def test_twin_classes_certify_on_every_labelled_graph_up_to_six_vertices():
+    """On all 33,867 labelled graphs with n <= 6 the twin classes partition
+    1..n in order of smallest member; two vertices share a class iff their
+    open rows or their closed rows are equal; no vertex has both a false and
+    a true twin; and each pair x, y in a class has L.(e_x - e_y) =
+    (deg x + [x ~ y]).(e_x - e_y) on laplacian(g)."""
+    count = 0
+    for n in range(1, 7):
+        for g in labelled_graphs(n):
+            count += 1
+            classes = _twin_classes(g)
+            assert list(classes) == sorted(tuple(sorted(cell)) for cell in classes)
+            assert sorted(v for cell in classes for v in cell) == list(range(1, n + 1))
+            cell_of = {v - 1: cell for cell in classes for v in cell}
+            rows, lap = g.rows, None
+            false_twin, true_twin = set(), set()
+            for x, y in combinations(range(n), 2):
+                false = rows[x] == rows[y]
+                true = rows[x] | 1 << x == rows[y] | 1 << y
+                if false:
+                    false_twin.update((x, y))
+                if true:
+                    true_twin.update((x, y))
+                assert (cell_of[x] is cell_of[y]) == (false or true), (g, x, y)
+                if false or true:
+                    eigenvalue = rows[x].bit_count() + true
+                    lap = lap or laplacian(g)
+                    image = [r[x] - r[y] for r in lap]
+                    assert image == [eigenvalue * ((i == x) - (i == y)) for i in range(n)], (g, x, y)
+            assert not false_twin & true_twin, g
+    assert count == 33867
 
 
 def test_exhaustive_size_cap():
