@@ -338,13 +338,58 @@ def _p4_in_subgraph(g: Graph, mask: int) -> tuple[int, int, int, int]:
     """The lexicographically first induced P4 {x < y < z < d} on ``mask``.
 
     Runs only where both the component and the co-component split failed,
-    so one exists (Corneil, Lerchs & Stewart Burlingham, 1981). Every 3-subset
-    of a P4 induces a path p-m-q or an edge u-v beside a lone w; the fourth
+    so one exists (Corneil, Lerchs & Stewart Burlingham, 1981). A filter
+    walks x up the part, which then holds only the vertices >= x: an x on
+    no induced P4 of the part is dropped, and the first x on one hands what
+    is left to ``_first_p4_from``. No P4 has a smaller least vertex, so the
+    witness is the unfiltered scan's. With near = N(x) and far the part
+    outside N[x], x ends a P4 x-u-v-w iff a vertex u of near is adjacent to
+    some but not all of a component C of G[far], ``OR_C & ~AND_C & near``
+    over C's rows; the P4 is self-complementary, so x is a middle vertex
+    iff a co-component of G[near] has the same expression meet far.
+    Singletons cannot qualify, so the isolated vertices of far (one OR) and
+    the vertices of near adjacent to all of near (one AND over the closed
+    rows) are dropped first. Each x costs a few C-level reductions over the
+    part, plus two per component that is left."""
+    rows = g.rows
+    closed = None
+    part = mask
+    while part:
+        bit = part & -part
+        near = rows[bit.bit_length() - 1] & part
+        far = part & ~(near | bit)
+        if near and far:
+            ends = far & reduce(or_, _selected(rows, far))
+            if _splits(rows, _components(rows, ends), near):
+                return _first_p4_from(g, part)
+            if closed is None:
+                closed = [r | 1 << v for v, r in enumerate(rows)]
+            middles = near & ~reduce(and_, _selected(closed, near))
+            if _splits(rows, _components(rows, middles, flip=middles), far):
+                return _first_p4_from(g, part)
+        part ^= bit
+    raise AssertionError("undecomposable subgraph without an induced P4")
+
+
+def _splits(rows: Sequence[int], comps: list[int], other: int) -> bool:
+    """Whether a vertex of ``other`` is adjacent to some but not all of one
+    of ``comps``."""
+    for comp in comps:
+        selected = list(_selected(rows, comp))
+        if reduce(or_, selected) & ~reduce(and_, selected) & other:
+            return True
+    return False
+
+
+def _first_p4_from(g: Graph, mask: int) -> tuple[int, int, int, int]:
+    """The unfiltered scan behind ``_p4_in_subgraph``. Every 3-subset of a
+    P4 induces a path p-m-q or an edge u-v beside a lone w; the fourth
     vertices that complete {x, y, z} are then ``(r_p ^ r_q) & ~r_m`` or
     ``r_w & (r_u ^ r_v)`` over the adjacency rows, and a triangle or three
     lone vertices have none. For each pair x < y the later z are scanned by
     their adjacency to x and y, each class reading its candidates as
-    ``(p ^ r_z) & q``: at most O(k^3) big-int steps for k vertices."""
+    ``(p ^ r_z) & q``: at most O(k^3) big-int steps for k vertices, and
+    O(k^2) when the least vertex lies on a P4."""
     rows = g.rows
     for x in _bits(mask):
         rx = rows[x]
@@ -394,7 +439,10 @@ def recognize(g: Graph) -> CoTree | tuple[int, int, int, int]:
     0-labeled node over its components; a connected one with disconnected
     complement splits into a 1-labeled node over the complement's components.
     A graph stuck in both directions contains an induced P4 (Corneil,
-    Lerchs & Stewart Burlingham, 1981). The complement's components are read
+    Lerchs & Stewart Burlingham, 1981), and the witness is the
+    lexicographically first one on the stuck part: ``_p4_in_subgraph``
+    skips, a few row reductions each, the part's least vertices while they
+    lie on none, then scans triples. The complement's components are read
     from the graph's own rows, so the complement is never built. Disconnected
     inputs are accepted (the root comes out labeled 0); the controllability
     operations reject them downstream.

@@ -9,6 +9,7 @@ import cographctl.cotree as cotree
 
 from cographctl import (
     CoTree,
+    Graph,
     char_poly,
     control_rank,
     cotree_to_graph,
@@ -469,6 +470,75 @@ def test_p4_search_matches_reference(monkeypatch):
             found += 1
             assert real(g, mask) == expected
     assert found > 1000
+
+
+def with_p4_on_top(h: Graph) -> Graph:
+    """The cograph ``h`` beside the path a-b-c-d on four new top ids, with b
+    and c joined to all of ``h``. ``h`` is then a module, so a-b-c-d is the
+    only induced P4 and no vertex of ``h`` lies on one."""
+    k = h.n
+    a, b, c, d = k, k + 1, k + 2, k + 3
+    every = (1 << k) - 1
+    rows = [r | 1 << b | 1 << c for r in h.rows]
+    rows += [1 << b, every | 1 << a | 1 << c, every | 1 << b | 1 << d, 1 << c]
+    return Graph(k + 4, tuple(rows))
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """``g`` with its vertex ids shuffled."""
+    new = list(range(g.n))
+    rng.shuffle(new)
+    return from_edges(g.n, [(new[u], new[v]) for u in range(g.n)
+                            for v in range(u) if g.has_edge(u, v)])
+
+
+def test_filtered_p4_search_matches_the_unfiltered_scan(monkeypatch):
+    """The filtered search returns the unfiltered scan's witness, or raises
+    with it, on seeded non-cographs with 7 <= n <= 120, sizes where the
+    4-subset reference is too slow: random graphs, cographs with one pair
+    toggled, random cographs under a P4 on the top ids, and the "many
+    components" family, a clique joined to disjoint edges under that P4,
+    where every edge vertex's non-neighbours split into many two-vertex
+    components yet it lies on no P4. Some graphs are relabelled. Each runs
+    on its full vertex set, on random subsets, and on the masks where
+    recognition gets stuck."""
+    rng = random.Random(3434)
+    stuck = []
+    real = cotree._p4_in_subgraph
+    monkeypatch.setattr(cotree, "_p4_in_subgraph",
+                        lambda g, mask: stuck.append((g, mask)) or real(g, mask))
+    edge = join_of([K1, K1])
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(7, 120)
+        graphs.append(random_graph(n, rng, rng.random()))
+        rows = list(cotree_to_graph(random_cotree(n, rng)).rows)
+        u, v = rng.sample(range(n), 2)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        graphs.append(Graph(n, tuple(rows)))
+        graphs.append(with_p4_on_top(cotree_to_graph(random_cotree(rng.randint(3, 56), rng))))
+        clique = join_of([K1] * rng.randint(1, 40))
+        matching = union_of([edge] * rng.randint(2, 38))
+        many = with_p4_on_top(join_of([clique, matching][::rng.choice((1, -1))]))
+        graphs.append(many if rng.random() < 0.5 else relabelled(many, rng))
+    graphs = [g for g in graphs if not isinstance(recognize(g), CoTree)]
+    assert len(graphs) == len(stuck) > 120
+    pairs = [(g, mask) for g in graphs
+             for mask in ((1 << g.n) - 1, rng.getrandbits(g.n), rng.getrandbits(g.n))]
+    pairs = list(dict.fromkeys(pairs + stuck))
+    found = raised = 0
+    for g, mask in pairs:
+        try:
+            expected = cotree._first_p4_from(g, mask)
+        except AssertionError:
+            raised += 1
+            with pytest.raises(AssertionError):
+                real(g, mask)
+        else:
+            found += 1
+            assert real(g, mask) == expected
+    assert found > 200 and raised > 100
 
 
 def test_recognize_on_every_labelled_graph_up_to_six_vertices(monkeypatch):

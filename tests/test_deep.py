@@ -13,6 +13,8 @@ from itertools import accumulate
 
 import pytest
 
+import cographctl.cotree as cotree
+
 from cographctl import (
     Graph,
     control_rank,
@@ -163,8 +165,29 @@ def adversarial(n: int) -> Graph:
 @pytest.mark.parametrize("n", [120, 200])
 def test_recognize_finds_the_last_p4_of_a_large_graph(n):
     """A search over 4-subsets visits about n^4 / 24 of them here (about 20 s
-    at n = 120); the triple scan needs no more than n^3 / 6 steps."""
+    at n = 120), and the unfiltered triple scan about n^2 / 2 pairs; the
+    filtered search drops each clique vertex, which lies on no induced P4,
+    after a few reductions over the rows."""
     assert recognize(adversarial(n)) == (n - 3, n - 2, n - 1, n)
+
+
+@pytest.mark.parametrize("n", [120, 2000])
+def test_filtered_p4_search_scans_only_the_last_four_vertices(n, monkeypatch):
+    """The filter drops every clique vertex, so ``recognize`` runs the
+    unfiltered scan once, on the four vertices of the only P4. The witness
+    is checked by its six pairs on the raw rows, where the 4-subset
+    reference could not run."""
+    parts = []
+    real = cotree._first_p4_from
+    monkeypatch.setattr(cotree, "_first_p4_from",
+                        lambda g, part: parts.append(part) or real(g, part))
+    g = adversarial(n)
+    result = recognize(g)
+    assert parts == [0b1111 << (n - 4)]
+    assert result == (n - 3, n - 2, n - 1, n)
+    a, b, c, d = (v - 1 for v in result)
+    pairs = ((a, b), (b, c), (c, d), (a, c), (a, d), (b, d))
+    assert [g.rows[u] >> v & 1 for u, v in pairs] == [1, 1, 1, 0, 0, 0]
 
 
 def test_serialize_parse_roundtrip_deep():
