@@ -313,14 +313,38 @@ def _components(rows: Sequence[int], mask: int, flip: int = 0) -> list[int]:
     ``rem & ~AND``, since ``(rows[i] ^ mask) & rem == rem & ~rows[i]``
     for ``rem`` (the vertices not reached yet) inside ``mask``. The start
     vertex's row is read directly, and a component stops growing as soon
-    as every vertex is reached."""
+    as every vertex is reached.
+
+    The start is the lowest vertex left. When its row neither isolates it
+    nor reaches everything left, the highest vertex's row is read before
+    any BFS level: a top with no (co-)neighbour left, start included, is a
+    singleton component, and the next top is asked; a top that reaches
+    every other vertex left joins them all to start's component. A graph
+    numbered in its construction order, as a threshold sequence numbers
+    it, has its deep part at the low ids and its last vertex on top, so
+    each split costs a few rows instead of a pass over the deep part. A
+    top singleton lies above every vertex still left, so appending those
+    singletons last, highest last, keeps the order with no sort."""
     comps = []
+    tops = []  # singletons split off at the top, highest first
     rem = mask
     while rem:
         start = (rem & -rem).bit_length() - 1
         comp = 1 << start
         rem ^= comp
         frontier = rem & ~rows[start] if flip else rem & rows[start]
+        while frontier and frontier != rem:  # start's row decides nothing yet
+            top = rem.bit_length() - 1
+            bit = 1 << top
+            near = rem & rows[top]  # in the complement top reaches others & ~near
+            others = rem ^ bit
+            if near == (0 if flip else others):  # top reaches all of others: one component
+                frontier = rem
+            elif near != (others if flip else 0) or frontier & bit:  # some of them, or start
+                break
+            else:  # top reaches none of them, nor start: a singleton
+                tops.append(bit)
+                rem = others
         while frontier:
             rem ^= frontier
             comp |= frontier
@@ -331,6 +355,8 @@ def _components(rows: Sequence[int], mask: int, flip: int = 0) -> list[int]:
             else:
                 frontier = rem & reduce(or_, _selected(rows, frontier))
         comps.append(comp)
+    if tops:  # list += reversed() costs more than the test on the common empty list
+        comps += reversed(tops)
     return comps
 
 
@@ -451,7 +477,11 @@ def recognize(g: Graph) -> CoTree | tuple[int, int, int, int]:
     masks and emits the arena directly. Only the root tries both splits: a
     component is connected and a co-component co-connected, so below a
     union node only the co-component split can succeed, and below a join
-    node only the component split.
+    node only the component split. A split reads its part's lowest and
+    highest vertices' rows before any BFS level (``_components``), so a
+    graph numbered in its construction order, deepest vertex lowest, costs
+    a few rows per level; a deep cotree under an arbitrary numbering still
+    costs O(n * depth) row reads.
     """
     full = (1 << g.n) - 1
     parents: list[int | None] = []

@@ -16,8 +16,9 @@ class Graph:
 
     ``rows[i]`` is a bitmask; bit j is set iff {i, j} is an edge. The mask is
     symmetric and the diagonal is empty. ``Graph(n, rows)`` checks all of
-    this; the package's own builders, whose rows hold it by construction, go
-    through ``_trusted`` and skip the walk over every edge.
+    this, symmetry of dense rows as one n x n text against its transpose and
+    of sparse rows bit by bit; the package's own builders, whose rows hold
+    it by construction, go through ``_trusted`` and skip the checks.
     """
 
     __slots__ = ("n", "rows")
@@ -40,6 +41,14 @@ class Graph:
                 raise ValueError("adjacency bit outside vertex range")
             if row >> i & 1:
                 raise ValueError("self-loop in adjacency")
+        n = self.n
+        if n * n <= 8 * sum(map(int.bit_count, self.rows)):
+            # dense rows: the n x n 0/1 text, bit j of row i at i * n + j,
+            # must equal its transpose; n^2 bytes, all of it C-level work
+            matrix = "".join([format(row, f"0{n}b")[::-1] for row in self.rows])
+            if "".join([matrix[i::n] for i in range(n)]) != matrix:
+                raise ValueError("adjacency not symmetric")
+            return
         for i, row in enumerate(self.rows):
             for j in _bits(row):
                 if not self.rows[j] >> i & 1:

@@ -568,35 +568,71 @@ def test_recognize_on_every_labelled_graph_up_to_six_vertices(monkeypatch):
 
 def component_cases(rng: random.Random, count: int):
     """(rows, mask) pairs on random graphs of every density, with full and
-    random submasks: a third as drawn, a third with a random set of isolated
-    vertices, a third whose mask's lowest vertex is adjacent to every other
-    vertex in the mask, so its row reaches the whole mask at once."""
+    random submasks, in five shapes: as drawn; with a random set of isolated
+    vertices; with the mask's lowest vertex adjacent to every other vertex
+    in the mask, so its row reaches the whole mask at once; with the mask's
+    highest one to three vertices adjacent to every other vertex in the
+    mask; and with them isolated in the mask. In the complement the last
+    two shapes trade places."""
     for k in range(count):
         n = rng.randint(1, 40)
         rows = list(random_graph(n, rng, rng.random()).rows)
         mask = rng.getrandbits(n) if rng.random() < 0.6 else (1 << n) - 1
-        if k % 3 == 1:
+        shape = k % 5
+        if shape == 1:
             lone = rng.getrandbits(n)
             rows = [0 if lone >> i & 1 else row & ~lone for i, row in enumerate(rows)]
-        elif k % 3 == 2 and mask:
-            s = (mask & -mask).bit_length() - 1
-            others = mask & ~(1 << s)
-            rows = [row | others if i == s else row | (others >> i & 1) << s
-                    for i, row in enumerate(rows)]
+        elif shape > 1 and mask:
+            ids = [v for v in range(n) if mask >> v & 1]
+            for s in ids[:1] if shape == 2 else ids[-rng.randint(1, 3):]:
+                for i in ids:
+                    if i == s:
+                        continue
+                    if shape == 4:  # s isolated in the mask
+                        rows[i] &= ~(1 << s)
+                        rows[s] &= ~(1 << i)
+                    else:  # s adjacent to all of it
+                        rows[i] |= 1 << s
+                        rows[s] |= 1 << i
         yield rows, mask
 
 
+def top_end_rule(rows: list[int], mask: int, flip: int) -> str | None:
+    """Which rule of the top end decides first in ``_components``, read off
+    the graph: none when the lowest vertex's own row isolates it or reaches
+    the whole mask; else "singleton" when the highest vertex has no
+    (co-)neighbour in the mask, "closes" when it reaches every other vertex
+    of the mask, the lowest perhaps excepted, and "bfs" otherwise."""
+    def reach(bit: int) -> int:
+        return (rows[bit.bit_length() - 1] ^ flip) & mask & ~bit
+
+    if mask & (mask - 1) == 0:
+        return None
+    low, top = mask & -mask, 1 << mask.bit_length() - 1
+    first = reach(low)
+    if not first or first == mask ^ low:
+        return None
+    if not reach(top):
+        return "singleton"
+    return "closes" if reach(top) | low == mask ^ top else "bfs"
+
+
 def test_components_match_per_bit_reference():
-    """One reduction per BFS level gives the per-bit BFS's components, in
-    the same order, on the graph and on its complement inside the mask."""
+    """One reduction per BFS level, and the top end's rules, give the
+    per-bit BFS's components, in the same order, on the graph and on its
+    complement inside the mask; each rule decides some first split in both
+    directions."""
     rng = random.Random(1313)
     shapes = {0: set(), 1: set()}
+    rules = {0: set(), 1: set()}
     for rows, mask in component_cases(rng, 3000):
         for direction, flip in enumerate((0, mask)):
             comps = cotree._components(rows, mask, flip)
             assert comps == components_reference(rows, mask, flip), (rows, mask, flip)
             shapes[direction].add(min(len(comps), 3))
+            rules[direction].add(top_end_rule(rows, mask, flip))
     assert shapes[0] == shapes[1] == {0, 1, 2, 3}  # empty, one, two, many
+    assert rules[0] == rules[1] == {None, "singleton", "closes", "bfs"}
     assert cotree._components((0, 0, 0), 0b101) == [0b001, 0b100]
     assert cotree._components((0, 0, 0), 0b101, flip=0b101) == [0b101]
 

@@ -18,6 +18,7 @@ import cographctl.cotree as cotree
 from cographctl import (
     Graph,
     control_rank,
+    cotree_to_graph,
     is_controllable,
     parse_cotree,
     parse_threshold,
@@ -130,6 +131,30 @@ def test_recognize_deep_threshold_edge_list(capsys, tmp_path):
     path.write_text(threshold_edge_list(bits))
     payload = run_json(capsys, "recognize", "--edges", str(path))
     assert payload["cotree"] == serialize_cotree(parse_threshold(bits))
+
+
+@pytest.mark.parametrize("order", ["construction", "reversed"])
+def test_deep_threshold_splits_read_about_one_row_per_vertex(order, monkeypatch):
+    """In construction order vertex i is bit i, so every part's lowest
+    vertex is its deepest one, and a BFS from it alone reads the rows of
+    the whole deep part at each of the 2000 levels: 2,000,000 rows at
+    n = 2001. Each split is decided from the rows of the part's two end
+    vertices instead, in either numbering, so the BFS levels, which read
+    their rows through ``_selected``, read at most about n rows in all."""
+    bits = alternating(2001)
+    n = len(bits)
+    g = threshold_to_graph(bits)
+    if order == "reversed":
+        g = Graph(n, tuple(int(format(row, f"0{n}b")[::-1], 2) for row in reversed(g.rows)))
+    read = []
+    real = cotree._selected
+    monkeypatch.setattr(cotree, "_selected",
+                        lambda rows, frontier: read.append(frontier.bit_count()) or real(rows, frontier))
+    tree = recognize(g)
+    assert sum(read) <= n
+    assert tree.node_count() == 2 * n - 1 and cotree_to_graph(tree) == g
+    if order == "construction":
+        assert tree == parse_threshold(bits)
 
 
 def test_recognize_builds_no_complement():

@@ -158,6 +158,30 @@ def test_graph_validation():
         assert str(info.value) == message, args
 
 
+def test_symmetry_check_finds_one_bit_on_dense_and_sparse_rows():
+    """Rows with n^2 <= 8 * (set bits) are compared with their transpose as
+    text, sparser rows bit by bit: on both sides one toggled bit anywhere is
+    "adjacency not symmetric", reported only after the range and self-loop
+    checks of every row."""
+    rng = random.Random(77)
+    sides = set()
+    for n, p in ((2, 1.0), (40, 0.9), (40, 0.3), (300, 0.02), (300, 0.6), (500, 0.0)):
+        rows = random_graph(n, rng, p).rows
+        assert Graph(n, rows).rows == rows
+        sides.add(n * n <= 8 * sum(r.bit_count() for r in rows))
+        for _ in range(6):
+            i, j = rng.sample(range(n), 2)
+            bad = list(rows)
+            bad[i] ^= 1 << j
+            with pytest.raises(ValueError, match="^adjacency not symmetric$"):
+                Graph(n, tuple(bad))
+            for last, message in ((1 << n, "adjacency bit outside vertex range"),
+                                  (1 << n - 1, "self-loop in adjacency")):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    Graph(n, (*bad[:-1], bad[-1] | last))
+    assert sides == {True, False}
+
+
 def test_every_graph_that_passes_its_checks_reads_back_from_its_edge_list():
     """``Graph(True, (0,))`` once passed the checks and wrote the header
     ``True 0``, which ``read_edge_list`` refuses: each input here is either
