@@ -259,7 +259,6 @@ _DROP_DIGITS = str.maketrans("", "", "0123456789")
 # reaches back into the chunk before it.
 _CHUNK = 1 << 14
 _CHUNK_END = re.compile("\n(?!#)")
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class _VertexIds(dict):
@@ -275,6 +274,14 @@ class _VertexIds(dict):
             raise KeyError(token)
         self[token] = v
         return v
+
+
+def _id_tables(n: int) -> tuple[dict[str, int], dict[str, int]]:
+    """The byte matrix's tables: each id's text "1".."n" -> its row's offset,
+    and -> minus its column; any other token raises KeyError. Exact dicts,
+    because CPython 3.11 specializes a subscript on an exact dict only."""
+    keys = [str(i) for i in range(1, n + 1)]
+    return dict(zip(keys, range(n - 1, n * n, n))), dict(zip(keys, range(0, -n, -1)))
 
 
 def read_edge_list(text: str) -> Graph:
@@ -295,23 +302,26 @@ def _read_plain(text: str) -> Graph | None:
     routes return the same graph.
 
     The text is tokenized in chunks of about ``_CHUNK`` characters, and a
-    chunk's tokens become vertex ids and are scattered before the next chunk
-    is read, so no token list of the whole text is ever held. When
-    n * n <= 8 * m <= 2 * len(text), a rule that reads only the header and
-    the text's length, each edge line "x y" sets cell (x, y) of an n x n
-    byte matrix, and row i becomes an int once at the end, as the OR of the
-    matrix's row i and column i; otherwise each edge sets its two bits in
-    the rows directly, which needs no n * n allocation on a sparse file.
-    Either way the rows' popcounts sum to 2P + L for P distinct pairs x != y
-    and L distinct self-loops. The m lines give P + L <= m, so the sum is 2m
-    only when P = m and L = 0: no self-loop and no pair twice, in any order."""
-    ids = None
+    chunk's tokens are scattered before the next chunk is read, so no token
+    list of the whole text is ever held. When n * n <= 8 * m <= 2 * len(text),
+    a rule that reads only the header and the text's length, each edge line
+    "x y" writes b"1" into cell (x, y) of an n x n matrix of b"0", each row
+    most significant bit first, and row i becomes an int once at the end, as
+    the OR of row i and column i read in base 2; a leading zero, which the
+    ``_id_tables`` do not hold, declines. Otherwise each edge sets its two
+    bits in the rows directly, which needs no n * n allocation on a sparse
+    file, and ``_VertexIds`` reads a leading zero like int(). Either way the
+    rows' popcounts sum to 2P + L for P distinct pairs x != y and L distinct
+    self-loops. The m lines give P + L <= m, so the sum is 2m only when P = m
+    and L = 0: no self-loop and no pair twice, in any order."""
     lines = n = m = 0
     start = 0
     while start < len(text):
         cut = _CHUNK_END.search(text, start + _CHUNK)
         end = cut.end() if cut else len(text)
-        body = _COMMENT_LINE.sub("", "\n" + text[start:end])[1:]
+        body = text[start:end]
+        if "#" in body:
+            body = _COMMENT_LINE.sub("", "\n" + body)[1:]
         start = end
         if body and body[-1] != "\n":
             body += "\n"
@@ -323,37 +333,38 @@ def _read_plain(text: str) -> Graph | None:
             continue
         lines += len(tokens) // 2
         try:
-            if ids is None:
+            if not n:
                 n, m = int(tokens[0]), int(tokens[1])
                 if not 1 <= n <= VERTEX_CAP:
                     return None
-                ids = _VertexIds(n)
                 # at least a quarter of all pairs are edges, and the text can
                 # hold the m lines (the header and m edge lines take 4m + 3
                 # characters or more), so the matrix is at most 2 bytes per
                 # character of text and comments never make it larger
-                cells = bytearray(n * n) if n * n <= 8 * m <= 2 * len(text) else None
-                rows = [0] * n if cells is None else None
+                if n * n <= 8 * m <= 2 * len(text):
+                    (at, col), cells = _id_tables(n), bytearray(b"0") * (n * n)
+                else:
+                    ids, cells, rows = _VertexIds(n), None, [0] * n
                 del tokens[:2]
             if lines > m + 1:  # more edge lines than the header says
                 return None
+            if cells is not None:
+                pairs = iter(tokens)
+                for a, b in zip(pairs, pairs):
+                    cells[at[a] + col[b]] = 49  # b"1"
+                continue
             ends = list(map(ids.__getitem__, tokens))
-        except (KeyError, ValueError):  # out of range, or too many digits for int()
+        except (KeyError, ValueError):  # no such id, or too many digits for int()
             return None
         if start == len(text):
             del ids  # mapped; the scatter below is where a sparse file peaks
-        if cells is not None:
-            for x, y in zip(ends[0::2], ends[1::2]):
-                cells[x * n + y] = 1
-        else:
-            for x, y in zip(ends[0::2], ends[1::2]):
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
+        for x, y in zip(ends[0::2], ends[1::2]):
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
     if lines != m + 1:
         return None
     if cells is not None:  # row i: the cells (i, y) and (x, i) that were set
-        rows = [int(cells[i * n:i * n + n].translate(_BIT_DIGITS)[::-1], 2)
-                | int(cells[i::n].translate(_BIT_DIGITS)[::-1], 2) for i in range(n)]
+        rows = [int(cells[i * n:i * n + n], 2) | int(cells[n * n - 1 - i::-n], 2) for i in range(n)]
     if sum(map(int.bit_count, rows)) != 2 * m:
         return None
     return Graph._trusted(n, tuple(rows))

@@ -127,7 +127,15 @@ def test_plain_route_declines_what_it_must_not_read():
 
 
 def test_plain_route_reads_leading_zeros_like_int():
+    """The bit rows read a leading zero like int(); the byte matrix's id
+    tables hold only canonical ids, so it declines and the line loop reads
+    the same graph."""
     assert parsing._read_plain("3 1\n01 3\n") == read_edge_list("3 1\n1 3\n")
+    k3 = "3 3\n1 2\n1 3\n2 3\n"
+    padded = k3.replace("\n1 3", "\n01 3")
+    assert 3 * 3 <= 8 * 3 <= 2 * len(padded)  # the matrix route
+    assert parsing._read_plain(padded) is None
+    assert read_edge_list(padded) == read_edge_list(k3) == parsing._read_plain(k3)
 
 
 @st.composite
@@ -242,23 +250,31 @@ def test_plain_route_peak_is_a_small_multiple_of_the_text():
 
 def test_more_lines_than_the_header_says_declines_before_mapping(monkeypatch):
     """The plain route declines in the chunk where the edge lines pass the
-    header's m, before it maps that chunk's endpoints; the line loop then
-    raises the count error."""
+    header's m, before it maps that chunk's endpoints, on the bit rows and
+    on the byte matrix alike; the line loop then raises the count error."""
     mapped = []
 
-    class Ids(parsing._VertexIds):
+    class Spy(dict):
         def __getitem__(self, token):
             mapped.append(token)
             return super().__getitem__(token)
 
+    class Ids(Spy, parsing._VertexIds):
+        pass
+
+    id_tables = parsing._id_tables
     monkeypatch.setattr(parsing, "_VertexIds", Ids)
+    monkeypatch.setattr(parsing, "_id_tables", lambda n: tuple(map(Spy, id_tables(n))))
     monkeypatch.setattr(parsing, "_CHUNK", 8)
-    # chunks: "4 3\n1 2\n2 3\n", then "3 4\n1 3\n1 3\n", the fourth edge line
-    text = "4 3\n1 2\n2 3\n3 4\n" + "1 3\n" * 1000
-    assert parsing._read_plain(text) is None
-    assert mapped == ["1", "2", "2", "3"]
-    with pytest.raises(ParseError, match="expected 3 edge lines, found 1003"):
-        read_edge_list(text)
+    for n, matrix in ((9, False), (4, True)):
+        # chunks: "n 3\n1 2\n2 3\n", then "3 4\n1 3\n1 3\n", the fourth edge line
+        text = f"{n} 3\n1 2\n2 3\n3 4\n" + "1 3\n" * 1000
+        assert (n * n <= 8 * 3) == matrix
+        mapped.clear()
+        assert parsing._read_plain(text) is None
+        assert mapped == ["1", "2", "2", "3"], n
+        with pytest.raises(ParseError, match="expected 3 edge lines, found 1003"):
+            read_edge_list(text)
 
 
 def test_a_header_the_text_cannot_hold_gets_no_matrix():
