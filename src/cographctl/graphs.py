@@ -78,22 +78,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n!r}, rows={self.rows!r})"
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield 0-based edges (i, j) with i < j, in sorted order."""
-        for i in range(self.n):
-            higher = self.rows[i] >> (i + 1) << (i + 1)
-            for j in _bits(higher):
-                yield (i, j)
-
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
 
 def _bits(mask: int) -> Iterator[int]:
     while mask:
@@ -105,10 +89,10 @@ def _bits(mask: int) -> Iterator[int]:
 def laplacian(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Degree matrix minus adjacency, as int rows; symmetric, zero row sums."""
     rows = []
-    for i in range(g.n):
+    for i, mask in enumerate(g.rows):
         row = [0] * g.n
-        for j in _bits(g.rows[i]):
+        for j in _bits(mask):
             row[j] = -1
-        row[i] = g.degree(i)
+        row[i] = mask.bit_count()
         rows.append(tuple(row))
     return tuple(rows)

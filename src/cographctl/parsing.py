@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .cotree import CoTree, _canonical_columns
 from .errors import ParseError, SizeCapError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 # Most vertices an input may declare. It is checked before anything of that
 # size is allocated, and sits above the 10^5 vertices the cotree paths serve.
@@ -263,14 +263,14 @@ _CHUNK_END = re.compile("\n(?!#)")
 
 class _VertexIds(dict):
     """Endpoint token -> 0-based vertex id, filled in the first time each
-    token is looked up. A token outside 1..n raises KeyError."""
+    token is looked up. A leading zero or an id outside 1..n raises KeyError."""
 
     def __init__(self, n: int):
         self.n = n
 
     def __missing__(self, token: str) -> int:
         v = int(token) - 1
-        if not 0 <= v < self.n:
+        if not 0 <= v < self.n or token[0] == "0":
             raise KeyError(token)
         self[token] = v
         return v
@@ -294,26 +294,26 @@ def read_edge_list(text: str) -> Graph:
 def _read_plain(text: str) -> Graph | None:
     """The graph of a plain edge list, or None when the text is not plain.
 
-    Plain means: whole-line '#' comments each ended by '\\n' or the end of
-    the text, and otherwise "n m" and then m lines "a b" of ASCII digits,
-    one space inside a line and '\\n' after it (the last may be missing),
-    with n <= ``VERTEX_CAP`` and no self-loop or duplicate edge. On such a
-    text the line loop sees the same tokens and raises nothing, so both
-    routes return the same graph.
+    Plain means: whole-line '#' comments each ended by '\\n' or the end of the
+    text, and otherwise "n m" and then m lines "a b" of ids as str() writes
+    them, one space inside a line and '\\n' after it (the last may be missing),
+    with n <= ``VERTEX_CAP`` and no self-loop or duplicate edge. The line loop
+    sees the same tokens in such a text and raises nothing, so both routes
+    return the same graph.
 
     The text is tokenized in chunks of about ``_CHUNK`` characters, and a
     chunk's tokens are scattered before the next chunk is read, so no token
-    list of the whole text is ever held. When n * n <= 8 * m <= 2 * len(text),
-    a rule that reads only the header and the text's length, each edge line
-    "x y" writes b"1" into cell (x, y) of an n x n matrix of b"0", each row
-    most significant bit first, and row i becomes an int once at the end, as
-    the OR of row i and column i read in base 2; a leading zero, which the
-    ``_id_tables`` do not hold, declines. Otherwise each edge sets its two
-    bits in the rows directly, which needs no n * n allocation on a sparse
-    file, and ``_VertexIds`` reads a leading zero like int(). Either way the
-    rows' popcounts sum to 2P + L for P distinct pairs x != y and L distinct
-    self-loops. The m lines give P + L <= m, so the sum is 2m only when P = m
-    and L = 0: no self-loop and no pair twice, in any order."""
+    list of the whole text is ever held. When n * n <= 2 * len(text), each
+    edge line "x y" writes b"1" into cell (x, y) of an n x n matrix of b"0",
+    each row most significant bit first, and row i becomes an int once at
+    the end, as the OR of row i and column i read in base 2. At 2 bytes per
+    character of text, the matrix's memory and C-level work stay linear in
+    the text, so that is the one bound it needs. Otherwise each edge sets
+    its two bits in the rows directly. Both routes look ids up in tables of
+    "1".."n" (``_id_tables``, ``_VertexIds``): any other spelling declines.
+    Either way the rows' popcounts sum to 2P + L for P distinct pairs x != y
+    and L distinct self-loops. The m lines give P + L <= m, so the sum is 2m
+    only when P = m and L = 0: no self-loop and no pair twice, in any order."""
     lines = n = m = 0
     start = 0
     while start < len(text):
@@ -337,11 +337,7 @@ def _read_plain(text: str) -> Graph | None:
                 n, m = int(tokens[0]), int(tokens[1])
                 if not 1 <= n <= VERTEX_CAP:
                     return None
-                # at least a quarter of all pairs are edges, and the text can
-                # hold the m lines (the header and m edge lines take 4m + 3
-                # characters or more), so the matrix is at most 2 bytes per
-                # character of text and comments never make it larger
-                if n * n <= 8 * m <= 2 * len(text):
+                if n * n <= 2 * len(text):
                     (at, col), cells = _id_tables(n), bytearray(b"0") * (n * n)
                 else:
                     ids, cells, rows = _VertexIds(n), None, [0] * n
@@ -428,6 +424,8 @@ def _read_lines(text: str) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{i + 1} {j + 1}" for i, j in g.edges())
+    """The plain form: "n m", then each edge as "i j" with i < j, sorted."""
+    lines = [f"{g.n} {sum(map(int.bit_count, g.rows)) // 2}"]
+    lines.extend(f"{i + 1} {j + 1}" for i, row in enumerate(g.rows)
+                 for j in _bits(row >> (i + 1) << (i + 1)))
     return "\n".join(lines) + "\n"

@@ -385,7 +385,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def degree_sequence(g: Graph) -> list[int]:
-    return [g.degree(i) for i in range(g.n)]
+    return [row.bit_count() for row in g.rows]
 
 
 # Matrices are tuples of int rows, the form ``laplacian`` and
@@ -489,7 +489,7 @@ def p4_reference(g: Graph, mask: int) -> tuple[int, int, int, int] | None:
     k^4 / 24 quads, so it is only for small k."""
     verts = list(_bits(mask))
     for quad in combinations(verts, 4):
-        adj = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
+        adj = [(a, b) for a, b in combinations(quad, 2) if g.rows[a] >> b & 1]
         if len(adj) != 3:
             continue
         deg = {v: 0 for v in quad}
@@ -502,7 +502,7 @@ def p4_reference(g: Graph, mask: int) -> tuple[int, int, int, int] | None:
         order = [start]
         while len(order) < 4:
             order.append(next(v for v in quad
-                              if v not in order and g.has_edge(order[-1], v)))
+                              if v not in order and g.rows[order[-1]] >> v & 1))
         return tuple(v + 1 for v in order)
     return None
 

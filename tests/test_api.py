@@ -27,6 +27,7 @@ def test_exports_are_the_documented_surface():
     named = set(re.findall(r"`(\w+)`", section))  # the Notes included
     for cls in (cographctl.CoTree, cographctl.Graph):
         assert {name for name in dir(cls) if not name.startswith("_")} <= named, cls
+    assert {name for name in dir(cographctl.Graph) if not name.startswith("_")} == {"n", "rows"}
 
 
 def test_readme_library_example_gives_its_commented_values():

@@ -57,7 +57,8 @@ def mutated(text: str, rng: random.Random) -> str:
 def edge_lines(g, rng: random.Random) -> list[str]:
     """The graph's edges as "a b" lines in random order, either endpoint
     first, as the benchmark writes its files."""
-    edges = [(i + 1, j + 1) if rng.random() < 0.5 else (j + 1, i + 1) for i, j in g.edges()]
+    pairs = [line.split() for line in write_edge_list(g).splitlines()[1:]]
+    edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs]
     rng.shuffle(edges)
     return [f"{a} {b}" for a, b in edges]
 
@@ -126,14 +127,18 @@ def test_plain_route_declines_what_it_must_not_read():
         assert parsing._read_plain(text) is None, repr(text)
 
 
-def test_plain_route_reads_leading_zeros_like_int():
-    """The bit rows read a leading zero like int(); the byte matrix's id
-    tables hold only canonical ids, so it declines and the line loop reads
-    the same graph."""
-    assert parsing._read_plain("3 1\n01 3\n") == read_edge_list("3 1\n1 3\n")
+def test_both_routes_decline_leading_zeros():
+    """The bit rows and the byte matrix look ids up in tables of "1".."n"
+    only, so an endpoint with a leading zero declines on either route and
+    the line loop, which reads it like int(), gives the canonical text's
+    graph."""
+    sparse = "9 1\n01 3\n"
+    assert 9 * 9 > 2 * len(sparse)  # the bit rows
+    assert parsing._read_plain(sparse) is None
+    assert read_edge_list(sparse) == read_edge_list("9 1\n1 3\n") == parsing._read_plain("9 1\n1 3\n")
     k3 = "3 3\n1 2\n1 3\n2 3\n"
     padded = k3.replace("\n1 3", "\n01 3")
-    assert 3 * 3 <= 8 * 3 <= 2 * len(padded)  # the matrix route
+    assert 3 * 3 <= 2 * len(padded)  # the matrix route
     assert parsing._read_plain(padded) is None
     assert read_edge_list(padded) == read_edge_list(k3) == parsing._read_plain(k3)
 
@@ -186,14 +191,14 @@ def test_chunked_plain_route_reads_as_one_pass(monkeypatch):
 
 def rule_cases(rng: random.Random):
     """Edge lists on both sides of the byte-matrix rule
-    n * n <= 8 * m <= 2 * len(text): each graph's list as written, and
-    with a header that claims n * n / 8 edges, each bare and after a
-    comment line of n * n characters; then each with a self-loop, a
-    repeated edge or an endpoint out of range spliced in at a random edge
-    line."""
+    n * n <= 2 * len(text): each graph's list as written, and with a header
+    that claims n * n / 8 edges, each bare and after a comment line of
+    n * n characters, which puts it on the matrix; then each with a
+    self-loop, a repeated edge or an endpoint out of range spliced in at a
+    random edge line."""
     for _ in range(240):
         n = rng.randint(2, 120)
-        g = random_graph(n, rng, rng.choice([0.01, 0.1, 0.3, 0.5, 0.8]))
+        g = random_graph(n, rng, rng.choice([0.01, 0.03, 0.1, 0.3, 0.5, 0.8]))
         edges = edge_lines(g, rng)
         v = rng.randint(1, n)
         bad = [f"{v} {v}", edges[0] if edges else "1 1", f"{v} {n + 1}", f"0 {v}"]
@@ -212,7 +217,7 @@ def test_both_sides_of_the_matrix_rule_agree_with_the_line_loop():
     sides = {False: 0, True: 0}
     errors = 0
     for n, m, text in rule_cases(rng):
-        sides[n * n <= 8 * m <= 2 * len(text)] += 1
+        sides[n * n <= 2 * len(text)] += 1
         try:
             expected = parsing._read_lines(text)
         except ParseError as exc:
@@ -225,19 +230,35 @@ def test_both_sides_of_the_matrix_rule_agree_with_the_line_loop():
     assert min(sides.values()) > 1000 and errors > 2000, (sides, errors)
 
 
+def test_a_text_that_holds_the_matrix_takes_it_below_a_quarter_density(monkeypatch):
+    """G(460, 0.2) has fewer edges than n * n / 8, but its text holds the
+    n x n matrix at 2 bytes per character, so it takes the byte matrix and
+    gives the line loop's graph."""
+    g = random_graph(460, random.Random(460), 0.2)
+    edges = edge_lines(g, random.Random(46))
+    text = "\n".join([f"{g.n} {len(edges)}", *edges]) + "\n"
+    assert 8 * len(edges) < g.n * g.n <= 2 * len(text)
+    built = []
+    id_tables = parsing._id_tables
+    monkeypatch.setattr(parsing, "_id_tables", lambda n: built.append(n) or id_tables(n))
+    assert parsing._read_plain(text) == parsing._read_lines(text) == g
+    assert built == [460]
+
+
 def test_plain_route_peak_is_a_small_multiple_of_the_text():
     """On a dense file the reader holds one chunk's tokens and the n * n
     byte matrix, never a token list of the whole text; a long comment does
-    not make a sparse file's reader build the matrix."""
+    not make a sparse file's reader build the matrix while the text stays
+    under n * n / 2 characters."""
     # three disjoint cliques on 1000 vertices: 166,167 edges, 1.3 MB of text
     dense = cotree_to_graph(parse_expr("+".join("(" + "*".join("." * k) + ")" for k in (334, 333, 333))))
     # a perfect matching on 2000 vertices after a comment of 2000 * 2000 / 8
-    # characters, with which the text would hold the n x n matrix 8 times
+    # characters: the text is about a quarter of n * n / 2
     sparse = cotree_to_graph(parse_expr("+".join(["(.*.)"] * 1000)))
     for g, comment, matrix in ((dense, "# dense", True), (sparse, "#" + "." * 500_000, False)):
         edges = edge_lines(g, random.Random(32))
         text = "\n".join([comment, f"{g.n} {len(edges)}", *edges]) + "\n"
-        assert (g.n * g.n <= 8 * len(edges)) == matrix
+        assert (g.n * g.n <= 2 * len(text)) == matrix
         tracemalloc.start()
         try:
             read = read_edge_list(text)
@@ -268,12 +289,12 @@ def test_more_lines_than_the_header_says_declines_before_mapping(monkeypatch):
     monkeypatch.setattr(parsing, "_CHUNK", 8)
     for n, matrix in ((9, False), (4, True)):
         # chunks: "n 3\n1 2\n2 3\n", then "3 4\n1 3\n1 3\n", the fourth edge line
-        text = f"{n} 3\n1 2\n2 3\n3 4\n" + "1 3\n" * 1000
-        assert (n * n <= 8 * 3) == matrix
+        text = f"{n} 3\n1 2\n2 3\n3 4\n" + "1 3\n" * 5
+        assert (n * n <= 2 * len(text)) == matrix
         mapped.clear()
         assert parsing._read_plain(text) is None
         assert mapped == ["1", "2", "2", "3"], n
-        with pytest.raises(ParseError, match="expected 3 edge lines, found 1003"):
+        with pytest.raises(ParseError, match="expected 3 edge lines, found 8"):
             read_edge_list(text)
 
 
@@ -306,11 +327,11 @@ def test_matrix_route_declines_loops_and_duplicates_in_either_order():
     ]
     for lines, message in cases:
         text = "\n".join(["4 7", *lines]) + "\n"
-        assert 4 * 4 <= 8 * 7 <= 2 * len(text)  # the matrix route
+        assert 4 * 4 <= 2 * len(text)  # the matrix route
         assert parsing._read_plain(text) is None
         with pytest.raises(ParseError) as info:
             read_edge_list(text)
         assert str(info.value) == message
     text = "\n".join(["4 6", *k4[::-1]]) + "\n"
-    assert 4 * 4 <= 8 * 6 <= 2 * len(text)
+    assert 4 * 4 <= 2 * len(text)
     assert parsing._read_plain(text) == from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])

@@ -45,11 +45,11 @@ def k(n):
 
 def test_union_examples():
     g = union_of([K1, K1])
-    assert g.n == 2 and g.edge_count() == 0
+    assert g.n == 2 and sum(map(int.bit_count, g.rows)) // 2 == 0
 
     g = union_of([k(2), K1])
-    assert g.n == 3 and g.edge_count() == 1
-    assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+    assert g.n == 3 and sum(map(int.bit_count, g.rows)) // 2 == 1
+    assert g.rows[0] >> 1 & 1 and not g.rows[0] >> 2 & 1
 
 
 def test_union_of_two_k2_eigenvalues_via_eigensolve_oracle():
@@ -59,14 +59,14 @@ def test_union_of_two_k2_eigenvalues_via_eigensolve_oracle():
 
 
 def test_join_examples():
-    assert join_of([K1, K1]).edge_count() == 1
+    assert sum(map(int.bit_count, join_of([K1, K1]).rows)) // 2 == 1
 
     star = join_of([K1, union_of([K1, K1])])
-    assert star.n == 3 and star.edge_count() == 2
-    assert star.degree(0) == 2
+    assert star.n == 3 and sum(map(int.bit_count, star.rows)) // 2 == 2
+    assert star.rows[0].bit_count() == 2
 
     for n in range(2, 7):
-        assert k(n).edge_count() == n * (n - 1) // 2
+        assert sum(map(int.bit_count, k(n).rows)) // 2 == n * (n - 1) // 2
 
 
 def test_empty_part_list_rejected():
@@ -104,7 +104,7 @@ def test_laplacian_rows_sum_to_zero_and_symmetric():
 
 
 def test_complement_and_connectivity():
-    assert complement(k(3)).edge_count() == 0
+    assert sum(map(int.bit_count, complement(k(3)).rows)) // 2 == 0
     assert not is_connected(union_of([K1, K1]))
     assert is_connected(join_of([union_of([K1, K1]), k(3)]))
     assert is_connected(K1)

@@ -83,7 +83,7 @@ def test_threshold_min_control_k2_and_tie_rule():
 
 def test_anti_regular_single_control_node():
     # all degrees distinct except one tie: one control node suffices
-    degs = sorted(threshold_to_graph("0101").degree(i) for i in range(4))
+    degs = sorted(threshold_to_graph("0101").rows[i].bit_count() for i in range(4))
     assert degs == [1, 2, 2, 3]
     t = parse_threshold("0101")
     cset = select_min_control_set(t)
@@ -125,7 +125,7 @@ def test_degree_partition_reads_graph_degrees():
         assert sorted(v for _, c in part for v in c) == list(range(1, t.n + 1))
         assert [d for d, _ in part] == sorted({d for d, _ in part})
         for d, cell in part:
-            assert all(g.degree(v - 1) == d for v in cell)
+            assert all(g.rows[v - 1].bit_count() == d for v in cell)
 
 
 def test_degree_partition_differs_from_siblings_off_thresholds():
