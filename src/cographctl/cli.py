@@ -58,20 +58,27 @@ class _NotCograph(_DomainError):
         self.witness = witness
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    # @PATH reads the text flags from a file, @- from stdin
-    p.add_argument("--expr", help="cograph expression, e.g. '(.+.)*(.+.+.)', or @PATH")
-    p.add_argument("--cotree", help="cotree text, e.g. '1(0(1,2),3)', or @PATH")
-    p.add_argument("--threshold", help="threshold construction bits, e.g. 0101001, or @PATH")
-    p.add_argument("--edges", help="path to an edge-list file ('n m' header)")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+# The input options, each with the parser of its text (@PATH reads the text from a
+# file, @- from stdin); --edges names an edge-list file. Each lambda looks its parser
+# up when called, so a wrapper set on that name in this module (a tracer's) sees it.
+_INPUTS = (
+    ("--expr", {"help": "cograph expression, e.g. '(.+.)*(.+.+.)', or @PATH"},
+     lambda text: parse_expr(text)),
+    ("--cotree", {"help": "cotree text, e.g. '1(0(1,2),3)', or @PATH"},
+     lambda text: parse_cotree(text)),
+    ("--threshold", {"help": "threshold construction bits, e.g. 0101001, or @PATH"},
+     lambda text: parse_threshold(text)),
+    ("--edges", {"help": "path to an edge-list file ('n m' header)"}, None),
+)
+_JSON = {"--json": {"action": "store_true", "help": "emit JSON instead of text"}}
+_ANALYSIS = {option: keywords for option, keywords, _ in _INPUTS} | _JSON
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then kept: each
-    ``parse_args`` call fills a fresh namespace, so calls share no state. Only
-    help, usage errors and the argv forms ``_plain_args`` declines build it."""
+    """The command-line parser, built from ``_GRAMMAR`` on first use and kept:
+    each ``parse_args`` call fills a fresh namespace, so calls share no state.
+    Only help, usage errors and the argv forms ``_plain_args`` declines build it."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="cographctl",
@@ -79,75 +86,43 @@ def build_parser() -> argparse.ArgumentParser:
         "minimum leader selection for cograph networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("recognize", help="decompose into a canonical cotree")
-    _add_input_flags(p)
-
-    p = sub.add_parser("spectrum", help="exact Laplacian eigenvalues")
-    _add_input_flags(p)
-    p.add_argument("--modal", action="store_true", help="also print the integer modal matrix")
-
-    p = sub.add_parser("partition", help="sibling partition cells")
-    _add_input_flags(p)
-    p.add_argument("--degree", action="store_true", help="also print the degree partition")
-
-    p = sub.add_parser("leaders", help="minimum control sets")
-    _add_input_flags(p)
-    p.add_argument("--tie", choices=["lowest", "highest"], default="lowest",
-                   help="which cell representatives stay uncontrolled")
-    p.add_argument("--all", action="store_true", help="enumerate every minimum set")
-
-    p = sub.add_parser("verify", help="check controllability of a given set")
-    _add_input_flags(p)
-    p.add_argument("--set", required=True, metavar="IDS",
-                   help="comma-separated control vertices, e.g. 1,6,7")
-    p.add_argument("--cross-check", action="store_true",
-                   help="also run the eigenvector rank test and the Kalman rank oracle")
-
-    p = sub.add_parser("oracle", help="brute-force self-check battery (size-capped)")
-    _add_input_flags(p)
-
-    p = sub.add_parser("random", help="emit a random cotree or threshold sequence")
-    p.add_argument("--nodes", type=int, required=True, metavar="N")
-    p.add_argument("--seed", type=int, required=True, metavar="S")
-    p.add_argument("--threshold", action="store_true",
-                   help="emit a threshold construction sequence instead")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
+    for name, (_, summary, options) in _GRAMMAR.items():
+        p = sub.add_parser(name, help=summary)
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
     return parser
 
 
-# The plain grammar, as ``build_parser`` declares it (a test keeps the two equal):
-# each option string's dest, with its const for a flag or its choices for a value
-# option (None: any value); per analysis command, its dests' defaults in declaration
-# order (the namespace's key order) and its required dests. ``random``'s are typed.
-_OPTIONS = {"--expr": ("expr", None), "--cotree": ("cotree", None),
-            "--threshold": ("threshold", None), "--edges": ("edges", None),
-            "--json": ("json", True), "--modal": ("modal", True), "--degree": ("degree", True),
-            "--tie": ("tie", ("lowest", "highest")), "--all": ("all", True),
-            "--set": ("set", None), "--cross-check": ("cross_check", True)}
-_INPUT = {"expr": None, "cotree": None, "threshold": None, "edges": None, "json": False}
-_PLAIN = {"recognize": (_INPUT, ()), "spectrum": (_INPUT | {"modal": False}, ()),
-          "partition": (_INPUT | {"degree": False}, ()), "oracle": (_INPUT, ()),
-          "leaders": (_INPUT | {"tie": "lowest", "all": False}, ()),
-          "verify": (_INPUT | {"set": None, "cross_check": False}, ("set",))}
+def _plain_maps(options: dict) -> tuple[dict, dict, list]:
+    """The plain reader's maps, derived from a command's options in ``_GRAMMAR``:
+    each option string's dest, with its const for a flag or its choices for a
+    value option (None: any value); the dests' defaults in declaration order
+    (the namespace's key order); the required dests."""
+    specs, defaults, required = {}, {}, []
+    for option, keywords in options.items():
+        dest, flag = option[2:].replace("-", "_"), keywords.get("action") == "store_true"
+        specs[option] = dest, flag or keywords.get("choices")
+        defaults[dest] = keywords.get("default", False if flag else None)
+        if keywords.get("required"):
+            required.append(dest)
+    return specs, defaults, required
 
 
 def _plain_args(argv: list) -> SimpleNamespace | None:
     """``build_parser().parse_args(argv)``'s namespace, keys in the same order,
-    for a plain argv: a command of ``_PLAIN``, then only exact option strings of
-    it, a value option's value being the next token, a str that does not start
-    with "-" (and one of its choices). None for every other form, which argparse
-    reads: help and usage errors among them."""
-    command = _PLAIN.get(argv[0]) if argv and type(argv[0]) is str else None
+    for a plain argv: a command of ``_PLAIN_MAPS``, then only exact option
+    strings of it, a value option's value being the next token, a str that does
+    not start with "-" (and one of its choices). None for every other form,
+    which argparse reads: help and usage errors among them."""
+    command = _PLAIN_MAPS.get(argv[0]) if argv and type(argv[0]) is str else None
     if command is None:
         return None
-    defaults, required = command
+    specs, defaults, required = command
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        dest, spec = _OPTIONS.get(token, (None, None)) if type(token) is str else (None, None)
-        if dest not in defaults:
+        dest, spec = specs.get(token, (None, None)) if type(token) is str else (None, None)
+        if dest is None:
             return None
         if spec is True:  # a flag, spec being its const
             values[dest] = True
@@ -173,22 +148,21 @@ def _load_input(args: SimpleNamespace | argparse.Namespace) -> tuple[CoTree, Gra
     Only the commands that read the graph build it from a cotree, O(n^2);
     degrees need none, since a leaf's ancestor sum in the cotree is its
     degree."""
-    flags = [name for name in ("expr", "cotree", "threshold", "edges")
-             if getattr(args, name, None) is not None]
-    if len(flags) != 1:
-        _usage(args.command, "exactly one of --expr/--cotree/--threshold/--edges is required")
-    kind = flags[0]
-    if kind == "edges":
-        edges = read_edge_list(_read_text(args.edges, "edge list"))
+    given = [(option, parse, value) for option, _, parse in _INPUTS
+             if (value := getattr(args, option[2:])) is not None]
+    if len(given) != 1:
+        options = "/".join(option for option, _, _ in _INPUTS)
+        _usage(args.command, f"exactly one of {options} is required")
+    (option, parse, value), = given
+    if parse is None:  # --edges
+        edges = read_edge_list(_read_text(value, "edge list"))
         result = recognize(edges)
         if not isinstance(result, CoTree):
             raise _NotCograph(edges.n, result)
         return result, edges
-    text = getattr(args, kind)
-    if text.startswith("@"):  # '@' is in none of the three grammars
-        text = _read_text(text[1:] if text != "@-" else None, f"--{kind} input")
-    parse = {"expr": parse_expr, "cotree": parse_cotree, "threshold": parse_threshold}[kind]
-    return parse(text), None
+    if value.startswith("@"):  # '@' is in none of the three grammars
+        value = _read_text(value[1:] if value != "@-" else None, f"{option} input")
+    return parse(value), None
 
 
 def _read_text(path: str | None, label: str) -> str:
@@ -393,7 +367,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_random(args) -> int:
     if args.nodes < 1:
-        _usage("random", "--nodes must be at least 1")
+        _usage(args.command, "--nodes must be at least 1")
     check_vertex_count(args.nodes)
     rng = random.Random(args.seed)
     if args.threshold:
@@ -404,22 +378,43 @@ def _cmd_random(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "recognize": _cmd_recognize,
-    "spectrum": _cmd_spectrum,
-    "partition": _cmd_partition,
-    "leaders": _cmd_leaders,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
-    "random": _cmd_random,
+# The command-line grammar: per command, its handler, its help and its options in
+# declaration order, each option string with its ``add_argument`` keywords.
+_GRAMMAR = {
+    "recognize": (_cmd_recognize, "decompose into a canonical cotree", _ANALYSIS),
+    "spectrum": (_cmd_spectrum, "exact Laplacian eigenvalues", _ANALYSIS | {
+        "--modal": {"action": "store_true", "help": "also print the integer modal matrix"}}),
+    "partition": (_cmd_partition, "sibling partition cells", _ANALYSIS | {
+        "--degree": {"action": "store_true", "help": "also print the degree partition"}}),
+    "leaders": (_cmd_leaders, "minimum control sets", _ANALYSIS | {
+        "--tie": {"choices": ["lowest", "highest"], "default": "lowest",
+                  "help": "which cell representatives stay uncontrolled"},
+        "--all": {"action": "store_true", "help": "enumerate every minimum set"}}),
+    "verify": (_cmd_verify, "check controllability of a given set", _ANALYSIS | {
+        "--set": {"required": True, "metavar": "IDS",
+                  "help": "comma-separated control vertices, e.g. 1,6,7"},
+        "--cross-check": {"action": "store_true", "help": "also run the eigenvector rank test "
+                          "and the Kalman rank oracle"}}),
+    "oracle": (_cmd_oracle, "brute-force self-check battery (size-capped)", _ANALYSIS),
+    "random": (_cmd_random, "emit a random cotree or threshold sequence", {
+        "--nodes": {"type": int, "required": True, "metavar": "N"},
+        "--seed": {"type": int, "required": True, "metavar": "S"},
+        "--threshold": {"action": "store_true",
+                        "help": "emit a threshold construction sequence instead"}} | _JSON),
 }
+
+# The plain reader's maps, derived from the table per command, since an option string
+# may be a value option on one command and a flag on another (--threshold); a command
+# with a typed option (``random``) gets none and goes to argparse.
+_PLAIN_MAPS = {name: _plain_maps(options) for name, (_, _, options) in _GRAMMAR.items()
+               if all("type" not in keywords for keywords in options.values())}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:  # argparse reports every parse failure by raising SystemExit
         args = _plain_args(argv) or build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _GRAMMAR[args.command][0](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

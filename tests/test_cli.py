@@ -623,22 +623,24 @@ def declared_grammar():
                for a in actions):
             grammar[name] = (
                 [(a.dest, a.default) for a in actions],
-                {s: (a.dest, a.const if a.nargs == 0 else a.choices and tuple(a.choices))
+                {s: (a.dest, a.const if a.nargs == 0 else a.choices)
                  for a in actions for s in a.option_strings},
                 {a.dest for a in actions if a.required})
     return grammar
 
 
 def test_plain_table_is_the_declared_grammar():
-    """``cli._PLAIN`` and ``cli._OPTIONS`` hold what the parser declares: the
-    same commands, defaults in the same order, option strings, consts,
-    choices and required dests."""
-    table = {name: ([*defaults.items()],
-                    {s: o for s, o in cli._OPTIONS.items() if o[0] in defaults},
-                    set(required))
-             for name, (defaults, required) in cli._PLAIN.items()}
-    assert table == declared_grammar()
-    assert set(cli._OPTIONS) == {s for _, options, _ in table.values() for s in options}
+    """The plain reader's maps, which ``cli._PLAIN_MAPS`` derives from the one
+    command table, hold what argparse builds from that table: the same
+    commands, defaults in the same order, option strings, consts, choices and
+    required dests. Each map is its command's own: ``--threshold`` is a value
+    option on the analysis commands and a flag on ``random``, which argparse
+    alone reads."""
+    derived = {name: ([*defaults.items()], specs, set(required))
+               for name, (specs, defaults, required) in cli._PLAIN_MAPS.items()}
+    assert derived == declared_grammar()
+    assert cli._plain_args(["leaders", "--threshold", "01"]).threshold == "01"
+    assert cli._plain_args(["random", "--nodes", "3", "--seed", "1", "--threshold"]) is None
 
 
 def test_plain_request_imports_no_argparse(tmp_path):
